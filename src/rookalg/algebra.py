@@ -109,6 +109,21 @@ def _measure(g: Permutation, js: tuple[int, ...]) -> tuple[int, int, int]:
     return (m, 0, img_inv)
 
 
+def fuse(p: Monomial, q: Monomial) -> tuple[Permutation, tuple[int, ...]]:
+    """The state A(g) T_{js} equal to the word p q, before normalization.
+
+    A(g) T_I A(h) T_J = A(gh) T_{h^{-1}(I)} T_J, since each T_i slides
+    through A(h) by T_i A(h) = A(h) T_{h^{-1}(i)}.
+    """
+    inv = q.perm.inverse()
+    return p.perm * q.perm, tuple(inv(i) for i in p.holes) + q.holes
+
+
+def star_state(m: Monomial) -> tuple[Permutation, tuple[int, ...]]:
+    """The state equal to m* = T_{j_k} ... T_{j_1} A(g^{-1}), before normalization."""
+    return m.perm.inverse(), tuple(m.perm(i) for i in reversed(m.holes))
+
+
 def word_to_state(alpha: int, tokens: Sequence[tuple[str, object]]) -> tuple[Permutation, tuple[int, ...]]:
     """Collect all permutation letters on the left.
 
@@ -335,9 +350,7 @@ class OElement:
         nz = normalizer or default_normalizer()
         acc: dict[Monomial, NuPoly] = {}
         for m, c in self._coeffs.items():
-            g_inv = m.perm.inverse()
-            js = tuple(m.perm(i) for i in reversed(m.holes))
-            for mm, cc in nz.reduce(g_inv, js).items():
+            for mm, cc in nz.reduce(*star_state(m)).items():
                 acc[mm] = acc.get(mm, NuPoly.zero()) + c * cc
         return OElement(self.alpha, acc)
 
@@ -368,14 +381,11 @@ def multiply(x: OElement, y: OElement, normalizer: Normalizer | None = None) -> 
     """Product via monomial fusion followed by normalization."""
     x._check(y)
     nz = normalizer or default_normalizer()
-    y_items = [(m2, c2, m2.perm.inverse()) for m2, c2 in y.items()]
     acc: dict[Monomial, NuPoly] = {}
     for m1, c1 in x.items():
-        for m2, c2, inv2 in y_items:
-            g = m1.perm * m2.perm
-            js = tuple(inv2(i) for i in m1.holes) + m2.holes
+        for m2, c2 in y.items():
             coeff = c1 * c2
-            for m, c in nz.reduce(g, js).items():
+            for m, c in nz.reduce(*fuse(m1, m2)).items():
                 acc[m] = acc.get(m, NuPoly.zero()) + coeff * c
     return OElement(x.alpha, acc)
 

@@ -39,6 +39,7 @@ from .verify import (
     crosscheck_multi,
     crosscheck_structure,
     dimension_suite,
+    gram_suite,
     limit_suite,
     relation_suite,
     semisimplicity_probe,
@@ -117,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--nu", default=None, help="evaluate all constants at this rational")
     table.add_argument("--format", choices=("json", "csv"), default="json")
     table.add_argument("--out", default=None)
-    table.add_argument("--jobs", type=int, default=1)
 
     gram = sub.add_parser("gram", help="Gram matrix of the trace inner product")
     common(gram)
@@ -137,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("dims", "dimension and coset counting"),
         ("limit", "scaled limit against the partial-injection monoid"),
         ("semisimple", "trace-form determinant probe"),
+        ("gram", "Gram matrix against convolution traces"),
     ):
         sp = vsub.add_parser(name, help=helptext)
         common(sp)
         sp.add_argument("--n", type=int, default=None, help="tail degree (suite-dependent default)")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out", default=None)
         sp.add_argument("--max-counterexamples", type=int, default=5)
     return p
@@ -193,7 +193,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    tbl = structure_table(args.alpha, max_alpha=args.capacity, jobs=args.jobs)
+    tbl = structure_table(args.alpha, max_alpha=args.capacity)
     nu = parse_rational(args.nu) if args.nu is not None else None
     if args.format == "csv":
         _emit(tbl.to_csv(nu), args.out)
@@ -246,7 +246,7 @@ def _cmd_verify(args) -> int:
         if args.n is not None:
             rep = crosscheck_structure(alpha, args.n, max_alpha=cap, max_counterexamples=k)
         else:
-            rep = crosscheck_multi(alpha, max_alpha=cap, jobs=args.jobs, max_counterexamples=k)
+            rep = crosscheck_multi(alpha, max_alpha=cap, max_counterexamples=k)
     elif args.suite == "relations":
         rep = relation_suite(alpha, args.n if args.n is not None else alpha, max_alpha=cap, max_counterexamples=k)
     elif args.suite == "dims":
@@ -256,6 +256,9 @@ def _cmd_verify(args) -> int:
         rep = limit_suite(alpha, max_alpha=cap, max_counterexamples=k)
     elif args.suite == "semisimple":
         rep = semisimplicity_probe(alpha, max_alpha=cap, max_counterexamples=k)
+    elif args.suite == "gram":
+        ns = (args.n,) if args.n is not None else None
+        rep = gram_suite(alpha, ns, max_alpha=cap, max_counterexamples=k)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown suite {args.suite!r}")
     _emit(rep.canonical_json(include_timing=False), args.out)

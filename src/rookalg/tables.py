@@ -2,28 +2,25 @@
 
 A structure table records, for every ordered pair of admissible basis
 monomials, the normal form of their product as polynomial-in-nu
-coefficients.  Tables are built once per alpha with a fresh rewriting
-engine so the recorded rule counters are reproducible, and they serialize
-to a stable JSON or CSV layout.
+coefficients.  Each build reduces every fused pair with one rewriting
+engine, so states shared between rows are rewritten once; tables
+serialize to a stable JSON or CSV layout.
 """
 from __future__ import annotations
 
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .algebra import Monomial, Normalizer, basis_enumerate
+from .algebra import Monomial, Normalizer, basis_enumerate, fuse, star_state
 from .capacity import table_limit
 from .combinatorics import Permutation
 from .errors import CapacityError, ConsistencyError
 from .nupoly import NuPoly, format_rational
-
-_STAT_KEYS = ("square", "swap", "erase", "states", "cache_hits")
 
 
 @dataclass(frozen=True)
@@ -127,50 +124,17 @@ class StructureTable:
         return "\n".join(lines) + "\n"
 
 
-def _compute_row(basis: Sequence[Monomial], ip: int):
-    """All products with left factor basis[ip], using a row-local engine.
-
-    Row-local engines keep the recorded rule counters independent of how
-    rows are scheduled across processes.
-    """
-    nz = Normalizer()
-    index = {m: i for i, m in enumerate(basis)}
-    p = basis[ip]
-    row = []
-    for iq, q in enumerate(basis):
-        inv = q.perm.inverse()
-        g = p.perm * q.perm
-        js = tuple(inv(i) for i in p.holes) + q.holes
-        nf = nz.reduce(g, js)
-        terms = tuple(sorted(((index[m], c) for m, c in nf.items()), key=lambda t: t[0]))
-        row.append((iq, terms))
-    return row, nz.stats
-
-
-_WORKER_BASIS: tuple[Monomial, ...] | None = None
-
-
-def _init_worker(basis_ser) -> None:
-    global _WORKER_BASIS
-    _WORKER_BASIS = tuple(
-        Monomial(Permutation(tuple(g)), tuple(holes)) for g, holes in basis_ser
-    )
-
-
-def _row_task(ip: int):
-    assert _WORKER_BASIS is not None
-    row, stats = _compute_row(_WORKER_BASIS, ip)
-    ser = [(iq, [(ir, poly.coeffs) for ir, poly in terms]) for iq, terms in row]
-    return ip, ser, stats
-
-
 _TABLE_CACHE: dict[int, StructureTable] = {}
 
 
 def structure_table(
-    alpha: int, *, max_alpha: int | None = None, jobs: int = 1, use_cache: bool = True
+    alpha: int, *, max_alpha: int | None = None, use_cache: bool = True
 ) -> StructureTable:
-    """Build (or fetch) the full structure table for S_alpha."""
+    """Build (or fetch) the full structure table for S_alpha.
+
+    build_stats holds the rule counters of the build's one Normalizer, plus
+    the dimension and the build time.
+    """
     if use_cache and alpha in _TABLE_CACHE:
         return _TABLE_CACHE[alpha]
     limit = table_limit(max_alpha)
@@ -181,28 +145,15 @@ def structure_table(
         )
     t0 = time.perf_counter()
     basis = basis_enumerate(alpha, max_alpha=alpha)
+    index = {m: i for i, m in enumerate(basis)}
+    nz = Normalizer()
     constants: dict[tuple[int, int], tuple[tuple[int, NuPoly], ...]] = {}
-    totals = {k: 0 for k in _STAT_KEYS}
-    if jobs > 1:
-        ser = tuple((m.perm.images, m.holes) for m in basis)
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(ser,)
-        ) as ex:
-            for ip, row_ser, stats in ex.map(_row_task, range(len(basis))):
-                for iq, terms in row_ser:
-                    constants[(ip, iq)] = tuple((ir, NuPoly(cs)) for ir, cs in terms)
-                for k in _STAT_KEYS:
-                    totals[k] += stats.get(k, 0)
-    else:
-        for ip in range(len(basis)):
-            row, stats = _compute_row(basis, ip)
-            for iq, terms in row:
-                constants[(ip, iq)] = terms
-            for k in _STAT_KEYS:
-                totals[k] += stats.get(k, 0)
-    totals["dimension"] = len(basis)
-    totals["elapsed_s"] = time.perf_counter() - t0
-    table = StructureTable(alpha, basis, constants, totals)
+    for ip, p in enumerate(basis):
+        for iq, q in enumerate(basis):
+            nf = nz.reduce(*fuse(p, q))
+            constants[(ip, iq)] = tuple(sorted(((index[m], c) for m, c in nf.items()), key=lambda t: t[0]))
+    stats = dict(nz.stats, dimension=len(basis), elapsed_s=time.perf_counter() - t0)
+    table = StructureTable(alpha, basis, constants, stats)
     if use_cache:
         _TABLE_CACHE[alpha] = table
     return table
@@ -242,10 +193,7 @@ def gram_matrix(alpha: int, *, max_alpha: int | None = None) -> tuple[tuple[NuPo
         )
     basis = basis_enumerate(alpha, max_alpha=alpha)
     nz = Normalizer()
-    stars = []
-    for q in basis:
-        js = tuple(q.perm(i) for i in reversed(q.holes))
-        stars.append(nz.reduce(q.perm.inverse(), js))
+    stars = [nz.reduce(*star_state(q)) for q in basis]
     one_m = Monomial.one(alpha)
     rows = []
     for p in basis:
@@ -253,10 +201,7 @@ def gram_matrix(alpha: int, *, max_alpha: int | None = None) -> tuple[tuple[NuPo
         for sq in stars:
             acc = NuPoly.zero()
             for m2, c2 in sq.items():
-                inv = m2.perm.inverse()
-                g = p.perm * m2.perm
-                js = tuple(inv(i) for i in p.holes) + m2.holes
-                c = nz.reduce(g, js).get(one_m)
+                c = nz.reduce(*fuse(p, m2)).get(one_m)
                 if c:
                     acc = acc + c2 * c
             row.append(acc)

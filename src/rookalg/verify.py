@@ -354,12 +354,11 @@ def crosscheck_multi(
     ns: Iterable[int] | None = None,
     *,
     max_alpha: int | None = None,
-    jobs: int = 1,
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Crosscheck at several integer values; enough points pin the polynomials."""
     t0 = time.perf_counter()
-    tbl = structure_table(alpha, max_alpha=max_alpha, jobs=jobs)
+    tbl = structure_table(alpha, max_alpha=max_alpha)
     max_deg = tbl.max_degree()
     if ns is None:
         # smallest tail degrees first; the generator relations hold for every

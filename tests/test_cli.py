@@ -197,6 +197,16 @@ def test_verify_crosscheck_multi_point():
     assert obj["metrics"]["degree_pinned"] is True
 
 
+def test_verify_gram():
+    code, out, _ = run_cli("verify", "gram", "--alpha", "2")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["suite"] == "gram"
+    assert obj["status"] == "pass"
+    assert obj["params"]["ns"] == [2, 3]
+    assert "elapsed_s" not in obj["metrics"]
+
+
 def test_verify_output_is_byte_stable():
     a = run_cli("verify", "dims", "--alpha", "2")
     b = run_cli("verify", "dims", "--alpha", "2")
@@ -227,6 +237,12 @@ def test_capacity_override():
 def test_missing_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("dims")
+    assert exc.value.code == 2
+
+
+def test_jobs_option_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("table", "--alpha", "2", "--jobs", "2")
     assert exc.value.code == 2
 
 
