@@ -202,7 +202,13 @@ class Normalizer:
                         {"rule": rule, "parent": parent, "child": child, "js": js},
                     )
                 for m, c in self.reduce(g2, js2).items():
-                    acc[m] = acc.get(m, NuPoly.zero()) + coeff * c
+                    # the +-1 rule coefficients are applied as a sign, not multiplied
+                    if coeff is _MINUS_ONE:
+                        c = -c
+                    elif coeff is not _ONE:
+                        c = coeff * c
+                    prev = acc.get(m)
+                    acc[m] = c if prev is None else prev + c
             out = {m: c for m, c in acc.items() if c}
         self._cache[key] = out
         return out

@@ -1,4 +1,11 @@
-"""Exact univariate polynomials in the deformation parameter nu."""
+"""Exact univariate polynomials in the deformation parameter nu.
+
+Coefficients are exact rationals kept in their smallest form: a plain
+int when the value is integral and a Fraction only otherwise.  Structure
+constants lie in Z[nu], so rewriting runs in int arithmetic; Fractions
+appear where interpolation, rational evaluation or parsed "p/q" text
+brings them in.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -9,6 +16,8 @@ Rational = Union[int, Fraction]
 
 def format_rational(x: Rational) -> str:
     """Render a rational as "p/q" with q > 0 and gcd(p, q) = 1."""
+    if type(x) is int:
+        return f"{x}/1"
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
@@ -18,18 +27,30 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-class NuPoly:
-    """Immutable polynomial in nu with exact rational coefficients.
+def _smallest(c) -> Rational:
+    """c as an exact rational: an int when integral, a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    f = c if type(c) is Fraction else Fraction(c)
+    return f.numerator if f.denominator == 1 else f
 
-    Coefficients are stored constant term first.  Trailing zeros are
-    stripped on construction, so equal polynomials compare equal
-    structurally.  The zero polynomial has degree -inf.
+
+class NuPoly:
+    """Immutable polynomial in nu with exact coefficients.
+
+    Coefficients are stored constant term first: integer coefficients in
+    Z[nu] as ints, and Fractions only where a value is non-integral (after
+    interpolation, evaluation at a rational nu, or parsing "p/q").  Trailing
+    zeros are stripped on construction, so equal polynomials compare equal
+    structurally, and since ints and Fractions of equal value are equal and
+    hash alike, so do polynomials built either way.  The zero polynomial has
+    degree -inf.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _smallest(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -68,7 +89,7 @@ class NuPoly:
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.coeffs[-1]) if self.coeffs else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, NuPoly):
@@ -104,7 +125,7 @@ class NuPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return NuPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -124,12 +145,16 @@ class NuPoly:
         return out
 
     def evaluate(self, x: Rational) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        x = Fraction(x)
-        acc = Fraction(0)
+        """Exact evaluation by Horner's rule.
+
+        At an integer x with integer coefficients every step stays in int
+        arithmetic; the value is returned as a Fraction either way.
+        """
+        x = _smallest(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return Fraction(acc)
 
     def to_strings(self) -> list[str]:
         """Coefficients as "p/q" strings, constant term first."""

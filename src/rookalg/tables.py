@@ -8,7 +8,6 @@ serialize to a stable JSON or CSV layout.
 """
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -74,19 +73,26 @@ class StructureTable:
             out[key] = row
         return out
 
+    def _exported_terms(self, ip: int, iq: int, nu):
+        """(r, coefficient strings) of each exported term of entry (p, q).
+
+        Without nu a term carries its polynomial's "p/q" coefficients; at a
+        point it carries the one value there, and terms that vanish are dropped.
+        """
+        for ir, poly in self.constants[(ip, iq)]:
+            if nu is None:
+                yield ir, poly.to_strings()
+            else:
+                v = poly.evaluate(nu)
+                if v:
+                    yield ir, [format_rational(v)]
+
     def to_json_obj(self, nu=None) -> dict:
         basis = [{"g": list(m.perm.images), "I": list(m.holes)} for m in self.basis]
-        constants = []
-        for ip, iq in sorted(self.constants):
-            terms = []
-            for ir, poly in self.constants[(ip, iq)]:
-                if nu is None:
-                    terms.append({"r": ir, "poly": poly.to_strings()})
-                else:
-                    v = poly.evaluate(nu)
-                    if v:
-                        terms.append({"r": ir, "poly": [format_rational(v)]})
-            constants.append({"p": ip, "q": iq, "terms": terms})
+        constants = [
+            {"p": ip, "q": iq, "terms": [{"r": r, "poly": ts} for r, ts in self._exported_terms(ip, iq, nu)]}
+            for ip, iq in sorted(self.constants)
+        ]
         return {
             "alpha": self.alpha,
             "nu": None if nu is None else format_rational(Fraction(nu)),
@@ -95,7 +101,34 @@ class StructureTable:
         }
 
     def canonical_json(self, nu=None) -> str:
-        return json.dumps(self.to_json_obj(nu), indent=2) + "\n"
+        """json.dumps(self.to_json_obj(nu), indent=2) + "\n", byte for byte.
+
+        Written straight from basis and constants as one chunk per entry and
+        joined once: the dict tree of to_json_obj is never built, and the
+        text is copied only by that one join.
+        """
+        nu_text = "null" if nu is None else f'"{format_rational(Fraction(nu))}"'
+        basis = [
+            f'{{\n      "g": {_json_list(map(str, m.perm.images), 6)},'
+            f'\n      "I": {_json_list(map(str, m.holes), 6)}\n    }}'
+            for m in self.basis
+        ]
+        chunks = [
+            f'{{\n  "alpha": {self.alpha},\n  "nu": {nu_text},'
+            f'\n  "basis": {_json_list(basis, 2)},\n  "constants": '
+        ]
+        sep = "[\n    "
+        for ip, iq in sorted(self.constants):
+            terms = []
+            for ir, texts in self._exported_terms(ip, iq, nu):
+                poly_text = _json_list((f'"{t}"' for t in texts), 10)
+                terms.append(f'{{\n          "r": {ir},\n          "poly": {poly_text}\n        }}')
+            chunks.append(
+                f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": {_json_list(terms, 6)}\n    }}'
+            )
+            sep = ",\n    "
+        chunks.append("[]\n}\n" if len(chunks) == 1 else "\n  ]\n}\n")
+        return "".join(chunks)
 
     @classmethod
     def from_json_obj(cls, obj) -> "StructureTable":
@@ -114,14 +147,17 @@ class StructureTable:
     def to_csv(self, nu=None) -> str:
         lines = ["p,q,r,poly"]
         for ip, iq in sorted(self.constants):
-            for ir, poly in self.constants[(ip, iq)]:
-                if nu is None:
-                    lines.append(f"{ip},{iq},{ir},{' '.join(poly.to_strings())}")
-                else:
-                    v = poly.evaluate(nu)
-                    if v:
-                        lines.append(f"{ip},{iq},{ir},{format_rational(v)}")
+            for ir, texts in self._exported_terms(ip, iq, nu):
+                lines.append(f"{ip},{iq},{ir},{' '.join(texts)}")
         return "\n".join(lines) + "\n"
+
+
+def _json_list(items, indent: int) -> str:
+    """A JSON array of already-encoded items, laid out as json.dumps(indent=2) does
+    for an array whose opening bracket sits on a line indented by `indent`."""
+    inner = "\n" + " " * (indent + 2)
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}\n{' ' * indent}]" if body else "[]"
 
 
 _TABLE_CACHE: dict[int, StructureTable] = {}
@@ -133,7 +169,8 @@ def structure_table(
     """Build (or fetch) the full structure table for S_alpha.
 
     build_stats holds the rule counters of the build's one Normalizer, plus
-    the dimension and the build time.
+    the dimension and the build time.  Every constant is checked to have
+    integer coefficients; one that does not raises ConsistencyError.
     """
     if use_cache and alpha in _TABLE_CACHE:
         return _TABLE_CACHE[alpha]
@@ -152,6 +189,15 @@ def structure_table(
         for iq, q in enumerate(basis):
             nf = nz.reduce(*fuse(p, q))
             constants[(ip, iq)] = tuple(sorted(((index[m], c) for m, c in nf.items()), key=lambda t: t[0]))
+    # every rule coefficient lies in Z[nu], so every structure constant must too
+    for (ip, iq), terms in constants.items():
+        for ir, poly in terms:
+            for c in poly.coeffs:
+                if type(c) is not int:
+                    raise ConsistencyError(
+                        "non-integral structure constant",
+                        {"p": ip, "q": iq, "r": ir, "coefficient": format_rational(c)},
+                    )
     stats = dict(nz.stats, dimension=len(basis), elapsed_s=time.perf_counter() - t0)
     table = StructureTable(alpha, basis, constants, stats)
     if use_cache:

@@ -1,4 +1,4 @@
-"""Exact univariate polynomial arithmetic over the rationals."""
+"""Exact univariate polynomial arithmetic over the rationals, stored as ints where integral."""
 
 from fractions import Fraction
 
@@ -95,3 +95,75 @@ def test_product_degree(p, q):
     if not p.is_zero() and not q.is_zero():
         assert (p * q).degree == p.degree + q.degree
         assert (p * q).leading == p.leading * q.leading
+
+
+# ------------------------------------------------------------ representation
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+rationals = st.one_of(st.integers(min_value=-20, max_value=20), fractions)
+
+
+def test_integral_inputs_are_stored_as_int():
+    p = NuPoly((Fraction(4, 2), 2, Fraction(1, 2)))
+    assert [type(c) for c in p.coeffs] == [int, int, Fraction]
+    assert p.coeffs == (2, 2, Fraction(1, 2))
+    assert type(NuPoly.from_strings(["3/1"]).coeffs[0]) is int
+
+
+@given(st.lists(rationals, max_size=5))
+def test_storage_type_follows_integrality(cs):
+    for c in NuPoly(cs).coeffs:
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+@given(st.lists(st.integers(min_value=-20, max_value=20), max_size=5))
+def test_int_and_fraction_builds_are_equal(cs):
+    p = NuPoly(cs)
+    q = NuPoly([Fraction(c) for c in cs])
+    assert p == q and hash(p) == hash(q)
+    # a product of non-integral factors that lands in Z[nu] is stored as ints too
+    r = NuPoly([Fraction(c, 2) for c in cs]) * NuPoly((2,))
+    assert r == p and hash(r) == hash(p)
+    assert all(type(c) is int for c in r.coeffs)
+
+
+def test_leading_is_a_fraction():
+    assert type(NuPoly((1, 3)).leading) is Fraction
+    assert type(NuPoly((Fraction(1, 2),)).leading) is Fraction
+    assert type(NuPoly.zero().leading) is Fraction
+
+
+def test_mixed_strings_roundtrip():
+    p = NuPoly.from_strings(["3/1", "-1/2"])
+    assert p.coeffs == (3, Fraction(-1, 2))
+    assert p.to_strings() == ["3/1", "-1/2"]
+    assert NuPoly.from_strings(p.to_strings()) == p
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)]
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_eval(a, x):
+    return sum((c * Fraction(x) ** k for k, c in enumerate(a)), Fraction(0))
+
+
+@given(st.lists(rationals, max_size=4), st.lists(rationals, max_size=4), rationals)
+def test_mixed_arithmetic_matches_fraction_reference(a, b, x):
+    fa, fb = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    p, q = NuPoly(a), NuPoly(b)
+    assert p + q == NuPoly(_ref_add(fa, fb))
+    assert p * q == NuPoly(_ref_mul(fa, fb))
+    assert p.evaluate(x) == _ref_eval(fa, x)
+    assert type(p.evaluate(x)) is Fraction
+    for r in (p + q, p * q, -p):
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in r.coeffs)

@@ -1,14 +1,17 @@
 """Structure constants, serialization, Gram matrices, and scaled limits."""
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from rookalg.algebra import Monomial, basis_enumerate
+from rookalg.algebra import Monomial, Normalizer, basis_enumerate
+from rookalg.cli import main
 from rookalg.combinatorics import rook_compose
-from rookalg.errors import CapacityError
+from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly
 from rookalg.tables import (
     LimitTable,
@@ -79,6 +82,43 @@ def test_alpha3_exports_are_byte_identical():
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     assert digest(t.canonical_json()) == "c16c0bdab61e3a3206422e9f80ffa23c4d29882bf467ac8e02dc1cb5eea69740"
     assert digest(t.to_csv()) == "e1714074e7a221e9fda19c79a4f1076dd7e5992b17d2cddee183bda134c9af34"
+
+
+def test_table_constants_are_integers():
+    for alpha in (1, 2, 3):
+        for terms in structure_table(alpha).constants.values():
+            for _, poly in terms:
+                assert all(type(c) is int for c in poly.coeffs)
+
+
+def test_non_integral_constant_raises(monkeypatch):
+    original = Normalizer.reduce
+
+    def tampered(self, g, js):
+        if js == (1, 1):  # the state of T1 T1
+            return {Monomial.one(1): NuPoly((Fraction(1, 2),))}
+        return original(self, g, js)
+
+    monkeypatch.setattr(Normalizer, "reduce", tampered)
+    with pytest.raises(ConsistencyError) as excinfo:
+        structure_table(1, use_cache=False)
+    assert excinfo.value.payload == {"p": 1, "q": 1, "r": 0, "coefficient": "1/2"}
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("nu", [None, 0, 1, 2, Fraction(5, 2), -1])
+def test_canonical_json_matches_json_dumps(alpha, nu):
+    t = structure_table(alpha)
+    assert t.canonical_json(nu) == json.dumps(t.to_json_obj(nu), indent=2) + "\n"
+
+
+def test_cli_table_json_same_bytes_to_file_and_stdout(tmp_path):
+    target = tmp_path / "table.json"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["table", "--alpha", "3", "--format", "json"]) == 0
+        assert main(["table", "--alpha", "3", "--format", "json", "--out", str(target)]) == 0
+    assert target.read_bytes() == out.getvalue().encode()
 
 
 def test_json_roundtrip():
