@@ -75,12 +75,22 @@ def parse_word(alpha: int, text: str) -> list[tuple[str, object]]:
     return tokens
 
 
+# characters per write: a text-mode write encodes its whole argument at once,
+# so one write of a large table would hold a second, encoded copy of it
+_EMIT_CHARS = 1 << 20
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_sliced(fh, text)
     else:
-        sys.stdout.write(text)
+        _write_sliced(sys.stdout, text)
+
+
+def _write_sliced(fh, text: str) -> None:
+    for start in range(0, len(text), _EMIT_CHARS):
+        fh.write(text[start : start + _EMIT_CHARS])
 
 
 def build_parser() -> argparse.ArgumentParser:

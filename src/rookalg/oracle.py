@@ -6,6 +6,14 @@ symmetric group of the tail block {alpha+1, ..., alpha+n} plays the role
 of the subgroup K; its double cosets are indexed by partial injections of
 {1, ..., alpha} through the corner map.
 
+Bi-invariant elements multiply by two routes that must agree.  The "fast"
+route sums over a quotient of K: the corner of U_sigma k U_tau depends on
+k only through its restriction to the r_tau = alpha - rank(tau) tail
+points that U_tau sends the corner into, so it sums over the injections
+of those points into the tail, each with weight (n - r_tau)!.  The
+"convolve" route is still the full double sum over both supports in the
+group algebra of S_{alpha+n}, accumulated in integers.
+
 Bi-invariant elements are stored in the scaled coset basis: e_sigma is the
 sum of the delta functions over the coset of sigma, divided by n factorial.
 Under this normalization the structure constants are polynomial in n, and
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping
 
 from .combinatorics import (
@@ -118,11 +126,21 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check(other)
-        acc: dict[Permutation, Fraction] = defaultdict(Fraction)
-        for g, cg in self._coeffs.items():
-            for h, ch in other._coeffs.items():
-                acc[g * h] += cg * ch
-        return GroupAlgebraElement(self.ctx, acc)
+        # the full double sum over both supports, in integers: each operand is
+        # scaled by the lcm of its denominators and the result divided once
+        dx = lcm(*(c.denominator for c in self._coeffs.values()))
+        dy = lcm(*(c.denominator for c in other._coeffs.values()))
+        xs = [((0,) + g.images, c.numerator * (dx // c.denominator)) for g, c in self._coeffs.items()]
+        ys = [(h.images, c.numerator * (dy // c.denominator)) for h, c in other._coeffs.items()]
+        acc: dict[tuple[int, ...], int] = defaultdict(int)
+        for g0, cg in xs:
+            at = g0.__getitem__  # (g * h)(x) = g(h(x)); g0 is shifted to index by point
+            for h, ch in ys:
+                acc[tuple(map(at, h))] += cg * ch
+        d = dx * dy
+        return GroupAlgebraElement(
+            self.ctx, {Permutation(images): Fraction(c, d) for images, c in acc.items() if c}
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -405,26 +423,46 @@ def gen_hole(i: int, ctx: Context) -> BiinvariantElement:
 
 
 def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> BiinvariantElement:
-    """Single-sum product over the tail subgroup.
+    """Single-sum product over a quotient of the tail subgroup.
 
     e_sigma * e_tau expands as (|c_sigma| |c_tau| / (n!)^3) times the sum
     over k in the tail subgroup of (n! / |c_rho(k)|) e_rho(k), where rho(k)
-    is the corner of U_sigma k U_tau.
+    is the corner of U_sigma k U_tau.  U_tau sends r_tau = alpha - rank(tau)
+    corner points into a set L of tail points, and k fixes the corner, so
+    rho(k) depends on k only through its restriction to L.  The sum
+    therefore runs over the n!/(n - r_tau)! injections of L into the tail,
+    each standing for the (n - r_tau)! elements k that extend it, and
+    tallies an integer count per corner.
     """
     ctx = x.ctx
-    nf = factorial(ctx.n)
+    alpha, n = ctx.alpha, ctx.n
+    nf = factorial(n)
     nf3 = Fraction(1, nf**3)
-    acc: dict[PartialInjection, Fraction] = defaultdict(Fraction)
+    tails = range(alpha + 1, ctx.degree + 1)
+    acc: dict[tuple[int | None, ...], Fraction] = defaultdict(Fraction)
     for sigma, cx in x.items():
         u = canonical_completion(sigma, ctx)
+        # the corner entry u sends each point p to, indexed by p
+        u_corner = (None,) + tuple(p if p <= alpha else None for p in u.images)
         size_sigma = coset_size(ctx, sigma)
         for tau, cy in y.items():
-            v = canonical_completion(tau, ctx)
-            scale = cx * cy * size_sigma * coset_size(ctx, tau) * nf3
-            for k in subgroup_elements(ctx):
-                rho = corner_map(u * k * v, ctx.alpha)
-                acc[rho] += scale * Fraction(nf, coset_size(ctx, rho))
-    return BiinvariantElement(ctx, acc)
+            head = canonical_completion(tau, ctx).images[:alpha]
+            slots = [i for i, p in enumerate(head) if p > alpha]  # the corner points sent into L
+            # k fixes the other corner points; the slots are overwritten per injection
+            row = [u_corner[p] for p in head]
+            counts: dict[tuple[int | None, ...], int] = defaultdict(int)
+            for images in _permutations(tails, len(slots)):
+                for i, p in zip(slots, images):
+                    row[i] = u_corner[p]
+                counts[tuple(row)] += 1
+            scale = cx * cy * size_sigma * coset_size(ctx, tau) * factorial(n - len(slots)) * nf3
+            for corner, count in counts.items():
+                acc[corner] += scale * count
+    out: dict[PartialInjection, Fraction] = {}
+    for corner, c in acc.items():
+        rho = PartialInjection(corner)
+        out[rho] = c * Fraction(nf, coset_size(ctx, rho))
+    return BiinvariantElement(ctx, out)
 
 
 def dc_multiply(x: BiinvariantElement, y: BiinvariantElement, *, via: str = "fast") -> BiinvariantElement:

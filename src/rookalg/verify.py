@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -322,9 +323,11 @@ def crosscheck_structure(
                 dual_checked += 1
                 if dc_multiply(imgs[ip], imgs[iq], via="convolve") != lhs:
                     col.add("route-disagreement", p=ip, q=iq)
-            rhs = BiinvariantElement.zero(ctx)
+            acc: dict[PartialInjection, Fraction] = defaultdict(Fraction)
             for ir, c in consts_n[(ip, iq)]:
-                rhs = rhs + imgs[ir].scale(c)
+                for sigma, v in imgs[ir].items():
+                    acc[sigma] += c * v
+            rhs = BiinvariantElement(ctx, acc)
             if lhs != rhs:
                 col.add(
                     "structure-mismatch",

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from rookalg import cli
 from rookalg.cli import main, parse_word
 from rookalg.combinatorics import Permutation
 from rookalg.tables import StructureTable, structure_table
@@ -250,3 +251,18 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate", "--alpha", "2")
     assert exc.value.code == 2
+
+
+def test_emit_writes_the_bytes_of_one_plain_write(tmp_path):
+    # about 2.5 Mi characters; multi-byte characters sit on both sides of every
+    # slice boundary, so a slice cut by bytes instead of characters would show
+    pattern = "a\u00e9\u20ac\U0001f600\n"
+    text = pattern * (int(2.5 * 2**20) // len(pattern))
+    for boundary in range(cli._EMIT_CHARS, len(text), cli._EMIT_CHARS):
+        assert not text[boundary - 1 : boundary + 1].isascii()
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    emitted = tmp_path / "emitted.txt"
+    cli._emit(text, str(emitted))
+    assert emitted.read_bytes() == plain.read_bytes() == text.encode("utf-8")

@@ -5,10 +5,15 @@ convolving indicator sums in the full group algebra at small sizes.
 """
 
 import math
+import random
+from collections import defaultdict
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from rookalg.algebra import basis_enumerate
 from rookalg.combinatorics import (
     PartialInjection,
     Permutation,
@@ -35,6 +40,7 @@ from rookalg.oracle import (
     project_biinvariant,
     subgroup_elements,
 )
+from rookalg.verify import monomial_images
 
 
 def test_context():
@@ -106,6 +112,50 @@ def test_projection_spreads_over_the_double_coset():
     assert project_biinvariant(p) == p
 
 
+def fraction_convolution(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
+    """Reference product: the double sum accumulated in Fractions."""
+    acc: dict[Permutation, Fraction] = defaultdict(Fraction)
+    for g, cg in x.items():
+        for h, ch in y.items():
+            acc[g * h] += cg * ch
+    return GroupAlgebraElement(x.ctx, acc)
+
+
+S3_CTX = Context(1, 2)
+S3 = tuple(all_permutations(3))
+E, S, C = Permutation.identity(3), Permutation((2, 1, 3)), Permutation((2, 3, 1))
+
+
+def s3_element(coeffs) -> GroupAlgebraElement:
+    return GroupAlgebraElement(S3_CTX, coeffs)
+
+
+s3_elements = st.dictionaries(
+    st.sampled_from(S3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    max_size=len(S3),
+).map(s3_element)
+
+
+@given(s3_elements, s3_elements)
+# mixed denominators
+@example(
+    s3_element({E: Fraction(1, 2), S: Fraction(2, 3), C: Fraction(-5, 7)}),
+    s3_element({S: Fraction(-5, 7), C: Fraction(2, 3)}),
+)
+# (e + s)(e - s) = e - s^2 = 0: every term cancels
+@example(s3_element({E: 1, S: 1}), s3_element({E: 1, S: -1}))
+# e + s - c times e + c: the c terms cancel, the rest stay
+@example(s3_element({E: 1, S: 1, C: -1}), s3_element({E: 1, C: 1}))
+# an empty operand, on either side
+@example(s3_element({E: Fraction(1, 2)}), s3_element({}))
+@example(s3_element({}), s3_element({C: Fraction(-5, 7)}))
+def test_convolution_matches_fraction_accumulation(x, y):
+    product = convolve(x, y)
+    assert product == fraction_convolution(x, y)
+    assert all(c != 0 for _, c in product.items())
+
+
 # -------------------------------------------------------------------- cosets
 
 
@@ -172,7 +222,7 @@ def test_identity_coset_is_the_unit():
 
 
 def test_fast_product_matches_full_convolution():
-    for alpha, n in [(1, 1), (1, 2), (2, 2)]:
+    for alpha, n in [(1, 1), (1, 2), (2, 2), (2, 3)]:
         ctx = Context(alpha, n)
         basis = [BiinvariantElement.basis(ctx, s) for s in rook_enumerate(alpha)]
         for x in basis:
@@ -180,6 +230,48 @@ def test_fast_product_matches_full_convolution():
                 assert dc_multiply(x, y, via="fast") == dc_multiply(
                     x, y, via="convolve"
                 )
+
+
+def full_sum_product(x: BiinvariantElement, y: BiinvariantElement) -> BiinvariantElement:
+    """Reference product: the single sum over every element k of the tail subgroup.
+
+    e_sigma * e_tau expands as (|c_sigma| |c_tau| / (n!)^3) times the sum
+    over k in the tail subgroup of (n! / |c_rho(k)|) e_rho(k), where rho(k)
+    is the corner of U_sigma k U_tau.
+    """
+    ctx = x.ctx
+    nf = factorial(ctx.n)
+    nf3 = Fraction(1, nf**3)
+    acc: dict[PartialInjection, Fraction] = defaultdict(Fraction)
+    for sigma, cx in x.items():
+        u = canonical_completion(sigma, ctx)
+        size_sigma = coset_size(ctx, sigma)
+        for tau, cy in y.items():
+            v = canonical_completion(tau, ctx)
+            scale = cx * cy * size_sigma * coset_size(ctx, tau) * nf3
+            for k in subgroup_elements(ctx):
+                rho = corner_map(u * k * v, ctx.alpha)
+                acc[rho] += scale * Fraction(nf, coset_size(ctx, rho))
+    return BiinvariantElement(ctx, acc)
+
+
+@pytest.mark.parametrize("alpha,n", [(1, 3), (2, 3), (2, 4), (3, 3)])
+def test_fast_product_matches_full_sum_on_the_coset_basis(alpha, n):
+    ctx = Context(alpha, n)
+    basis = [BiinvariantElement.basis(ctx, s) for s in rook_enumerate(alpha)]
+    for x in basis:
+        for y in basis:
+            assert dc_multiply(x, y, via="fast") == full_sum_product(x, y)
+
+
+@pytest.mark.parametrize("alpha,n", [(3, 5), (4, 4)])
+def test_fast_product_matches_full_sum_on_monomial_images(alpha, n):
+    ctx = Context(alpha, n)
+    images = monomial_images(basis_enumerate(alpha), ctx)
+    rng = random.Random(1000 * alpha + n)
+    for _ in range(100):
+        x, y = rng.choice(images), rng.choice(images)
+        assert dc_multiply(x, y, via="fast") == full_sum_product(x, y)
 
 
 def test_hole_generator_products():
