@@ -432,22 +432,29 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
     rho(k) depends on k only through its restriction to L.  The sum
     therefore runs over the n!/(n - r_tau)! injections of L into the tail,
     each standing for the (n - r_tau)! elements k that extend it, and
-    tallies an integer count per corner.
+    tallies an integer count per corner.  Each operand is scaled by the lcm
+    of its denominators, so the per-pair weights and the per-corner sums are
+    integers; each corner's coefficient is one Fraction, built at the end.
     """
     ctx = x.ctx
     alpha, n = ctx.alpha, ctx.n
     nf = factorial(n)
-    nf3 = Fraction(1, nf**3)
     tails = range(alpha + 1, ctx.degree + 1)
-    acc: dict[tuple[int | None, ...], Fraction] = defaultdict(Fraction)
+    dx = lcm(*(c.denominator for _, c in x.items()))
+    dy = lcm(*(c.denominator for _, c in y.items()))
+    ys = []
+    for tau, cy in y.items():
+        head = canonical_completion(tau, ctx).images[:alpha]
+        slots = [i for i, p in enumerate(head) if p > alpha]  # the corner points sent into L
+        weight = cy.numerator * (dy // cy.denominator) * coset_size(ctx, tau) * factorial(n - len(slots))
+        ys.append((head, slots, weight))
+    acc: dict[tuple[int | None, ...], int] = defaultdict(int)
     for sigma, cx in x.items():
         u = canonical_completion(sigma, ctx)
         # the corner entry u sends each point p to, indexed by p
         u_corner = (None,) + tuple(p if p <= alpha else None for p in u.images)
-        size_sigma = coset_size(ctx, sigma)
-        for tau, cy in y.items():
-            head = canonical_completion(tau, ctx).images[:alpha]
-            slots = [i for i, p in enumerate(head) if p > alpha]  # the corner points sent into L
+        weight_x = cx.numerator * (dx // cx.denominator) * coset_size(ctx, sigma)
+        for head, slots, weight_y in ys:
             # k fixes the other corner points; the slots are overwritten per injection
             row = [u_corner[p] for p in head]
             counts: dict[tuple[int | None, ...], int] = defaultdict(int)
@@ -455,13 +462,15 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
                 for i, p in zip(slots, images):
                     row[i] = u_corner[p]
                 counts[tuple(row)] += 1
-            scale = cx * cy * size_sigma * coset_size(ctx, tau) * factorial(n - len(slots)) * nf3
+            weight = weight_x * weight_y
             for corner, count in counts.items():
-                acc[corner] += scale * count
+                acc[corner] += weight * count
+    # the (n!)^3 of the expansion over the n! of each corner's scale
+    d = dx * dy * nf * nf
     out: dict[PartialInjection, Fraction] = {}
     for corner, c in acc.items():
         rho = PartialInjection(corner)
-        out[rho] = c * Fraction(nf, coset_size(ctx, rho))
+        out[rho] = Fraction(c, d * coset_size(ctx, rho))
     return BiinvariantElement(ctx, out)
 
 

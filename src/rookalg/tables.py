@@ -2,9 +2,11 @@
 
 A structure table records, for every ordered pair of admissible basis
 monomials, the normal form of their product as polynomial-in-nu
-coefficients.  Each build reduces every fused pair with one rewriting
-engine, so states shared between rows are rewritten once; tables
-serialize to a stable JSON or CSV layout.
+coefficients.  The 43,681 pairs at alpha=4 fuse to only 3,928 distinct
+states A(g) T_js, so a build reduces, indexes and checks each distinct
+fused state once, with one rewriting engine, and every pair that fuses to
+it shares that one row tuple.  Tables serialize to a stable JSON or CSV
+layout, rendering each shared row once.
 """
 from __future__ import annotations
 
@@ -65,21 +67,39 @@ class StructureTable:
                     d = int(c.degree)
         return d
 
+    def _per_row(self, keys, render):
+        """(key, render(row)) for each key, rendering each distinct row once.
+
+        Keyed on the row's identity: pairs that fuse to one state share one
+        row tuple, and hashing the (int, NuPoly) terms would cost what the
+        reuse saves.  Unshared rows, as from_json_obj makes, are each
+        rendered once, with the same result.
+        """
+        done: dict[int, object] = {}
+        for key in keys:
+            row = self.constants[key]
+            out = done.get(id(row))
+            if out is None:
+                out = done[id(row)] = render(row)
+            yield key, out
+
     def evaluate(self, value) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
         """Specialize every constant at an exact rational value of nu."""
-        out: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-        for key, terms in self.constants.items():
-            row = tuple((ir, v) for ir, c in terms for v in (c.evaluate(value),) if v)
-            out[key] = row
-        return out
+        return dict(
+            self._per_row(
+                self.constants,
+                lambda row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v),
+            )
+        )
 
-    def _exported_terms(self, ip: int, iq: int, nu):
-        """(r, coefficient strings) of each exported term of entry (p, q).
+    @staticmethod
+    def _exported_terms(row, nu):
+        """(r, coefficient strings) of each exported term of a row.
 
         Without nu a term carries its polynomial's "p/q" coefficients; at a
         point it carries the one value there, and terms that vanish are dropped.
         """
-        for ir, poly in self.constants[(ip, iq)]:
+        for ir, poly in row:
             if nu is None:
                 yield ir, poly.to_strings()
             else:
@@ -90,8 +110,8 @@ class StructureTable:
     def to_json_obj(self, nu=None) -> dict:
         basis = [{"g": list(m.perm.images), "I": list(m.holes)} for m in self.basis]
         constants = [
-            {"p": ip, "q": iq, "terms": [{"r": r, "poly": ts} for r, ts in self._exported_terms(ip, iq, nu)]}
-            for ip, iq in sorted(self.constants)
+            {"p": ip, "q": iq, "terms": [{"r": r, "poly": ts} for r, ts in self._exported_terms(row, nu)]}
+            for (ip, iq), row in sorted(self.constants.items())
         ]
         return {
             "alpha": self.alpha,
@@ -103,9 +123,10 @@ class StructureTable:
     def canonical_json(self, nu=None) -> str:
         """json.dumps(self.to_json_obj(nu), indent=2) + "\n", byte for byte.
 
-        Written straight from basis and constants as one chunk per entry and
-        joined once: the dict tree of to_json_obj is never built, and the
-        text is copied only by that one join.
+        Written straight from basis and constants and joined once: the dict
+        tree of to_json_obj is never built, each distinct row's terms are
+        rendered once and shared by every entry that points at that row, and
+        the text is copied only by that one join.
         """
         nu_text = "null" if nu is None else f'"{format_rational(Fraction(nu))}"'
         basis = [
@@ -117,15 +138,17 @@ class StructureTable:
             f'{{\n  "alpha": {self.alpha},\n  "nu": {nu_text},'
             f'\n  "basis": {_json_list(basis, 2)},\n  "constants": '
         ]
-        sep = "[\n    "
-        for ip, iq in sorted(self.constants):
+
+        def render(row) -> str:
             terms = []
-            for ir, texts in self._exported_terms(ip, iq, nu):
+            for ir, texts in self._exported_terms(row, nu):
                 poly_text = _json_list((f'"{t}"' for t in texts), 10)
                 terms.append(f'{{\n          "r": {ir},\n          "poly": {poly_text}\n        }}')
-            chunks.append(
-                f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": {_json_list(terms, 6)}\n    }}'
-            )
+            return _json_list(terms, 6)
+
+        sep = "[\n    "
+        for (ip, iq), terms_text in self._per_row(sorted(self.constants), render):
+            chunks += (f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": ', terms_text, "\n    }")
             sep = ",\n    "
         chunks.append("[]\n}\n" if len(chunks) == 1 else "\n  ]\n}\n")
         return "".join(chunks)
@@ -145,10 +168,12 @@ class StructureTable:
         return cls(int(obj["alpha"]), basis, constants)
 
     def to_csv(self, nu=None) -> str:
+        def render(row) -> list[str]:
+            return [f"{ir},{' '.join(texts)}" for ir, texts in self._exported_terms(row, nu)]
+
         lines = ["p,q,r,poly"]
-        for ip, iq in sorted(self.constants):
-            for ir, texts in self._exported_terms(ip, iq, nu):
-                lines.append(f"{ip},{iq},{ir},{' '.join(texts)}")
+        for (ip, iq), tails in self._per_row(sorted(self.constants), render):
+            lines.extend(f"{ip},{iq},{tail}" for tail in tails)
         return "\n".join(lines) + "\n"
 
 
@@ -168,9 +193,15 @@ def structure_table(
 ) -> StructureTable:
     """Build (or fetch) the full structure table for S_alpha.
 
-    build_stats holds the rule counters of the build's one Normalizer, plus
-    the dimension and the build time.  Every constant is checked to have
-    integer coefficients; one that does not raises ConsistencyError.
+    Each pair (p, q) is fused to its state A(g) T_js.  A state not yet seen
+    in this build is reduced by the build's one Normalizer, mapped to basis
+    indices, sorted and checked to have integer coefficients, once; every
+    pair that fuses to it points at that same row tuple.  A constant that is
+    not in Z[nu] raises ConsistencyError naming the first such pair in
+    (p, q) order, which is the pair that reached its row first.
+
+    build_stats holds the rule counters of the Normalizer, plus the
+    dimension and the build time.
     """
     if use_cache and alpha in _TABLE_CACHE:
         return _TABLE_CACHE[alpha]
@@ -184,20 +215,24 @@ def structure_table(
     basis = basis_enumerate(alpha, max_alpha=alpha)
     index = {m: i for i, m in enumerate(basis)}
     nz = Normalizer()
+    rows: dict[tuple[Permutation, tuple[int, ...]], tuple[tuple[int, NuPoly], ...]] = {}
     constants: dict[tuple[int, int], tuple[tuple[int, NuPoly], ...]] = {}
     for ip, p in enumerate(basis):
         for iq, q in enumerate(basis):
-            nf = nz.reduce(*fuse(p, q))
-            constants[(ip, iq)] = tuple(sorted(((index[m], c) for m, c in nf.items()), key=lambda t: t[0]))
-    # every rule coefficient lies in Z[nu], so every structure constant must too
-    for (ip, iq), terms in constants.items():
-        for ir, poly in terms:
-            for c in poly.coeffs:
-                if type(c) is not int:
-                    raise ConsistencyError(
-                        "non-integral structure constant",
-                        {"p": ip, "q": iq, "r": ir, "coefficient": format_rational(c)},
-                    )
+            state = fuse(p, q)
+            row = rows.get(state)
+            if row is None:
+                nf = nz.reduce(*state)
+                row = rows[state] = tuple(sorted(((index[m], c) for m, c in nf.items()), key=lambda t: t[0]))
+                # every rule coefficient lies in Z[nu], so every structure constant must too
+                for ir, poly in row:
+                    for c in poly.coeffs:
+                        if type(c) is not int:
+                            raise ConsistencyError(
+                                "non-integral structure constant",
+                                {"p": ip, "q": iq, "r": ir, "coefficient": format_rational(c)},
+                            )
+            constants[(ip, iq)] = row
     stats = dict(nz.stats, dimension=len(basis), elapsed_s=time.perf_counter() - t0)
     table = StructureTable(alpha, basis, constants, stats)
     if use_cache:

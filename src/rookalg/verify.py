@@ -509,24 +509,23 @@ def gram_suite(
     )
 
 
-def _rational_roots(poly: NuPoly) -> list[Fraction]:
-    """Rational roots with multiplicity, via exact factorization."""
+def _rational_roots(poly: NuPoly) -> dict[Fraction, int]:
+    """Rational roots in increasing order, with multiplicities, via exact factorization."""
     if not poly:
-        return []
+        return {}
     from sympy import Poly, Rational, Symbol, factor_list
 
     x = Symbol("nu")
     expr = sum(Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(poly.coeffs))
     _, factors = factor_list(expr, x)
-    roots: list[Fraction] = []
+    roots: dict[Fraction, int] = {}
     for fac, mult in factors:
         p = Poly(fac, x)
         if p.degree() == 1:
             a, b = p.all_coeffs()
             root = -b / a
-            roots.extend([Fraction(int(root.p), int(root.q))] * mult)
-    roots.sort()
-    return roots
+            roots[Fraction(int(root.p), int(root.q))] = int(mult)
+    return dict(sorted(roots.items()))
 
 
 def semisimplicity_probe(
@@ -558,7 +557,8 @@ def semisimplicity_probe(
             "dimension": tbl.dimension,
             "det_degree": int(det.degree) if det else None,
             "det_leading": format_rational(det.leading) if det else None,
-            "rational_roots": [format_rational(r) for r in roots],
+            "rational_roots": [format_rational(r) for r, m in roots.items() for _ in range(m)],
+            "root_multiplicities": {format_rational(r): m for r, m in roots.items()},
             "failure_count": col.total,
             "elapsed_s": round(time.perf_counter() - t0, 6),
         },

@@ -274,6 +274,20 @@ def test_fast_product_matches_full_sum_on_monomial_images(alpha, n):
         assert dc_multiply(x, y, via="fast") == full_sum_product(x, y)
 
 
+@pytest.mark.parametrize("alpha,n", [(2, 3), (3, 3)])
+def test_fast_product_matches_full_sum_with_rational_coefficients(alpha, n):
+    # non-unit coefficients with unlike denominators on both operands, so the
+    # integer tallies must carry each operand's lcm scale and divide it out
+    ctx = Context(alpha, n)
+    keys = list(rook_enumerate(alpha))
+    rng = random.Random(10 * alpha + n)
+    coeffs = [Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2), Fraction(9, 4), Fraction(-3), Fraction(7, 6)]
+    for _ in range(10):
+        x = BiinvariantElement(ctx, {s: rng.choice(coeffs) for s in rng.sample(keys, 4)})
+        y = BiinvariantElement(ctx, {s: rng.choice(coeffs) for s in rng.sample(keys, 3)})
+        assert dc_multiply(x, y, via="fast") == full_sum_product(x, y)
+
+
 def test_hole_generator_products():
     ctx = Context(2, 2)
     th1 = gen_hole(1, ctx)

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from rookalg.algebra import Monomial, Normalizer, basis_enumerate
+from rookalg.algebra import Monomial, Normalizer, basis_enumerate, fuse
 from rookalg.cli import main
-from rookalg.combinatorics import rook_compose
+from rookalg.combinatorics import Permutation, rook_compose
 from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly
 from rookalg.tables import (
@@ -96,13 +96,38 @@ def test_non_integral_constant_raises(monkeypatch):
 
     def tampered(self, g, js):
         if js == (1, 1):  # the state of T1 T1
-            return {Monomial.one(1): NuPoly((Fraction(1, 2),))}
+            return {Monomial.one(g.degree): NuPoly((Fraction(1, 2),))}
         return original(self, g, js)
 
     monkeypatch.setattr(Normalizer, "reduce", tampered)
     with pytest.raises(ConsistencyError) as excinfo:
         structure_table(1, use_cache=False)
     assert excinfo.value.payload == {"p": 1, "q": 1, "r": 0, "coefficient": "1/2"}
+
+    # at alpha=2 several pairs fuse to the state T1 T1 and share its row;
+    # the payload names the first of them in (p, q) order
+    basis = basis_enumerate(2)
+    state = (Permutation.identity(2), (1, 1))
+    pairs = [(ip, iq) for ip, p in enumerate(basis) for iq, q in enumerate(basis) if fuse(p, q) == state]
+    assert len(pairs) > 1
+    with pytest.raises(ConsistencyError) as excinfo:
+        structure_table(2, use_cache=False)
+    ip, iq = pairs[0]
+    assert excinfo.value.payload == {"p": ip, "q": iq, "r": 0, "coefficient": "1/2"}
+
+
+def test_shared_rows_export_like_unshared_rows():
+    shared = structure_table(3, use_cache=False)
+    # one row object per distinct fused state, shared by the pairs that reach it
+    states = {fuse(p, q) for p in shared.basis for q in shared.basis}
+    assert len({id(row) for row in shared.constants.values()}) == len(states)
+    # a loaded table has one row tuple per entry, so nothing is reused
+    unshared = StructureTable.from_json_obj(shared.to_json_obj())
+    assert len({id(row) for row in unshared.constants.values()}) == len(unshared.constants)
+    for nu in (None, 0, 1, Fraction(5, 2), -1):
+        assert shared.canonical_json(nu) == unshared.canonical_json(nu)
+        assert shared.to_csv(nu) == unshared.to_csv(nu)
+    assert shared.evaluate(4) == unshared.evaluate(4)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])

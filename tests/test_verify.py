@@ -176,6 +176,15 @@ def test_semisimplicity_probe_alpha2():
     assert r.metrics["rational_roots"] == ["0/1"] * 5 + ["1/1"]
 
 
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_root_multiplicities_count_the_rational_roots(alpha):
+    # read back from the report JSON, so the multiplicities must serialize
+    m = json.loads(semisimplicity_probe(alpha).canonical_json())["metrics"]
+    assert sum(m["root_multiplicities"].values()) == len(m["rational_roots"])
+    expanded = [r for r, k in m["root_multiplicities"].items() for _ in range(k)]
+    assert expanded == m["rational_roots"]
+
+
 def test_monomial_images():
     ctx = Context(2, 2)
     basis = basis_enumerate(2)
