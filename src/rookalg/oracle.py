@@ -12,7 +12,9 @@ k only through its restriction to the r_tau = alpha - rank(tau) tail
 points that U_tau sends the corner into, so it sums over the injections
 of those points into the tail, each with weight (n - r_tau)!.  The
 "convolve" route is still the full double sum over both supports in the
-group algebra of S_{alpha+n}, accumulated in integers.
+group algebra of S_{alpha+n}, accumulated in integers: every product g h
+is formed, one bytes.translate call each, and the products are tallied
+per pair of coefficient classes, so it needs degree at most 255.
 
 Bi-invariant elements are stored in the scaled coset basis: e_sigma is the
 sum of the delta functions over the coset of sigma, divided by n factorial.
@@ -22,7 +24,7 @@ the generator images have augmentation 1 (permutation generators) and n
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +41,7 @@ from .combinatorics import (
     idempotent,
     rook_sort_key,
 )
-from .errors import ConsistencyError, ContextError, EmptyCosetError
+from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
 
 
 @dataclass(frozen=True)
@@ -126,20 +128,36 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check(other)
+        if self.ctx.degree > 255:
+            raise CapacityError(
+                f"convolution composes points as bytes, so it needs degree <= 255, got {self.ctx.degree}"
+            )
         # the full double sum over both supports, in integers: each operand is
-        # scaled by the lcm of its denominators and the result divided once
+        # scaled by the lcm of its denominators, its terms are grouped by that
+        # integer coefficient, and the result is divided once.  Every product
+        # g * h is formed: h is written as bytes and g as a translate table
+        # sending byte p to g(p), so h.translate(g) is g * h in one-line
+        # notation, and a Counter tallies the products of one pair of classes.
         dx = lcm(*(c.denominator for c in self._coeffs.values()))
         dy = lcm(*(c.denominator for c in other._coeffs.values()))
-        xs = [((0,) + g.images, c.numerator * (dx // c.denominator)) for g, c in self._coeffs.items()]
-        ys = [(h.images, c.numerator * (dy // c.denominator)) for h, c in other._coeffs.items()]
-        acc: dict[tuple[int, ...], int] = defaultdict(int)
-        for g0, cg in xs:
-            at = g0.__getitem__  # (g * h)(x) = g(h(x)); g0 is shifted to index by point
-            for h, ch in ys:
-                acc[tuple(map(at, h))] += cg * ch
+        gs: dict[int, list[bytes]] = defaultdict(list)
+        for g, c in self._coeffs.items():
+            gs[c.numerator * (dx // c.denominator)].append(bytes((0, *g.images)).ljust(256, b"\0"))
+        hs: dict[int, list[bytes]] = defaultdict(list)
+        for h, c in other._coeffs.items():
+            hs[c.numerator * (dy // c.denominator)].append(bytes(h.images))
+        acc: dict[bytes, int] = defaultdict(int)
+        for cg, g_tables in gs.items():
+            for ch, h_words in hs.items():
+                counts: Counter[bytes] = Counter()
+                for h in h_words:
+                    counts.update(map(h.translate, g_tables))
+                w = cg * ch
+                for gh, count in counts.items():
+                    acc[gh] += w * count
         d = dx * dy
         return GroupAlgebraElement(
-            self.ctx, {Permutation(images): Fraction(c, d) for images, c in acc.items() if c}
+            self.ctx, {Permutation(tuple(gh)): Fraction(c, d) for gh, c in acc.items() if c}
         )
 
     def __rmul__(self, other):
@@ -297,6 +315,19 @@ class BiinvariantElement:
         self._coeffs = clean
 
     @classmethod
+    def _trusted(cls, ctx: Context, coeffs: Mapping[PartialInjection, Fraction]) -> "BiinvariantElement":
+        """Wrap Fraction coefficients on keys this class's own arithmetic made.
+
+        Those keys already have size alpha and index a coset at n, so only
+        the zero coefficients are dropped; outside input goes through
+        __init__, which checks every key.
+        """
+        out = object.__new__(cls)
+        out.ctx = ctx
+        out._coeffs = {sigma: c for sigma, c in coeffs.items() if c}
+        return out
+
+    @classmethod
     def zero(cls, ctx: Context) -> "BiinvariantElement":
         return cls(ctx)
 
@@ -325,14 +356,14 @@ class BiinvariantElement:
         acc = dict(self._coeffs)
         for s, c in other._coeffs.items():
             acc[s] = acc.get(s, Fraction(0)) + c
-        return BiinvariantElement(self.ctx, acc)
+        return BiinvariantElement._trusted(self.ctx, acc)
 
     def __sub__(self, other: "BiinvariantElement") -> "BiinvariantElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "BiinvariantElement":
         c = Fraction(c)
-        return BiinvariantElement(self.ctx, {s: c * v for s, v in self._coeffs.items()})
+        return BiinvariantElement._trusted(self.ctx, {s: c * v for s, v in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -381,7 +412,7 @@ class BiinvariantElement:
                     {"sigma": sigma.serialize(), "seen": len(values), "coset_size": size},
                 )
             acc[sigma] = values[0] * nf
-        return cls(ctx, acc)
+        return cls._trusted(ctx, acc)
 
     def trace(self) -> Fraction:
         ident = PartialInjection.identity(self.ctx.alpha)
@@ -396,7 +427,7 @@ class BiinvariantElement:
 
     def star(self) -> "BiinvariantElement":
         """Coset-basis involution: invert every index."""
-        return BiinvariantElement(self.ctx, {s.inverse(): c for s, c in self._coeffs.items()})
+        return BiinvariantElement._trusted(self.ctx, {s.inverse(): c for s, c in self._coeffs.items()})
 
     def to_pairs(self) -> list[tuple[tuple[int, ...], str]]:
         """Canonical dump: (serialized index, "p/q") sorted by canonical order."""
@@ -471,7 +502,7 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
     for corner, c in acc.items():
         rho = PartialInjection(corner)
         out[rho] = Fraction(c, d * coset_size(ctx, rho))
-    return BiinvariantElement(ctx, out)
+    return BiinvariantElement._trusted(ctx, out)
 
 
 def dc_multiply(x: BiinvariantElement, y: BiinvariantElement, *, via: str = "fast") -> BiinvariantElement:

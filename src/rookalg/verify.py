@@ -316,6 +316,9 @@ def crosscheck_structure(
     dual_route = ctx.degree <= 6
     col = _Collector(max_counterexamples)
     dual_checked = 0
+    # evaluate shares one row tuple among the pairs of one fused state, so a
+    # right-hand side is built once per row object, keyed on its identity
+    rhs_of_row: dict[int, BiinvariantElement] = {}
     for ip in range(dim):
         for iq in range(dim):
             lhs = dc_multiply(imgs[ip], imgs[iq], via="fast")
@@ -323,11 +326,14 @@ def crosscheck_structure(
                 dual_checked += 1
                 if dc_multiply(imgs[ip], imgs[iq], via="convolve") != lhs:
                     col.add("route-disagreement", p=ip, q=iq)
-            acc: dict[PartialInjection, Fraction] = defaultdict(Fraction)
-            for ir, c in consts_n[(ip, iq)]:
-                for sigma, v in imgs[ir].items():
-                    acc[sigma] += c * v
-            rhs = BiinvariantElement(ctx, acc)
+            row = consts_n[(ip, iq)]
+            rhs = rhs_of_row.get(id(row))
+            if rhs is None:
+                acc: dict[PartialInjection, Fraction] = defaultdict(Fraction)
+                for ir, c in row:
+                    for sigma, v in imgs[ir].items():
+                        acc[sigma] += c * v
+                rhs = rhs_of_row[id(row)] = BiinvariantElement(ctx, acc)
             if lhs != rhs:
                 col.add(
                     "structure-mismatch",

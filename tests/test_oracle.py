@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rookalg.algebra import basis_enumerate
 from rookalg.combinatorics import (
@@ -23,7 +23,7 @@ from rookalg.combinatorics import (
     rook_compose,
     rook_enumerate,
 )
-from rookalg.errors import ConsistencyError, ContextError, EmptyCosetError
+from rookalg.errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
 from rookalg.oracle import (
     BiinvariantElement,
     Context,
@@ -156,6 +156,37 @@ def test_convolution_matches_fraction_accumulation(x, y):
     assert all(c != 0 for _, c in product.items())
 
 
+S5_CTX = Context(2, 3)
+S5 = tuple(all_permutations(5))
+
+# up to 20 terms whose coefficients are mostly distinct, so that the product
+# runs over many pairs of coefficient classes, not one
+s5_elements = st.dictionaries(
+    st.sampled_from(S5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    max_size=20,
+).map(lambda coeffs: GroupAlgebraElement(S5_CTX, coeffs))
+
+
+@settings(deadline=None)
+@given(s5_elements, s5_elements)
+def test_convolution_matches_fraction_accumulation_on_s5(x, y):
+    assert convolve(x, y) == fraction_convolution(x, y)
+
+
+def test_convolution_refuses_more_than_255_points():
+    # 255 points still fit in a byte; the 256th does not
+    ctx = Context(1, 254)
+    s = Permutation.transposition(255, 1, 255)
+    assert convolve(GroupAlgebraElement.delta(ctx, s), GroupAlgebraElement.delta(ctx, s)) == (
+        GroupAlgebraElement.delta(ctx, Permutation.identity(255))
+    )
+    ctx = Context(1, 255)
+    e = GroupAlgebraElement.delta(ctx, Permutation.identity(256))
+    with pytest.raises(CapacityError, match="degree <= 255"):
+        convolve(e, e)
+
+
 # -------------------------------------------------------------------- cosets
 
 
@@ -212,6 +243,29 @@ def test_from_group_rejects_non_biinvariant_input():
         BiinvariantElement.from_group(d)
 
 
+def test_from_group_rejects_a_full_coset_with_one_value_off():
+    ctx = Context(2, 2)
+    sigma = idempotent(2, (1,))
+    coeffs = dict(BiinvariantElement.basis(ctx, sigma).embed().items())
+    u = coset_enumerate(sigma, ctx)[1]
+    coeffs[u] += 1
+    with pytest.raises(ConsistencyError) as err:
+        BiinvariantElement.from_group(GroupAlgebraElement(ctx, coeffs))
+    # every member of the coset is present; only the value of u differs
+    assert err.value.payload["seen"] == err.value.payload["coset_size"] == coset_size(ctx, sigma)
+
+
+def test_public_constructor_checks_every_key():
+    ctx = Context(2, 1)
+    with pytest.raises(ContextError):
+        BiinvariantElement(ctx, {PartialInjection.identity(3): Fraction(1)})
+    # corank 2 indexes no coset with one tail point
+    with pytest.raises(EmptyCosetError):
+        BiinvariantElement(ctx, {idempotent(2, (1, 2)): Fraction(1)})
+    # a zero coefficient is dropped before its key is checked
+    assert BiinvariantElement(ctx, {idempotent(2, (1, 2)): 0}) == BiinvariantElement.zero(ctx)
+
+
 def test_identity_coset_is_the_unit():
     ctx = Context(2, 2)
     one = BiinvariantElement.basis(ctx, PartialInjection.identity(2))
@@ -230,6 +284,21 @@ def test_fast_product_matches_full_convolution():
                 assert dc_multiply(x, y, via="fast") == dc_multiply(
                     x, y, via="convolve"
                 )
+
+
+def test_convolve_product_matches_fast_product_at_degree_8():
+    ctx = Context(3, 5)
+    # the images of permutation and one-hole monomials: at most 600 group
+    # elements each, so a pair is at most 360,000 products
+    images = [
+        x
+        for x in monomial_images(basis_enumerate(3), ctx)
+        if sum(coset_size(ctx, s) for s, _ in x.items()) <= 600
+    ]
+    rng = random.Random(35)
+    for _ in range(4):
+        x, y = rng.choice(images), rng.choice(images)
+        assert dc_multiply(x, y, via="convolve") == dc_multiply(x, y, via="fast")
 
 
 def full_sum_product(x: BiinvariantElement, y: BiinvariantElement) -> BiinvariantElement:

@@ -10,7 +10,7 @@ from rookalg.algebra import basis_enumerate
 from rookalg.combinatorics import PartialInjection
 from rookalg.errors import CapacityError
 from rookalg.nupoly import NuPoly
-from rookalg.oracle import BiinvariantElement, Context, gen_hole
+from rookalg.oracle import BiinvariantElement, Context, dc_multiply, gen_hole
 from rookalg.tables import structure_table
 from rookalg.verify import (
     VerificationReport,
@@ -101,9 +101,12 @@ def test_crosscheck_dual_route_runs_at_small_degree():
 def test_crosscheck_detects_a_tampered_table():
     t = structure_table(1)
     bad_constants = dict(t.constants)
-    bad_constants[(0, 1)] = ((0, NuPoly.one()),)
-    bad_constants[(1, 0)] = ((0, NuPoly.one()),)
-    bad_constants[(1, 1)] = ((0, NuPoly.one()),)
+    # one row object shared by three pairs, as the table build shares rows:
+    # its right-hand side is built once, but every pair is still reported
+    bad_row = ((0, NuPoly.one()),)
+    bad_constants[(0, 1)] = bad_row
+    bad_constants[(1, 0)] = bad_row
+    bad_constants[(1, 1)] = bad_row
     bad = replace(t, constants=bad_constants)
     r = crosscheck_structure(1, 2, table=bad)
     assert not r.passed
@@ -112,6 +115,14 @@ def test_crosscheck_detects_a_tampered_table():
     assert len(r.counterexamples) == 3
     kinds = {c["kind"] for c in r.counterexamples}
     assert kinds == {"structure-mismatch"}
+    assert [(c["p"], c["q"]) for c in r.counterexamples] == [(0, 1), (1, 0), (1, 1)]
+    # the table side is the shared row at n = 2, 1 * image(basis[0]); the
+    # convolution side is each pair's own product
+    imgs = monomial_images(t.basis, Context(1, 2))
+    for c in r.counterexamples:
+        assert c["table"] == [[list(k), v] for k, v in imgs[0].to_pairs()]
+        lhs = dc_multiply(imgs[c["p"]], imgs[c["q"]])
+        assert c["convolution"] == [[list(k), v] for k, v in lhs.to_pairs()]
     assert r.summary_line().startswith("FAIL")
 
 
