@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from .combinatorics import PartialInjection, Permutation, rook_enumerate
 from .errors import ConsistencyError, ContextError
 from .nupoly import NuPoly
+from .sparse import SparseVector
 
 _ONE = NuPoly.one()
 _MINUS_ONE = -_ONE
@@ -215,7 +216,7 @@ class Normalizer:
 
     def normalize(self, alpha: int, tokens: Sequence[tuple[str, object]]) -> "OElement":
         g, js = word_to_state(alpha, tokens)
-        return OElement(alpha, dict(self.reduce(g, js)))
+        return OElement._trusted(alpha, self.reduce(g, js))
 
 
 def _emit(rule: str, t: int, g: Permutation, js: tuple[int, ...]):
@@ -258,10 +259,14 @@ def _as_poly(c) -> NuPoly:
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
-class OElement:
+class OElement(SparseVector):
     """A polynomial-in-nu combination of admissible monomials."""
 
-    __slots__ = ("alpha", "_coeffs")
+    __slots__ = ("alpha",)
+    _context = "alpha"
+    _zero = NuPoly.zero()
+    _coerce = staticmethod(_as_poly)
+    _sort_key = staticmethod(monomial_sort_key)
 
     def __init__(self, alpha: int, coeffs: Mapping[Monomial, NuPoly] | None = None):
         self.alpha = alpha
@@ -276,10 +281,6 @@ class OElement:
         self._coeffs = clean
 
     @classmethod
-    def zero(cls, alpha: int) -> "OElement":
-        return cls(alpha)
-
-    @classmethod
     def one(cls, alpha: int) -> "OElement":
         return cls(alpha, {Monomial.one(alpha): _ONE})
 
@@ -287,38 +288,8 @@ class OElement:
     def from_monomial(cls, m: Monomial, coeff=1) -> "OElement":
         return cls(m.alpha, {m: _as_poly(coeff)})
 
-    def coefficient(self, m: Monomial) -> NuPoly:
-        return self._coeffs.get(m, NuPoly.zero())
-
-    def items(self):
-        return self._coeffs.items()
-
-    def sorted_items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: monomial_sort_key(kv[0]))
-
-    def support_size(self) -> int:
-        return len(self._coeffs)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def _check(self, other: "OElement") -> None:
-        if self.alpha != other.alpha:
-            raise ContextError(f"alpha mismatch: {self.alpha} vs {other.alpha}")
-
-    def __add__(self, other: "OElement") -> "OElement":
-        self._check(other)
-        acc = dict(self._coeffs)
-        for m, c in other._coeffs.items():
-            acc[m] = acc.get(m, NuPoly.zero()) + c
-        return OElement(self.alpha, acc)
-
-    def __sub__(self, other: "OElement") -> "OElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "OElement":
-        c = _as_poly(c)
-        return OElement(self.alpha, {m: c * v for m, v in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, NuPoly)):
@@ -326,19 +297,6 @@ class OElement:
         if not isinstance(other, OElement):
             return NotImplemented
         return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, NuPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OElement):
-            return NotImplemented
-        return self.alpha == other.alpha and self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        return f"OElement(alpha={self.alpha}, {len(self._coeffs)} terms)"
 
     def trace(self) -> NuPoly:
         """Coefficient of the identity monomial."""
@@ -358,7 +316,7 @@ class OElement:
         for m, c in self._coeffs.items():
             for mm, cc in nz.reduce(*star_state(m)).items():
                 acc[mm] = acc.get(mm, NuPoly.zero()) + c * cc
-        return OElement(self.alpha, acc)
+        return OElement._trusted(self.alpha, acc)
 
     def evaluate(self, value) -> dict[Monomial, Fraction]:
         """Specialize nu to an exact rational; zero coefficients are dropped."""
@@ -393,7 +351,7 @@ def multiply(x: OElement, y: OElement, normalizer: Normalizer | None = None) -> 
             coeff = c1 * c2
             for m, c in nz.reduce(*fuse(m1, m2)).items():
                 acc[m] = acc.get(m, NuPoly.zero()) + coeff * c
-    return OElement(x.alpha, acc)
+    return OElement._trusted(x.alpha, acc)
 
 
 def format_monomial(m: Monomial) -> str:

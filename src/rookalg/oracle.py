@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations
 from math import factorial, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .combinatorics import (
@@ -42,6 +43,7 @@ from .combinatorics import (
     rook_sort_key,
 )
 from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
+from .sparse import SparseVector
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,14 @@ def subgroup_elements(ctx: Context) -> tuple[Permutation, ...]:
     return tuple(embed_pair(ident, s) for s in all_permutations(ctx.n))
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(SparseVector):
     """A finitely supported rational function on S_{alpha+n} under convolution."""
 
-    __slots__ = ("ctx", "_coeffs")
+    __slots__ = ("ctx",)
+    _context = "ctx"
+    _zero = Fraction(0)
+    _coerce = staticmethod(Fraction)
+    _sort_key = staticmethod(attrgetter("images"))
 
     def __init__(self, ctx: Context, coeffs: Mapping[Permutation, Fraction] | None = None):
         self.ctx = ctx
@@ -87,40 +93,6 @@ class GroupAlgebraElement:
     @classmethod
     def delta(cls, ctx: Context, g: Permutation) -> "GroupAlgebraElement":
         return cls(ctx, {g: Fraction(1)})
-
-    @classmethod
-    def zero(cls, ctx: Context) -> "GroupAlgebraElement":
-        return cls(ctx)
-
-    def coefficient(self, g: Permutation) -> Fraction:
-        return self._coeffs.get(g, Fraction(0))
-
-    def items(self):
-        return self._coeffs.items()
-
-    def sorted_items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0].images)
-
-    def support_size(self) -> int:
-        return len(self._coeffs)
-
-    def _check(self, other: "GroupAlgebraElement") -> None:
-        if self.ctx != other.ctx:
-            raise ContextError(f"context mismatch: {self.ctx} vs {other.ctx}")
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check(other)
-        acc = dict(self._coeffs)
-        for g, c in other._coeffs.items():
-            acc[g] = acc.get(g, Fraction(0)) + c
-        return GroupAlgebraElement(self.ctx, acc)
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "GroupAlgebraElement":
-        c = Fraction(c)
-        return GroupAlgebraElement(self.ctx, {g: c * v for g, v in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,22 +128,9 @@ class GroupAlgebraElement:
                 for gh, count in counts.items():
                     acc[gh] += w * count
         d = dx * dy
-        return GroupAlgebraElement(
+        return GroupAlgebraElement._trusted(
             self.ctx, {Permutation(tuple(gh)): Fraction(c, d) for gh, c in acc.items() if c}
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        return f"GroupAlgebraElement({self.ctx}, {len(self._coeffs)} terms)"
 
     def trace(self) -> Fraction:
         """Coefficient of the identity."""
@@ -183,7 +142,7 @@ class GroupAlgebraElement:
 
     def star(self) -> "GroupAlgebraElement":
         """The involution sending each group element to its inverse."""
-        return GroupAlgebraElement(self.ctx, {g.inverse(): c for g, c in self._coeffs.items()})
+        return GroupAlgebraElement._trusted(self.ctx, {g.inverse(): c for g, c in self._coeffs.items()})
 
     def inner(self, other: "GroupAlgebraElement") -> Fraction:
         """Inner product trace(self * other.star()); deltas are orthonormal."""
@@ -295,10 +254,14 @@ def coset_enumerate(sigma: PartialInjection, ctx: Context) -> tuple[Permutation,
     return tuple(out)
 
 
-class BiinvariantElement:
+class BiinvariantElement(SparseVector):
     """A rational combination of the scaled double-coset sums e_sigma."""
 
-    __slots__ = ("ctx", "_coeffs")
+    __slots__ = ("ctx",)
+    _context = "ctx"
+    _zero = Fraction(0)
+    _coerce = staticmethod(Fraction)
+    _sort_key = staticmethod(rook_sort_key)
 
     def __init__(self, ctx: Context, coeffs: Mapping[PartialInjection, Fraction] | None = None):
         self.ctx = ctx
@@ -315,55 +278,8 @@ class BiinvariantElement:
         self._coeffs = clean
 
     @classmethod
-    def _trusted(cls, ctx: Context, coeffs: Mapping[PartialInjection, Fraction]) -> "BiinvariantElement":
-        """Wrap Fraction coefficients on keys this class's own arithmetic made.
-
-        Those keys already have size alpha and index a coset at n, so only
-        the zero coefficients are dropped; outside input goes through
-        __init__, which checks every key.
-        """
-        out = object.__new__(cls)
-        out.ctx = ctx
-        out._coeffs = {sigma: c for sigma, c in coeffs.items() if c}
-        return out
-
-    @classmethod
-    def zero(cls, ctx: Context) -> "BiinvariantElement":
-        return cls(ctx)
-
-    @classmethod
     def basis(cls, ctx: Context, sigma: PartialInjection) -> "BiinvariantElement":
         return cls(ctx, {sigma: Fraction(1)})
-
-    def coefficient(self, sigma: PartialInjection) -> Fraction:
-        return self._coeffs.get(sigma, Fraction(0))
-
-    def items(self):
-        return self._coeffs.items()
-
-    def sorted_items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: rook_sort_key(kv[0]))
-
-    def support_size(self) -> int:
-        return len(self._coeffs)
-
-    def _check(self, other: "BiinvariantElement") -> None:
-        if self.ctx != other.ctx:
-            raise ContextError(f"context mismatch: {self.ctx} vs {other.ctx}")
-
-    def __add__(self, other: "BiinvariantElement") -> "BiinvariantElement":
-        self._check(other)
-        acc = dict(self._coeffs)
-        for s, c in other._coeffs.items():
-            acc[s] = acc.get(s, Fraction(0)) + c
-        return BiinvariantElement._trusted(self.ctx, acc)
-
-    def __sub__(self, other: "BiinvariantElement") -> "BiinvariantElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "BiinvariantElement":
-        c = Fraction(c)
-        return BiinvariantElement._trusted(self.ctx, {s: c * v for s, v in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -371,19 +287,6 @@ class BiinvariantElement:
         if not isinstance(other, BiinvariantElement):
             return NotImplemented
         return dc_multiply(self, other, via="fast")
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiinvariantElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        return f"BiinvariantElement({self.ctx}, {len(self._coeffs)} terms)"
 
     def embed(self) -> GroupAlgebraElement:
         """Expand into the group algebra: each coset uniformly, scaled by 1/n!."""
@@ -393,7 +296,7 @@ class BiinvariantElement:
             cw = c * w
             for u in coset_enumerate(sigma, self.ctx):
                 acc[u] = cw
-        return GroupAlgebraElement(self.ctx, acc)
+        return GroupAlgebraElement._trusted(self.ctx, acc)
 
     @classmethod
     def from_group(cls, x: GroupAlgebraElement) -> "BiinvariantElement":

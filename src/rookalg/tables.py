@@ -7,6 +7,12 @@ states A(g) T_js, so a build reduces, indexes and checks each distinct
 fused state once, with one rewriting engine, and every pair that fuses to
 it shares that one row tuple.  Tables serialize to a stable JSON or CSV
 layout, rendering each shared row once.
+
+Every bilinear form is a view of the table: the trace form is the identity
+coefficient of each product, and the Gram matrix is the trace form applied
+to the normal forms of the basis stars.  One exact Gaussian elimination over
+Fractions yields the pivots that both the determinant and the Sylvester
+test of positive definiteness read.
 """
 from __future__ import annotations
 
@@ -203,14 +209,15 @@ def structure_table(
     build_stats holds the rule counters of the Normalizer, plus the
     dimension and the build time.
     """
-    if use_cache and alpha in _TABLE_CACHE:
-        return _TABLE_CACHE[alpha]
+    # the limit is checked before the cache, so a cached table is refused too
     limit = table_limit(max_alpha)
     if alpha > limit:
         raise CapacityError(
             f"structure table for alpha={alpha} exceeds the limit {limit}; "
             "raise the capacity explicitly to proceed"
         )
+    if use_cache and alpha in _TABLE_CACHE:
+        return _TABLE_CACHE[alpha]
     t0 = time.perf_counter()
     basis = basis_enumerate(alpha, max_alpha=alpha)
     index = {m: i for i, m in enumerate(basis)}
@@ -265,29 +272,22 @@ def check_associativity(
 
 
 def gram_matrix(alpha: int, *, max_alpha: int | None = None) -> tuple[tuple[NuPoly, ...], ...]:
-    """G[p][q] = trace(e_p e_q*), a symmetric matrix of polynomials in nu."""
-    limit = table_limit(max_alpha)
-    if alpha > limit:
-        raise CapacityError(
-            f"gram matrix for alpha={alpha} exceeds the limit {limit}; "
-            "raise the capacity explicitly to proceed"
-        )
-    basis = basis_enumerate(alpha, max_alpha=alpha)
+    """G[p][q] = trace(e_p e_q*), a symmetric matrix of polynomials in nu.
+
+    Read off the structure table: with e_q* = sum_r s_qr e_r, the normal form
+    of the star of basis monomial q, G[p][q] = sum_r s_qr B[p][r] for the
+    trace form B.  Its only rewriting is one star per basis element.
+    """
+    table = structure_table(alpha, max_alpha=max_alpha)
+    B = trace_form(table)
     nz = Normalizer()
-    stars = [nz.reduce(*star_state(q)) for q in basis]
-    one_m = Monomial.one(alpha)
-    rows = []
-    for p in basis:
-        row = []
-        for sq in stars:
-            acc = NuPoly.zero()
-            for m2, c2 in sq.items():
-                c = nz.reduce(*fuse(p, m2)).get(one_m)
-                if c:
-                    acc = acc + c2 * c
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    stars = [
+        [(table.index_of(m), c) for m, c in nz.reduce(*star_state(q)).items()] for q in table.basis
+    ]
+    zero = NuPoly.zero()
+    return tuple(
+        tuple(sum((c * row[ir] for ir, c in star if row[ir]), zero) for star in stars) for row in B
+    )
 
 
 def trace_form(table: StructureTable) -> tuple[tuple[NuPoly, ...], ...]:
@@ -308,8 +308,38 @@ def trace_form(table: StructureTable) -> tuple[tuple[NuPoly, ...], ...]:
     return tuple(rows)
 
 
+def _pivots(a: list[list[Fraction]]):
+    """Gaussian elimination over Fractions, in place: (pivot, exchanged) per column.
+
+    The pivot of column k is the first nonzero entry at or below the
+    diagonal, and exchanged says whether a row swap brought it there.  A
+    column with no such entry yields (0, False) and ends the elimination.
+    """
+    n = len(a)
+    for k in range(n):
+        piv_row = next((i for i in range(k, n) if a[i][k]), None)
+        if piv_row is None:
+            yield Fraction(0), False
+            return
+        if piv_row != k:
+            a[k], a[piv_row] = a[piv_row], a[k]
+        piv = a[k][k]
+        yield piv, piv_row != k
+        for i in range(k + 1, n):
+            f = a[i][k] / piv
+            if not f:
+                continue
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+
+
 def positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact Sylvester test for a symmetric rational matrix."""
+    """Exact Sylvester test for a symmetric rational matrix.
+
+    Without row exchanges the pivots are the ratios of successive leading
+    principal minors, so the matrix is positive definite exactly when every
+    pivot is positive and none needed an exchange.
+    """
     n = len(mat)
     a = [list(map(Fraction, row)) for row in mat]
     for i, row in enumerate(a):
@@ -318,17 +348,7 @@ def positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:
         for j in range(i):
             if row[j] != a[j][i]:
                 raise ValueError("matrix must be symmetric")
-    for k in range(n):
-        piv = a[k][k]
-        if piv <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / piv
-            if not f:
-                continue
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True
+    return all(piv > 0 and not exchanged for piv, exchanged in _pivots(a))
 
 
 def evaluate_matrix(mat: Sequence[Sequence[NuPoly]], value) -> list[list[Fraction]]:
@@ -341,28 +361,6 @@ def smallest_pd_nu(mat: Sequence[Sequence[NuPoly]], *, start: int = 0, stop: int
         if positive_definite(evaluate_matrix(mat, n)):
             return n
     return None
-
-
-def _det_fraction(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        piv_row = next((i for i in range(k, n) if a[i][k]), None)
-        if piv_row is None:
-            return Fraction(0)
-        if piv_row != k:
-            a[k], a[piv_row] = a[piv_row], a[k]
-            det = -det
-        piv = a[k][k]
-        det *= piv
-        for i in range(k + 1, n):
-            f = a[i][k] / piv
-            if not f:
-                continue
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-            a[i][k] = Fraction(0)
-    return det
 
 
 def _interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> NuPoly:
@@ -399,7 +397,10 @@ def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
     values = []
     for x in range(bound + 2):
         fx = Fraction(x)
-        values.append((fx, _det_fraction([[c.evaluate(fx) for c in row] for row in mat])))
+        det = Fraction(1)
+        for piv, exchanged in _pivots([[c.evaluate(fx) for c in row] for row in mat]):
+            det *= -piv if exchanged else piv
+        values.append((fx, det))
     poly = _interpolate(values[: bound + 1])
     extra_x, extra_v = values[bound + 1]
     if poly.evaluate(extra_x) != extra_v:

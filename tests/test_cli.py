@@ -1,5 +1,6 @@
 """Command line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -206,6 +207,23 @@ def test_verify_gram():
     assert obj["status"] == "pass"
     assert obj["params"]["ns"] == [2, 3]
     assert "elapsed_s" not in obj["metrics"]
+
+
+# sha256 of stdout, recorded before the Gram matrix was read off the structure
+# table and before the determinant and the Sylvester test shared one elimination
+GOLDEN_STDOUT_SHA256 = {
+    "gram --alpha 3": "afa961de8091123f3ae33d5609366add49f16773721bd3336b0c7eedc6b74be6",
+    "gram --alpha 3 --nu 5/2": "11c190e9df27f3cbca9fb4aa3ba803f3ae257560e0d532f7cbc2e51aeccb4e3c",
+    "verify gram --alpha 3": "07b9f7b96d6b5aedb083c2bbc580be13138e8ade319e3240908a03fdfd47c47b",
+    "verify semisimple --alpha 3": "13d7094f5e97355673fc2aaf9abf374108c485e683ee1d3eb0ff2fa4c4977aab",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT_SHA256))
+def test_stdout_matches_its_golden_hash(command):
+    code, out, err = run_cli(*command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[command]
 
 
 def test_verify_output_is_byte_stable():

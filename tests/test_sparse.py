@@ -1,0 +1,87 @@
+"""The sparse-vector arithmetic shared by the three element classes."""
+
+import ast
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from rookalg import oracle, sparse
+
+from rookalg.algebra import Monomial, OElement
+from rookalg.combinatorics import Permutation
+from rookalg.errors import ContextError
+from rookalg.nupoly import NuPoly
+from rookalg.oracle import BiinvariantElement, Context, GroupAlgebraElement, gen_hole, gen_perm
+from rookalg.sparse import SparseVector
+
+
+def group_element(ctx):
+    return GroupAlgebraElement(
+        ctx,
+        {
+            Permutation.identity(ctx.degree): Fraction(3),
+            Permutation.transposition(ctx.degree, 1, ctx.degree): Fraction(-1, 2),
+        },
+    )
+
+
+def biinvariant_element(ctx):
+    return gen_perm(Permutation((2, 1)), ctx) + gen_hole(1, ctx).scale(Fraction(2, 3))
+
+
+def o_element(alpha):
+    return OElement(alpha, {Monomial.one(alpha): NuPoly.nu(), Monomial(Permutation.identity(alpha), (1,)): -1})
+
+
+# (class, an element, its context, an element in another context)
+CASES = [
+    (GroupAlgebraElement, group_element(Context(2, 1)), Context(2, 1), group_element(Context(1, 2))),
+    (BiinvariantElement, biinvariant_element(Context(2, 2)), Context(2, 2), biinvariant_element(Context(2, 3))),
+    (OElement, o_element(2), 2, o_element(3)),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("cls, x, context, elsewhere", CASES, ids=IDS)
+def test_shared_arithmetic(cls, x, context, elsewhere):
+    assert 2 * x == x.scale(2)
+    assert (x - x).support_size() == 0
+    zero = cls.zero(context)
+    assert x + zero == x
+    assert zero + x == x
+    assert (x + x) == x.scale(2)
+    assert x.support_size() == 2
+    with pytest.raises(ContextError):
+        x + elsewhere
+    with pytest.raises(ContextError):
+        x - elsewhere
+
+
+def test_elements_of_different_classes_never_compare_equal():
+    ctx = Context(2, 2)
+    zeros = [GroupAlgebraElement.zero(ctx), BiinvariantElement.zero(ctx), OElement.zero(2)]
+    for i, a in enumerate(zeros):
+        for j, b in enumerate(zeros):
+            assert (a == b) == (i == j)
+
+
+SHARED = (
+    "zero", "_trusted", "coefficient", "items", "sorted_items", "support_size", "_check",
+    "__add__", "__sub__", "scale", "__rmul__", "__eq__", "__repr__",
+)
+
+
+@pytest.mark.parametrize("cls", [case[0] for case in CASES], ids=IDS)
+def test_element_classes_keep_no_copy_of_the_shared_methods(cls):
+    for name in SHARED:
+        assert name in vars(SparseVector)
+        assert name not in vars(cls), name
+
+
+@pytest.mark.parametrize("module", [oracle, sparse], ids=["oracle", "sparse"])
+def test_the_oracle_stays_independent_of_the_rewriting_code(module):
+    tree = ast.parse(inspect.getsource(module))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert not {"algebra", "nupoly", "tables", "verify"} & {name.rsplit(".", 1)[-1] for name in imported if name}

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from rookalg.algebra import Monomial, Normalizer, basis_enumerate, fuse
+from rookalg.algebra import Monomial, Normalizer, OElement, basis_enumerate, fuse, multiply
 from rookalg.cli import main
 from rookalg.combinatorics import Permutation, rook_compose
 from rookalg.errors import CapacityError, ConsistencyError
@@ -234,6 +234,25 @@ def test_gram_alpha2_entries():
             assert G[i][j] == G[j][i]
 
 
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_gram_matrix_is_the_trace_of_products_with_stars(alpha):
+    # the definition, computed by rewriting each product e_p e_q* in full
+    nz = Normalizer()
+    basis = basis_enumerate(alpha)
+    elems = [OElement.from_monomial(m) for m in basis]
+    stars = [e.star(nz) for e in elems]
+    expected = tuple(tuple(multiply(ep, sq, nz).trace() for sq in stars) for ep in elems)
+    assert gram_matrix(alpha) == expected
+
+
+def test_gram_matrix_refuses_above_the_table_limit():
+    with pytest.raises(CapacityError, match="structure table for alpha=5"):
+        gram_matrix(5)
+    structure_table(3)
+    with pytest.raises(CapacityError, match="structure table for alpha=3 exceeds the limit 2"):
+        gram_matrix(3, max_alpha=2)
+
+
 def test_positive_definite():
     f = Fraction
     assert positive_definite([[f(2), f(1)], [f(1), f(2)]])
@@ -241,6 +260,10 @@ def test_positive_definite():
     assert not positive_definite([[f(0)]])
     with pytest.raises(ValueError):
         positive_definite([[f(1), f(2)], [f(0), f(1)]])
+    # the first needs a row exchange at its first pivot; the second has no
+    # pivot at all in its second column
+    assert not positive_definite([[0, 1], [1, 0]])
+    assert not positive_definite([[1, 1], [1, 1]])
 
 
 def test_evaluate_matrix():
@@ -256,6 +279,12 @@ def test_det_polynomial():
     assert det_polynomial(gram_matrix(1)) == NU
     singular = [[NU, NU], [NU, NU]]
     assert det_polynomial(singular) == NuPoly.zero()
+    # a row exchange flips the sign
+    assert det_polynomial([[NuPoly.zero(), NU], [ONE, NuPoly.zero()]]) == -NU
+    # the second column is nu times the first, so once the first column is
+    # eliminated the second has no pivot left
+    c = NuPoly.constant
+    assert det_polynomial([[ONE, NU, ONE], [ONE, NU, c(2)], [ONE, NU, c(3)]]) == NuPoly.zero()
 
 
 def test_smallest_pd_nu_none_when_out_of_range():
