@@ -271,7 +271,7 @@ def _cmd_verify(args) -> int:
         rep = gram_suite(alpha, ns, max_alpha=cap, max_counterexamples=k)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown suite {args.suite!r}")
-    _emit(rep.canonical_json(include_timing=False), args.out)
+    _emit(rep.canonical_json(), args.out)
     if not rep.passed:
         print(f"FAIL {rep.suite}", file=sys.stderr)
         return 1

@@ -13,7 +13,9 @@ at the checked points, and the report says so.
 
 Suites do not stop at the first failure: they keep checking and collect up
 to max_counterexamples of them (default 5) for diagnosis, with the full
-failure count in the metrics.
+failure count in the metrics.  One collector per run times it, merges the
+reports of its sub-runs and builds its report; the report's canonical JSON
+leaves the timing out, so equal runs print equal bytes.
 """
 from __future__ import annotations
 
@@ -60,8 +62,6 @@ from .tables import (
     trace_form,
 )
 
-_TIMING_KEYS = ("elapsed_s",)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -76,22 +76,20 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_obj(self, *, include_timing: bool = True) -> dict:
-        metrics = dict(self.metrics)
-        if not include_timing:
-            for k in _TIMING_KEYS:
-                metrics.pop(k, None)
+    def to_json_obj(self) -> dict:
         return {
             "suite": self.suite,
             "params": self.params,
             "status": self.status,
             "warnings": list(self.warnings),
             "counterexamples": [dict(c) for c in self.counterexamples],
-            "metrics": metrics,
+            "metrics": dict(self.metrics),
         }
 
-    def canonical_json(self, *, include_timing: bool = True) -> str:
-        obj = self.to_json_obj(include_timing=include_timing)
+    def canonical_json(self) -> str:
+        """Sorted, indented JSON without the timing, so equal runs print equal bytes."""
+        obj = self.to_json_obj()
+        obj["metrics"].pop("elapsed_s", None)
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
     def summary_line(self) -> str:
@@ -100,21 +98,43 @@ class VerificationReport:
 
 
 class _Collector:
-    """Counts every failure, keeps only the first few as counterexamples."""
+    """One run's report in the making: its clock, failures and warnings.
+
+    Counts every failure, keeps only the first `cap` as counterexamples.
+    """
 
     def __init__(self, cap: int):
+        self.t0 = time.perf_counter()
         self.cap = cap
         self.kept: list[dict] = []
         self.total = 0
+        self.warnings: list[str] = []
 
     def add(self, kind: str, **info) -> None:
         self.total += 1
         if len(self.kept) < self.cap:
             self.kept.append({"kind": kind, **info})
 
-    @property
-    def status(self) -> str:
-        return "pass" if self.total == 0 else "fail"
+    def absorb(self, rep: VerificationReport, **extra) -> None:
+        """Merge a sub-report; its counterexamples are tagged with `extra`."""
+        self.total += rep.metrics["failure_count"]
+        room = max(0, self.cap - len(self.kept))
+        self.kept.extend(dict(c, **extra) for c in rep.counterexamples[:room])
+        self.warnings.extend(rep.warnings)
+
+    def report(self, suite: str, params: dict, **metrics) -> VerificationReport:
+        return VerificationReport(
+            suite=suite,
+            params=params,
+            status="pass" if self.total == 0 else "fail",
+            warnings=tuple(self.warnings),
+            counterexamples=tuple(self.kept),
+            metrics={
+                **metrics,
+                "failure_count": self.total,
+                "elapsed_s": round(time.perf_counter() - self.t0, 6),
+            },
+        )
 
 
 def _require_oracle_degree(ctx: Context) -> None:
@@ -147,11 +167,10 @@ def dimension_suite(
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Count everything three ways: closed form, enumeration, representation theory."""
-    t0 = time.perf_counter()
+    col = _Collector(max_counterexamples)
     if ns is None:
         ns = (alpha,) if 2 * alpha <= ORACLE_DEGREE_LIMIT else ()
     ns = tuple(ns)
-    col = _Collector(max_counterexamples)
     counted = rook_count(alpha)
     enumerated = len(rook_enumerate(alpha, max_alpha=max_alpha))
     basis_len = len(basis_enumerate(alpha, max_alpha=max_alpha))
@@ -179,18 +198,12 @@ def dimension_suite(
             if size != coset_size(ctx, sigma):
                 col.add("coset-size-mismatch", n=n, sigma=list(sigma.serialize()), found=size)
         coset_counts[str(n)] = len(sizes)
-    return VerificationReport(
-        suite="dimensions",
-        params={"alpha": alpha, "ns": list(ns)},
-        status=col.status,
-        counterexamples=tuple(col.kept),
-        metrics={
-            "dimension": counted,
-            "fixed_space_dimensions": list(fsd),
-            "cosets_by_n": coset_counts,
-            "failure_count": col.total,
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        },
+    return col.report(
+        "dimensions",
+        {"alpha": alpha, "ns": list(ns)},
+        dimension=counted,
+        fixed_space_dimensions=list(fsd),
+        cosets_by_n=coset_counts,
     )
 
 
@@ -202,13 +215,11 @@ def relation_suite(
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Check that convolution of generator images satisfies the defining relations."""
-    t0 = time.perf_counter()
+    col = _Collector(max_counterexamples)
     ctx = Context(alpha, n)
     _require_oracle_degree(ctx)
     if n < 1:
         raise ValueError("relation checks need n >= 1 so hole generators exist")
-    col = _Collector(max_counterexamples)
-    warnings: list[str] = []
     perms = tuple(all_permutations(alpha))
     a = {g: gen_perm(g, ctx) for g in perms}
     th = {i: gen_hole(i, ctx) for i in range(1, alpha + 1)}
@@ -265,7 +276,7 @@ def relation_suite(
     if total_size != factorial(ctx.degree):
         col.add("coset-partition", found=total_size, expected=factorial(ctx.degree))
     if printed_disagrees:
-        warnings.append(
+        col.warnings.append(
             "printed-coset-size-formula n!*(n-r)! disagrees with the enumerated coset size "
             f"at alpha={alpha}, n={n}; the enumerated count matches (n!)^2/(n-r)!, "
             "which is authoritative and is what this library uses"
@@ -281,18 +292,11 @@ def relation_suite(
             if project_biinvariant(e) != e:
                 col.add("biinvariance", sigma=list(sigma.serialize()))
 
-    return VerificationReport(
-        suite="relations",
-        params={"alpha": alpha, "n": n},
-        status=col.status,
-        warnings=tuple(warnings),
-        counterexamples=tuple(col.kept),
-        metrics={
-            "checks": checks,
-            "biinvariance_checked": biinvariance_checked,
-            "failure_count": col.total,
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        },
+    return col.report(
+        "relations",
+        {"alpha": alpha, "n": n},
+        checks=checks,
+        biinvariance_checked=biinvariance_checked,
     )
 
 
@@ -305,7 +309,7 @@ def crosscheck_structure(
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Structure constants at nu = n against brute-force convolution, all pairs."""
-    t0 = time.perf_counter()
+    col = _Collector(max_counterexamples)
     ctx = Context(alpha, n)
     _require_oracle_degree(ctx)
     tbl = table if table is not None else structure_table(alpha, max_alpha=max_alpha)
@@ -314,7 +318,6 @@ def crosscheck_structure(
     dim = tbl.dimension
     dual_limit = dim if dim <= 12 else 12
     dual_route = ctx.degree <= 6
-    col = _Collector(max_counterexamples)
     dual_checked = 0
     # evaluate shares one row tuple among the pairs of one fused state, so a
     # right-hand side is built once per row object, keyed on its identity
@@ -333,7 +336,8 @@ def crosscheck_structure(
                 for ir, c in row:
                     for sigma, v in imgs[ir].items():
                         acc[sigma] += c * v
-                rhs = rhs_of_row[id(row)] = BiinvariantElement(ctx, acc)
+                # the keys are the images' own, already valid in ctx
+                rhs = rhs_of_row[id(row)] = BiinvariantElement._trusted(ctx, acc)
             if lhs != rhs:
                 col.add(
                     "structure-mismatch",
@@ -342,19 +346,13 @@ def crosscheck_structure(
                     convolution=_pairs_obj(lhs),
                     table=_pairs_obj(rhs),
                 )
-    return VerificationReport(
-        suite="crosscheck",
-        params={"alpha": alpha, "n": n},
-        status=col.status,
-        counterexamples=tuple(col.kept),
-        metrics={
-            "dimension": dim,
-            "pairs": dim * dim,
-            "dual_route_pairs": dual_checked,
-            "max_nu_degree": tbl.max_degree(),
-            "failure_count": col.total,
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        },
+    return col.report(
+        "crosscheck",
+        {"alpha": alpha, "n": n},
+        dimension=dim,
+        pairs=dim * dim,
+        dual_route_pairs=dual_checked,
+        max_nu_degree=tbl.max_degree(),
     )
 
 
@@ -366,7 +364,7 @@ def crosscheck_multi(
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Crosscheck at several integer values; enough points pin the polynomials."""
-    t0 = time.perf_counter()
+    col = _Collector(max_counterexamples)
     tbl = structure_table(alpha, max_alpha=max_alpha)
     max_deg = tbl.max_degree()
     if ns is None:
@@ -374,39 +372,25 @@ def crosscheck_multi(
         # n >= 1, so points below alpha are legitimate and cheap
         ns = list(range(1, ORACLE_DEGREE_LIMIT - alpha + 1))[: max_deg + 1]
     ns = tuple(ns)
-    failures: list[dict] = []
-    warnings: list[str] = []
-    total_failures = 0
     for n in ns:
         rep = crosscheck_structure(
             alpha, n, table=tbl, max_alpha=max_alpha, max_counterexamples=max_counterexamples
         )
-        total_failures += rep.metrics.get("failure_count", 0)
-        for c in rep.counterexamples:
-            if len(failures) < max_counterexamples:
-                failures.append(dict(c, n=n))
-        warnings.extend(rep.warnings)
+        col.absorb(rep, n=n)
     points = len(set(ns))
     pinned = points >= max_deg + 1
     if not pinned:
-        warnings.append(
+        col.warnings.append(
             f"only {points} distinct points checked against polynomial degree {max_deg}; "
             "equality is verified at those points but the polynomials are not pinned by them"
         )
-    return VerificationReport(
-        suite="crosscheck",
-        params={"alpha": alpha, "ns": list(ns)},
-        status="pass" if total_failures == 0 else "fail",
-        warnings=tuple(warnings),
-        counterexamples=tuple(failures),
-        metrics={
-            "dimension": tbl.dimension,
-            "points": points,
-            "max_nu_degree": max_deg,
-            "degree_pinned": pinned,
-            "failure_count": total_failures,
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        },
+    return col.report(
+        "crosscheck",
+        {"alpha": alpha, "ns": list(ns)},
+        dimension=tbl.dimension,
+        points=points,
+        max_nu_degree=max_deg,
+        degree_pinned=pinned,
     )
 
 
@@ -414,21 +398,14 @@ def limit_suite(
     alpha: int, *, max_alpha: int | None = None, max_counterexamples: int = 5
 ) -> VerificationReport:
     """The rescaled limit of the table must be the partial-injection monoid algebra."""
-    t0 = time.perf_counter()
-    tbl = structure_table(alpha, max_alpha=max_alpha)
     col = _Collector(max_counterexamples)
+    tbl = structure_table(alpha, max_alpha=max_alpha)
     try:
         lt = scaled_limit_table(tbl)
     except ConsistencyError as exc:
         payload = exc.payload if isinstance(exc.payload, dict) else {}
         col.add("divergent-entry", **payload)
-        return VerificationReport(
-            suite="limit",
-            params={"alpha": alpha},
-            status="fail",
-            counterexamples=tuple(col.kept),
-            metrics={"failure_count": col.total, "elapsed_s": round(time.perf_counter() - t0, 6)},
-        )
+        return col.report("limit", {"alpha": alpha})
     rooks = [m.to_rook() for m in tbl.basis]
     for ip in range(tbl.dimension):
         for iq in range(tbl.dimension):
@@ -442,17 +419,8 @@ def limit_suite(
                     expected_r=expected_ir,
                     got=[[ir, format_rational(c)] for ir, c in got],
                 )
-    return VerificationReport(
-        suite="limit",
-        params={"alpha": alpha},
-        status=col.status,
-        counterexamples=tuple(col.kept),
-        metrics={
-            "dimension": tbl.dimension,
-            "pairs": tbl.dimension**2,
-            "failure_count": col.total,
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        },
+    return col.report(
+        "limit", {"alpha": alpha}, dimension=tbl.dimension, pairs=tbl.dimension**2
     )
 
 
@@ -464,54 +432,48 @@ def gram_suite(
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Symmetry, positive definiteness at integers, and agreement with convolution."""
-    t0 = time.perf_counter()
-    G = gram_matrix(alpha, max_alpha=max_alpha)
-    dim = len(G)
-    basis = basis_enumerate(alpha, max_alpha=max_alpha)
+    col = _Collector(max_counterexamples)
     if ns is None:
         ns = tuple(n for n in (alpha, alpha + 1) if alpha + n <= ORACLE_DEGREE_LIMIT)
     ns = tuple(ns)
-    col = _Collector(max_counterexamples)
+    ctxs = [Context(alpha, n) for n in ns]
+    for ctx in ctxs:
+        _require_oracle_degree(ctx)
+    G = gram_matrix(alpha, max_alpha=max_alpha)
+    dim = len(G)
+    basis = basis_enumerate(alpha, max_alpha=max_alpha)
     for ip in range(dim):
         for iq in range(ip):
             if G[ip][iq] != G[iq][ip]:
                 col.add("asymmetry", p=ip, q=iq)
     agreement_pairs = 0
-    for n in ns:
+    for ctx in ctxs:
+        n = ctx.n
         mat = evaluate_matrix(G, n)
         if n >= alpha and not positive_definite(mat):
             col.add("not-positive-definite", n=n)
-        ctx = Context(alpha, n)
-        if ctx.degree <= ORACLE_DEGREE_LIMIT:
-            imgs = monomial_images(basis, ctx)
-            stars = [x.star() for x in imgs]
-            nf = factorial(n)
-            for ip in range(dim):
-                for iq in range(dim):
-                    agreement_pairs += 1
-                    oracle_val = dc_multiply(imgs[ip], stars[iq], via="fast").trace() * nf
-                    if oracle_val != mat[ip][iq]:
-                        col.add(
-                            "gram-mismatch",
-                            n=n,
-                            p=ip,
-                            q=iq,
-                            convolution=format_rational(oracle_val),
-                            table=format_rational(mat[ip][iq]),
-                        )
-    first_pd = smallest_pd_nu(G, start=0, stop=4 * alpha)
-    return VerificationReport(
-        suite="gram",
-        params={"alpha": alpha, "ns": list(ns)},
-        status=col.status,
-        counterexamples=tuple(col.kept),
-        metrics={
-            "dimension": dim,
-            "agreement_pairs": agreement_pairs,
-            "first_positive_definite_integer": first_pd,
-            "failure_count": col.total,
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        },
+        imgs = monomial_images(basis, ctx)
+        stars = [x.star() for x in imgs]
+        nf = factorial(n)
+        for ip in range(dim):
+            for iq in range(dim):
+                agreement_pairs += 1
+                oracle_val = dc_multiply(imgs[ip], stars[iq], via="fast").trace() * nf
+                if oracle_val != mat[ip][iq]:
+                    col.add(
+                        "gram-mismatch",
+                        n=n,
+                        p=ip,
+                        q=iq,
+                        convolution=format_rational(oracle_val),
+                        table=format_rational(mat[ip][iq]),
+                    )
+    return col.report(
+        "gram",
+        {"alpha": alpha, "ns": list(ns)},
+        dimension=dim,
+        agreement_pairs=agreement_pairs,
+        first_positive_definite_integer=smallest_pd_nu(G, start=0, stop=4 * alpha),
     )
 
 
@@ -543,29 +505,22 @@ def semisimplicity_probe(
     The reported rational roots are candidates for degeneration; the probe
     makes no claim that each one is genuinely degenerate.
     """
-    t0 = time.perf_counter()
+    col = _Collector(max_counterexamples)
     tbl = structure_table(alpha, max_alpha=max_alpha)
     B = trace_form(tbl)
     det = det_polynomial(B)
     roots = _rational_roots(det)
-    col = _Collector(max_counterexamples)
     if not det:
         col.add("degenerate-trace-form")
     probe_at = alpha + 1
     if det and det.evaluate(probe_at) == 0:
         col.add("vanishing-just-past-alpha", at=probe_at)
-    return VerificationReport(
-        suite="semisimplicity",
-        params={"alpha": alpha},
-        status=col.status,
-        counterexamples=tuple(col.kept),
-        metrics={
-            "dimension": tbl.dimension,
-            "det_degree": int(det.degree) if det else None,
-            "det_leading": format_rational(det.leading) if det else None,
-            "rational_roots": [format_rational(r) for r, m in roots.items() for _ in range(m)],
-            "root_multiplicities": {format_rational(r): m for r, m in roots.items()},
-            "failure_count": col.total,
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        },
+    return col.report(
+        "semisimplicity",
+        {"alpha": alpha},
+        dimension=tbl.dimension,
+        det_degree=int(det.degree) if det else None,
+        det_leading=format_rational(det.leading) if det else None,
+        rational_roots=[format_rational(r) for r, m in roots.items() for _ in range(m)],
+        root_multiplicities={format_rational(r): m for r, m in roots.items()},
     )

@@ -210,12 +210,19 @@ def test_verify_gram():
 
 
 # sha256 of stdout, recorded before the Gram matrix was read off the structure
-# table and before the determinant and the Sylvester test shared one elimination
+# table and before the determinant and the Sylvester test shared one elimination;
+# the verify dims, relations, crosscheck and limit entries were recorded before
+# every suite's report was built by one collector
 GOLDEN_STDOUT_SHA256 = {
     "gram --alpha 3": "afa961de8091123f3ae33d5609366add49f16773721bd3336b0c7eedc6b74be6",
     "gram --alpha 3 --nu 5/2": "11c190e9df27f3cbca9fb4aa3ba803f3ae257560e0d532f7cbc2e51aeccb4e3c",
     "verify gram --alpha 3": "07b9f7b96d6b5aedb083c2bbc580be13138e8ade319e3240908a03fdfd47c47b",
     "verify semisimple --alpha 3": "13d7094f5e97355673fc2aaf9abf374108c485e683ee1d3eb0ff2fa4c4977aab",
+    "verify dims --alpha 3": "a16f653447723186a87bf10990e92206baa63e01411b6b51c4b2189cbdf1cf0d",
+    "verify relations --alpha 2 --n 3": "00acdfcc4db5ad9e0e762008bbc7bec5ec53177be8f7f65d2788819f344749ce",
+    "verify crosscheck --alpha 2 --n 3": "38ec296f165d482f155a3e7d4be701973521dbe4c27167d5ef87ef65386cb08a",
+    "verify crosscheck --alpha 2": "9a9b8506563bcce5b72300d195e316ecb3c3533874d347d593bb94cea68ad35b",
+    "verify limit --alpha 3": "6f153f3c2274ddf2bf0d9c3be1e983de48f2b5ece83ba11be876c8efd68caadc",
 }
 
 

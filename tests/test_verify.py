@@ -11,6 +11,7 @@ from rookalg.combinatorics import PartialInjection
 from rookalg.errors import CapacityError
 from rookalg.nupoly import NuPoly
 from rookalg.oracle import BiinvariantElement, Context, dc_multiply, gen_hole
+from rookalg import verify
 from rookalg.tables import structure_table
 from rookalg.verify import (
     VerificationReport,
@@ -40,17 +41,14 @@ def test_report_shape():
         "counterexamples",
         "metrics",
     }
+    # the record keeps the timing; its canonical JSON leaves it out
     assert "elapsed_s" in obj["metrics"]
-    assert "elapsed_s" not in r.to_json_obj(include_timing=False)["metrics"]
+    assert "elapsed_s" not in json.loads(r.canonical_json())["metrics"]
 
 
 def test_report_json_is_deterministic():
-    a = dimension_suite(2).to_json_obj(include_timing=False)
-    b = dimension_suite(2).to_json_obj(include_timing=False)
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    ra = relation_suite(2, 2).canonical_json(include_timing=False)
-    rb = relation_suite(2, 2).canonical_json(include_timing=False)
-    assert ra == rb
+    assert dimension_suite(2).canonical_json() == dimension_suite(2).canonical_json()
+    assert relation_suite(2, 2).canonical_json() == relation_suite(2, 2).canonical_json()
 
 
 def test_dimension_suite_counts():
@@ -139,6 +137,26 @@ def test_counterexample_cap():
     assert r.metrics["failure_count"] == 3
 
 
+def test_crosscheck_multi_merges_the_points(monkeypatch):
+    t = structure_table(1)
+    bad_constants = dict(t.constants)
+    bad_row = ((0, NuPoly.one()),)
+    bad_constants[(0, 1)] = bad_row
+    bad_constants[(1, 0)] = bad_row
+    bad_constants[(1, 1)] = bad_row
+    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: replace(t, constants=bad_constants))
+    r = crosscheck_multi(1, ns=(1, 2), max_counterexamples=4)
+    assert r.status == "fail"
+    # at n = 1 the true (1,1) product (nu-1) T1 + nu is nu = 1, the tampered row
+    assert r.metrics["failure_count"] == 5
+    assert [(c["n"], c["p"], c["q"]) for c in r.counterexamples] == [
+        (1, 0, 1),
+        (1, 1, 0),
+        (2, 0, 1),
+        (2, 1, 0),
+    ]
+
+
 def test_crosscheck_multi_pins_the_degree():
     r = crosscheck_multi(1)
     assert r.passed
@@ -164,12 +182,29 @@ def test_limit_suite(alpha):
     assert r.metrics["pairs"] == structure_table(alpha).dimension ** 2
 
 
+def test_limit_suite_reports_a_divergent_entry(monkeypatch):
+    t = structure_table(1)
+    bad_constants = dict(t.constants)
+    bad_constants[(0, 0)] = ((0, NuPoly.nu()),)
+    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: replace(t, constants=bad_constants))
+    r = limit_suite(1)
+    assert r.status == "fail"
+    assert [c["kind"] for c in r.counterexamples] == ["divergent-entry"]
+    assert set(r.metrics) == {"failure_count", "elapsed_s"}
+    assert r.metrics["failure_count"] == 1
+
+
 def test_gram_suite():
     r = gram_suite(2)
     assert r.passed
     assert r.metrics["first_positive_definite_integer"] == 2
     # oracle agreement is checked at two integer points for the whole basis
     assert r.metrics["agreement_pairs"] == 98
+
+
+def test_gram_suite_refuses_past_the_oracle_cap():
+    with pytest.raises(CapacityError, match="degree 9"):
+        gram_suite(2, ns=(7,))
 
 
 def test_semisimplicity_probe_alpha1():
