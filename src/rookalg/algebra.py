@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .combinatorics import PartialInjection, Permutation, rook_enumerate
 from .errors import ConsistencyError, ContextError
 from .nupoly import NuPoly
-from .sparse import SparseVector
+from .sparse import SparseVector, combine
 
 _ONE = NuPoly.one()
 _MINUS_ONE = -_ONE
@@ -268,17 +268,10 @@ class OElement(SparseVector):
     _coerce = staticmethod(_as_poly)
     _sort_key = staticmethod(monomial_sort_key)
 
-    def __init__(self, alpha: int, coeffs: Mapping[Monomial, NuPoly] | None = None):
-        self.alpha = alpha
-        clean: dict[Monomial, NuPoly] = {}
-        for m, c in (coeffs or {}).items():
-            c = _as_poly(c)
-            if not c:
-                continue
-            if m.alpha != alpha:
-                raise ContextError(f"monomial of size {m.alpha} in an alpha={alpha} element")
-            clean[m] = c
-        self._coeffs = clean
+    @staticmethod
+    def _check_key(alpha: int, m: Monomial) -> None:
+        if m.alpha != alpha:
+            raise ContextError(f"monomial of size {m.alpha} in an alpha={alpha} element")
 
     @classmethod
     def one(cls, alpha: int) -> "OElement":
@@ -286,7 +279,7 @@ class OElement(SparseVector):
 
     @classmethod
     def from_monomial(cls, m: Monomial, coeff=1) -> "OElement":
-        return cls(m.alpha, {m: _as_poly(coeff)})
+        return cls(m.alpha, {m: coeff})
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -312,11 +305,8 @@ class OElement(SparseVector):
     def star(self, normalizer: Normalizer | None = None) -> "OElement":
         """Antiautomorphism with A(g)* = A(g^{-1}) and T_i* = T_i."""
         nz = normalizer or default_normalizer()
-        acc: dict[Monomial, NuPoly] = {}
-        for m, c in self._coeffs.items():
-            for mm, cc in nz.reduce(*star_state(m)).items():
-                acc[mm] = acc.get(mm, NuPoly.zero()) + c * cc
-        return OElement._trusted(self.alpha, acc)
+        terms = ((c, nz.reduce(*star_state(m)).items()) for m, c in self._coeffs.items())
+        return OElement._trusted(self.alpha, combine(terms))
 
     def evaluate(self, value) -> dict[Monomial, Fraction]:
         """Specialize nu to an exact rational; zero coefficients are dropped."""
@@ -345,13 +335,8 @@ def multiply(x: OElement, y: OElement, normalizer: Normalizer | None = None) -> 
     """Product via monomial fusion followed by normalization."""
     x._check(y)
     nz = normalizer or default_normalizer()
-    acc: dict[Monomial, NuPoly] = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            coeff = c1 * c2
-            for m, c in nz.reduce(*fuse(m1, m2)).items():
-                acc[m] = acc.get(m, NuPoly.zero()) + coeff * c
-    return OElement._trusted(x.alpha, acc)
+    terms = ((c1 * c2, nz.reduce(*fuse(m1, m2)).items()) for m1, c1 in x.items() for m2, c2 in y.items())
+    return OElement._trusted(x.alpha, combine(terms))
 
 
 def format_monomial(m: Monomial) -> str:

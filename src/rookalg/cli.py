@@ -151,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = vsub.add_parser(name, help=helptext)
         common(sp)
-        sp.add_argument("--n", type=int, default=None, help="tail degree (suite-dependent default)")
+        if name not in ("limit", "semisimple"):  # the suites that read no tail degree
+            sp.add_argument("--n", type=int, default=None, help="tail degree (suite-dependent default)")
         sp.add_argument("--out", default=None)
         sp.add_argument("--max-counterexamples", type=int, default=5)
     return p

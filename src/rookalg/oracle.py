@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations
-from math import factorial, lcm
+from math import factorial
 from operator import attrgetter
-from typing import Iterable, Mapping
 
 from .combinatorics import (
     PartialInjection,
@@ -43,7 +42,7 @@ from .combinatorics import (
     rook_sort_key,
 )
 from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
-from .sparse import SparseVector
+from .sparse import SparseVector, integral
 
 
 @dataclass(frozen=True)
@@ -78,17 +77,10 @@ class GroupAlgebraElement(SparseVector):
     _coerce = staticmethod(Fraction)
     _sort_key = staticmethod(attrgetter("images"))
 
-    def __init__(self, ctx: Context, coeffs: Mapping[Permutation, Fraction] | None = None):
-        self.ctx = ctx
-        clean: dict[Permutation, Fraction] = {}
-        for g, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            if g.degree != ctx.degree:
-                raise ContextError(f"element of degree {g.degree} in a degree-{ctx.degree} context")
-            clean[g] = c
-        self._coeffs = clean
+    @staticmethod
+    def _check_key(ctx: Context, g: Permutation) -> None:
+        if g.degree != ctx.degree:
+            raise ContextError(f"element of degree {g.degree} in a degree-{ctx.degree} context")
 
     @classmethod
     def delta(cls, ctx: Context, g: Permutation) -> "GroupAlgebraElement":
@@ -110,14 +102,14 @@ class GroupAlgebraElement(SparseVector):
         # g * h is formed: h is written as bytes and g as a translate table
         # sending byte p to g(p), so h.translate(g) is g * h in one-line
         # notation, and a Counter tallies the products of one pair of classes.
-        dx = lcm(*(c.denominator for c in self._coeffs.values()))
-        dy = lcm(*(c.denominator for c in other._coeffs.values()))
+        dx, xs = integral(self.items())
+        dy, ys = integral(other.items())
         gs: dict[int, list[bytes]] = defaultdict(list)
-        for g, c in self._coeffs.items():
-            gs[c.numerator * (dx // c.denominator)].append(bytes((0, *g.images)).ljust(256, b"\0"))
+        for g, c in xs:
+            gs[c].append(bytes((0, *g.images)).ljust(256, b"\0"))
         hs: dict[int, list[bytes]] = defaultdict(list)
-        for h, c in other._coeffs.items():
-            hs[c.numerator * (dy // c.denominator)].append(bytes(h.images))
+        for h, c in ys:
+            hs[c].append(bytes(h.images))
         acc: dict[bytes, int] = defaultdict(int)
         for cg, g_tables in gs.items():
             for ch, h_words in hs.items():
@@ -185,6 +177,14 @@ def coset_size(ctx: Context, sigma: PartialInjection) -> int:
     return nf * nf // factorial(ctx.n - r)
 
 
+def _require_coset(ctx: Context, sigma: PartialInjection) -> None:
+    """Refuse a key that indexes no double coset in ctx."""
+    if sigma.alpha != ctx.alpha:
+        raise ContextError(f"key of size {sigma.alpha} in an alpha={ctx.alpha} context")
+    if coset_corank(sigma) > ctx.n:
+        raise EmptyCosetError(f"key {sigma.serialize()} indexes no coset at n={ctx.n}")
+
+
 @lru_cache(maxsize=None)
 def canonical_completion(sigma: PartialInjection, ctx: Context) -> Permutation:
     """Deterministic coset representative with the given corner.
@@ -194,12 +194,8 @@ def canonical_completion(sigma: PartialInjection, ctx: Context) -> Permutation:
     the smallest unused tail rows; the leftover tail block is completed by
     the identity.
     """
-    alpha, n = ctx.alpha, ctx.n
-    if sigma.alpha != alpha:
-        raise ContextError(f"partial injection of size {sigma.alpha} in an alpha={alpha} context")
-    r = coset_corank(sigma)
-    if r > n:
-        raise EmptyCosetError(f"rank {sigma.rank} is too small for n={n}")
+    _require_coset(ctx, sigma)
+    alpha = ctx.alpha
     target: list[int | None] = [None] * ctx.degree
     for x in range(1, alpha + 1):
         target[x - 1] = sigma(x)
@@ -222,12 +218,8 @@ def canonical_completion(sigma: PartialInjection, ctx: Context) -> Permutation:
 @lru_cache(maxsize=None)
 def coset_enumerate(sigma: PartialInjection, ctx: Context) -> tuple[Permutation, ...]:
     """All permutations of S_{alpha+n} whose corner equals sigma."""
-    alpha, n = ctx.alpha, ctx.n
-    if sigma.alpha != alpha:
-        raise ContextError(f"partial injection of size {sigma.alpha} in an alpha={alpha} context")
-    r = coset_corank(sigma)
-    if r > n:
-        raise EmptyCosetError(f"rank {sigma.rank} is too small for n={n}")
+    _require_coset(ctx, sigma)
+    alpha, r = ctx.alpha, coset_corank(sigma)
     undefined_sources = [x for x in range(1, alpha + 1) if sigma(x) is None]
     hit = sigma.image_set()
     missing_targets = [y for y in range(1, alpha + 1) if y not in hit]
@@ -262,20 +254,7 @@ class BiinvariantElement(SparseVector):
     _zero = Fraction(0)
     _coerce = staticmethod(Fraction)
     _sort_key = staticmethod(rook_sort_key)
-
-    def __init__(self, ctx: Context, coeffs: Mapping[PartialInjection, Fraction] | None = None):
-        self.ctx = ctx
-        clean: dict[PartialInjection, Fraction] = {}
-        for sigma, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            if sigma.alpha != ctx.alpha:
-                raise ContextError(f"key of size {sigma.alpha} in an alpha={ctx.alpha} context")
-            if coset_corank(sigma) > ctx.n:
-                raise EmptyCosetError(f"key {sigma.serialize()} indexes no coset at n={ctx.n}")
-            clean[sigma] = c
-        self._coeffs = clean
+    _check_key = staticmethod(_require_coset)
 
     @classmethod
     def basis(cls, ctx: Context, sigma: PartialInjection) -> "BiinvariantElement":
@@ -374,20 +353,19 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
     alpha, n = ctx.alpha, ctx.n
     nf = factorial(n)
     tails = range(alpha + 1, ctx.degree + 1)
-    dx = lcm(*(c.denominator for _, c in x.items()))
-    dy = lcm(*(c.denominator for _, c in y.items()))
+    dx, xs = integral(x.items())
+    dy, y_ints = integral(y.items())
     ys = []
-    for tau, cy in y.items():
+    for tau, cy in y_ints:
         head = canonical_completion(tau, ctx).images[:alpha]
         slots = [i for i, p in enumerate(head) if p > alpha]  # the corner points sent into L
-        weight = cy.numerator * (dy // cy.denominator) * coset_size(ctx, tau) * factorial(n - len(slots))
-        ys.append((head, slots, weight))
+        ys.append((head, slots, cy * coset_size(ctx, tau) * factorial(n - len(slots))))
     acc: dict[tuple[int | None, ...], int] = defaultdict(int)
-    for sigma, cx in x.items():
+    for sigma, cx in xs:
         u = canonical_completion(sigma, ctx)
         # the corner entry u sends each point p to, indexed by p
         u_corner = (None,) + tuple(p if p <= alpha else None for p in u.images)
-        weight_x = cx.numerator * (dx // cx.denominator) * coset_size(ctx, sigma)
+        weight_x = cx * coset_size(ctx, sigma)
         for head, slots, weight_y in ys:
             # k fixes the other corner points; the slots are overwritten per injection
             row = [u_corner[p] for p in head]

@@ -3,19 +3,59 @@
 An element is a dict from basis keys to nonzero coefficients, tied to one
 context.  A subclass names what differs as class attributes: the slot that
 holds its context (`_context`, "ctx" or "alpha"), its zero coefficient
-(`_zero`), how a scalar becomes a coefficient (`_coerce`) and how its keys
-sort (`_sort_key`).  Its public constructor checks outside input, and its
+(`_zero`), how a scalar becomes a coefficient (`_coerce`), how a key is
+checked against the context (`_check_key`) and how its keys sort
+(`_sort_key`).  The one constructor checks outside input, and each class's
 `__mul__` is its own.
+
+Linear combinations are summed by `combine` alone, and `integral` puts
+rational coefficients over one common denominator, for products that
+accumulate in integers.
 """
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import ContextError
+
+
+def combine(terms):
+    """The sum of w * v over (w, v) pairs, as a dict with the zero sums dropped.
+
+    Each v yields (key, coefficient) items.
+    """
+    acc = {}
+    for w, v in terms:
+        for k, c in v:
+            c = w * c
+            prev = acc.get(k)
+            acc[k] = c if prev is None else prev + c
+    return {k: c for k, c in acc.items() if c}
+
+
+def integral(items):
+    """(d, [(key, integer numerator)]) for Fraction items, with d the lcm of the denominators."""
+    items = list(items)
+    d = lcm(*(c.denominator for _, c in items))
+    return d, [(k, c.numerator * (d // c.denominator)) for k, c in items]
 
 
 class SparseVector:
     """Nonzero coefficients by basis key, in one context; see the module docstring."""
 
     __slots__ = ("_coeffs",)
+
+    def __init__(self, context, coeffs=None):
+        """Check outside input: each coefficient is coerced, zeros are dropped,
+        and then each remaining key is checked against the context."""
+        setattr(self, self._context, context)
+        clean = {}
+        for k, c in (coeffs or {}).items():
+            c = self._coerce(c)
+            if c:
+                self._check_key(context, k)
+                clean[k] = c
+        self._coeffs = clean
 
     @classmethod
     def _trusted(cls, context, coeffs):
@@ -55,20 +95,17 @@ class SparseVector:
         if mine != theirs:
             raise ContextError(f"{self._context} mismatch: {mine} vs {theirs}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
-        acc = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            prev = acc.get(k)
-            acc[k] = c if prev is None else prev + c
-        return self._trusted(self._own_context(), acc)
+        return self._trusted(self._own_context(), combine(((1, self.items()), (sign, other.items()))))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, c):
         c = self._coerce(c)

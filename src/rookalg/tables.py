@@ -21,13 +21,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import Monomial, Normalizer, basis_enumerate, fuse, star_state
 from .capacity import table_limit
 from .combinatorics import Permutation
 from .errors import CapacityError, ConsistencyError
 from .nupoly import NuPoly, format_rational
+from .sparse import combine
 
 
 @dataclass(frozen=True)
@@ -52,18 +53,6 @@ class StructureTable:
 
     def product(self, ip: int, iq: int) -> tuple[tuple[int, NuPoly], ...]:
         return self.constants[(ip, iq)]
-
-    def multiply_vectors(
-        self, x: Mapping[int, NuPoly], y: Mapping[int, NuPoly]
-    ) -> dict[int, NuPoly]:
-        """Bilinear extension of the table to coefficient vectors."""
-        acc: dict[int, NuPoly] = {}
-        for ip, cx in x.items():
-            for iq, cy in y.items():
-                w = cx * cy
-                for ir, c in self.constants[(ip, iq)]:
-                    acc[ir] = acc.get(ir, NuPoly.zero()) + w * c
-        return {k: v for k, v in acc.items() if v}
 
     def max_degree(self) -> int:
         d = 0
@@ -261,11 +250,10 @@ def check_associativity(
         triples = (
             (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)
         )
-    one = NuPoly.one()
     failures = []
     for i, j, k in triples:
-        left = table.multiply_vectors(dict(table.product(i, j)), {k: one})
-        right = table.multiply_vectors({i: one}, dict(table.product(j, k)))
+        left = combine((c, table.product(r, k)) for r, c in table.product(i, j))
+        right = combine((c, table.product(i, r)) for r, c in table.product(j, k))
         if left != right:
             failures.append((i, j, k))
     return failures
@@ -398,7 +386,7 @@ def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
     for x in range(bound + 2):
         fx = Fraction(x)
         det = Fraction(1)
-        for piv, exchanged in _pivots([[c.evaluate(fx) for c in row] for row in mat]):
+        for piv, exchanged in _pivots(evaluate_matrix(mat, fx)):
             det *= -piv if exchanged else piv
         values.append((fx, det))
     poly = _interpolate(values[: bound + 1])

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -50,6 +49,7 @@ from .oracle import (
     gen_perm,
     project_biinvariant,
 )
+from .sparse import combine
 from .tables import (
     StructureTable,
     det_polynomial,
@@ -100,10 +100,13 @@ class VerificationReport:
 class _Collector:
     """One run's report in the making: its clock, failures and warnings.
 
-    Counts every failure, keeps only the first `cap` as counterexamples.
+    Counts every failure, keeps only the first `cap` as counterexamples; a
+    negative cap is refused.
     """
 
     def __init__(self, cap: int):
+        if cap < 0:
+            raise ValueError(f"max_counterexamples must be >= 0, got {cap}")
         self.t0 = time.perf_counter()
         self.cap = cap
         self.kept: list[dict] = []
@@ -332,11 +335,8 @@ def crosscheck_structure(
             row = consts_n[(ip, iq)]
             rhs = rhs_of_row.get(id(row))
             if rhs is None:
-                acc: dict[PartialInjection, Fraction] = defaultdict(Fraction)
-                for ir, c in row:
-                    for sigma, v in imgs[ir].items():
-                        acc[sigma] += c * v
                 # the keys are the images' own, already valid in ctx
+                acc = combine((c, imgs[ir].items()) for ir, c in row)
                 rhs = rhs_of_row[id(row)] = BiinvariantElement._trusted(ctx, acc)
             if lhs != rhs:
                 col.add(

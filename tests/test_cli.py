@@ -272,6 +272,19 @@ def test_jobs_option_is_gone():
     assert exc.value.code == 2
 
 
+def test_negative_counterexample_cap_exits_2():
+    code, out, err = run_cli("verify", "crosscheck", "--alpha", "1", "--max-counterexamples", "-1")
+    assert (code, out) == (2, "")
+    assert "max_counterexamples" in err
+
+
+@pytest.mark.parametrize("suite, n", [("limit", "7"), ("semisimple", "99")])
+def test_n_is_refused_by_suites_that_do_not_read_it(suite, n):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", suite, "--alpha", "2", "--n", n)
+    assert exc.value.code == 2
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate", "--alpha", "2")

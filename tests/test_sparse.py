@@ -9,8 +9,8 @@ import pytest
 from rookalg import oracle, sparse
 
 from rookalg.algebra import Monomial, OElement
-from rookalg.combinatorics import Permutation
-from rookalg.errors import ContextError
+from rookalg.combinatorics import PartialInjection, Permutation, idempotent
+from rookalg.errors import ContextError, EmptyCosetError
 from rookalg.nupoly import NuPoly
 from rookalg.oracle import BiinvariantElement, Context, GroupAlgebraElement, gen_hole, gen_perm
 from rookalg.sparse import SparseVector
@@ -66,8 +66,33 @@ def test_elements_of_different_classes_never_compare_equal():
             assert (a == b) == (i == j)
 
 
+# (class, a context, [(a key outside that context, the error it raises)])
+BAD_KEYS = [
+    (GroupAlgebraElement, Context(2, 1), [(Permutation.identity(2), ContextError)]),
+    (
+        BiinvariantElement,
+        Context(2, 1),
+        [
+            (PartialInjection.identity(3), ContextError),
+            # corank 2 indexes no coset with one tail point
+            (idempotent(2, (1, 2)), EmptyCosetError),
+        ],
+    ),
+    (OElement, 2, [(Monomial.one(3), ContextError)]),
+]
+
+
+@pytest.mark.parametrize("cls, context, bad", BAD_KEYS, ids=IDS)
+def test_public_constructor_checks_every_key(cls, context, bad):
+    for key, error in bad:
+        with pytest.raises(error):
+            cls(context, {key: 1})
+        # a zero coefficient is dropped before its key is checked
+        assert cls(context, {key: 0}) == cls.zero(context)
+
+
 SHARED = (
-    "zero", "_trusted", "coefficient", "items", "sorted_items", "support_size", "_check",
+    "__init__", "zero", "_trusted", "coefficient", "items", "sorted_items", "support_size", "_check",
     "__add__", "__sub__", "scale", "__rmul__", "__eq__", "__repr__",
 )
 

@@ -188,8 +188,7 @@ def test_evaluate_and_vector_multiply():
     at3 = t.evaluate(3)
     # theta_1 * theta_1 at nu = 3: 3 over the unit, 2 over theta_1
     assert at3[(2, 2)] == ((0, Fraction(3)), (2, Fraction(2)))
-    prod = t.multiply_vectors({2: ONE}, {2: ONE})
-    assert prod == {0: NU, 2: NuPoly((-1, 1))}
+    assert t.product(2, 2) == ((0, NU), (2, NuPoly((-1, 1))))
 
 
 @pytest.mark.parametrize("alpha", [1, 2])

@@ -137,6 +137,13 @@ def test_counterexample_cap():
     assert r.metrics["failure_count"] == 3
 
 
+def test_negative_counterexample_cap_is_refused():
+    with pytest.raises(ValueError):
+        crosscheck_multi(1, max_counterexamples=-1)
+    with pytest.raises(ValueError):
+        limit_suite(1, max_counterexamples=-1)
+
+
 def test_crosscheck_multi_merges_the_points(monkeypatch):
     t = structure_table(1)
     bad_constants = dict(t.constants)
