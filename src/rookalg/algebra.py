@@ -92,13 +92,6 @@ def basis_enumerate(alpha: int, *, max_alpha: int | None = None) -> tuple[Monomi
     return tuple(out)
 
 
-def _admissible(g: Permutation, js: tuple[int, ...]) -> bool:
-    if any(a >= b for a, b in zip(js, js[1:])):
-        return False
-    images = tuple(g(j) for j in js)
-    return all(a < b for a, b in zip(images, images[1:]))
-
-
 def _measure(g: Permutation, js: tuple[int, ...]) -> tuple[int, int, int]:
     """Strictly decreasing along every rewrite: (length, weak inversions, image inversions)."""
     m = len(js)
@@ -165,7 +158,8 @@ class Normalizer:
         self._cache: dict[tuple[Permutation, tuple[int, ...]], dict[Monomial, NuPoly]] = {}
         self.stats = {"square": 0, "swap": 0, "erase": 0, "states": 0, "cache_hits": 0}
 
-    def _find_site(self, g: Permutation, js: tuple[int, ...]) -> tuple[str, int]:
+    def _find_site(self, g: Permutation, js: tuple[int, ...]) -> tuple[str, int] | None:
+        """The rule and position that fire first, or None for an admissible state."""
         order = range(len(js) - 1)
         if self.strategy == "rightmost":
             order = reversed(order)  # type: ignore[assignment]
@@ -178,7 +172,7 @@ class Normalizer:
         for t in positions:
             if g(js[t]) > g(js[t + 1]):
                 return "erase", t
-        raise ConsistencyError("no reducible site in a non-admissible state", {"js": js})
+        return None
 
     def reduce(self, g: Permutation, js: tuple[int, ...]) -> dict[Monomial, NuPoly]:
         """Normal form of the single state A(g) T_{js}, as monomial -> coefficient."""
@@ -188,29 +182,23 @@ class Normalizer:
             self.stats["cache_hits"] += 1
             return hit
         self.stats["states"] += 1
-        if _admissible(g, js):
+        site = self._find_site(g, js)
+        if site is None:
             out = {Monomial(g, js): _ONE}
         else:
-            rule, t = self._find_site(g, js)
+            rule, t = site
             self.stats[rule] += 1
             parent = _measure(g, js)
-            acc: dict[Monomial, NuPoly] = {}
-            for coeff, g2, js2 in _emit(rule, t, g, js):
+            terms = []
+            for w, g2, js2 in _emit(rule, t, g, js):
                 child = _measure(g2, js2)
                 if not child < parent:
                     raise ConsistencyError(
                         "termination measure failed to decrease",
                         {"rule": rule, "parent": parent, "child": child, "js": js},
                     )
-                for m, c in self.reduce(g2, js2).items():
-                    # the +-1 rule coefficients are applied as a sign, not multiplied
-                    if coeff is _MINUS_ONE:
-                        c = -c
-                    elif coeff is not _ONE:
-                        c = coeff * c
-                    prev = acc.get(m)
-                    acc[m] = c if prev is None else prev + c
-            out = {m: c for m, c in acc.items() if c}
+                terms.append((w, self.reduce(g2, js2).items()))
+            out = combine(terms)
         self._cache[key] = out
         return out
 
@@ -220,7 +208,10 @@ class Normalizer:
 
 
 def _emit(rule: str, t: int, g: Permutation, js: tuple[int, ...]):
-    """Replacement terms for one rule application at site t."""
+    """Replacement terms (weight, g, js) for one rule application at site t.
+
+    The unit weights are plain 1 and -1, which `combine` applies as signs.
+    """
     if rule == "square":
         one_copy = js[: t + 1] + js[t + 2 :]
         no_copy = js[:t] + js[t + 2 :]
@@ -233,14 +224,14 @@ def _emit(rule: str, t: int, g: Permutation, js: tuple[int, ...]):
         # u > v here; prefix indices slide through A((uv))
         mapped = tuple(tau(p) for p in js[:t])
         return (
-            (_ONE, g, js[:t] + (v, u) + tail),
-            (_ONE, g2, mapped + (u,) + tail),
-            (_MINUS_ONE, g2, mapped + (v,) + tail),
+            (1, g, js[:t] + (v, u) + tail),
+            (1, g2, mapped + (u,) + tail),
+            (-1, g2, mapped + (v,) + tail),
         )
     if rule == "erase":
         # u < v but g(u) > g(v); prefix and tail avoid u, v, so they pass through untouched
         shorter = js[: t + 1] + js[t + 2 :]
-        return ((_ONE, g2, js), (_ONE, g2, shorter), (_MINUS_ONE, g, shorter))
+        return ((1, g2, js), (1, g2, shorter), (-1, g, shorter))
     raise ValueError(f"unknown rule {rule!r}")
 
 

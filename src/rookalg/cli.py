@@ -82,7 +82,11 @@ _EMIT_CHARS = 1 << 20
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
+        with fh:
             _write_sliced(fh, text)
     else:
         _write_sliced(sys.stdout, text)

@@ -218,6 +218,8 @@ def rook_sort_key(pi: PartialInjection) -> tuple:
 
 def rook_enumerate(alpha: int, *, max_alpha: int | None = None) -> tuple[PartialInjection, ...]:
     """All partial injections of {1, ..., alpha} in canonical order."""
+    if alpha < 0:
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
     if alpha > rook_limit(max_alpha):
         raise CapacityError(f"alpha={alpha} exceeds the rook enumeration limit {rook_limit(max_alpha)}")
     points = range(1, alpha + 1)

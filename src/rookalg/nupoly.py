@@ -23,8 +23,11 @@ def format_rational(x: Rational) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a plain integer string."""
-    return Fraction(text)
+    """Parse "p/q" or a plain integer string; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _smallest(c) -> Rational:

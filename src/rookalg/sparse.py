@@ -8,9 +8,11 @@ checked against the context (`_check_key`) and how its keys sort
 (`_sort_key`).  The one constructor checks outside input, and each class's
 `__mul__` is its own.
 
-Linear combinations are summed by `combine` alone, and `integral` puts
-rational coefficients over one common denominator, for products that
-accumulate in integers.
+Linear combinations are summed by `combine` alone: element sums and
+products, the right-hand sides of the crosscheck, and every rewriting step
+of `Normalizer.reduce`, whose weights are mostly 1 and -1 and are applied
+as signs.  `integral` puts rational coefficients over one common
+denominator, for products that accumulate in integers.
 """
 from __future__ import annotations
 
@@ -22,12 +24,17 @@ from .errors import ContextError
 def combine(terms):
     """The sum of w * v over (w, v) pairs, as a dict with the zero sums dropped.
 
-    Each v yields (key, coefficient) items.
+    Each v yields (key, coefficient) items.  A weight equal to 1 keeps each
+    coefficient and one equal to -1 negates it, without a multiplication.
     """
     acc = {}
     for w, v in terms:
+        keep, negate = w == 1, w == -1
         for k, c in v:
-            c = w * c
+            if negate:
+                c = -c
+            elif not keep:
+                c = w * c
             prev = acc.get(k)
             acc[k] = c if prev is None else prev + c
     return {k: c for k, c in acc.items() if c}

@@ -5,8 +5,10 @@ monomials, the normal form of their product as polynomial-in-nu
 coefficients.  The 43,681 pairs at alpha=4 fuse to only 3,928 distinct
 states A(g) T_js, so a build reduces, indexes and checks each distinct
 fused state once, with one rewriting engine, and every pair that fuses to
-it shares that one row tuple.  Tables serialize to a stable JSON or CSV
-layout, rendering each shared row once.
+it shares that one row tuple.  The reads that turn every pair's row into
+a result (evaluation at a point, the JSON and CSV exports, the trace form
+and the oracle crosscheck's right-hand sides) go through
+`StructureTable.map_rows`, which maps each distinct row once.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
@@ -62,30 +64,27 @@ class StructureTable:
                     d = int(c.degree)
         return d
 
-    def _per_row(self, keys, render):
-        """(key, render(row)) for each key, rendering each distinct row once.
+    def map_rows(self, fn) -> dict:
+        """{(p, q): fn(row)} in (p, q) order, calling fn once per distinct row object.
 
         Keyed on the row's identity: pairs that fuse to one state share one
         row tuple, and hashing the (int, NuPoly) terms would cost what the
         reuse saves.  Unshared rows, as from_json_obj makes, are each
-        rendered once, with the same result.
+        mapped once, with the same result.
         """
         done: dict[int, object] = {}
-        for key in keys:
+        out = {}
+        for key in sorted(self.constants):
             row = self.constants[key]
-            out = done.get(id(row))
-            if out is None:
-                out = done[id(row)] = render(row)
-            yield key, out
+            rid = id(row)
+            if rid not in done:
+                done[rid] = fn(row)
+            out[key] = done[rid]
+        return out
 
     def evaluate(self, value) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
         """Specialize every constant at an exact rational value of nu."""
-        return dict(
-            self._per_row(
-                self.constants,
-                lambda row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v),
-            )
-        )
+        return self.map_rows(lambda row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v))
 
     @staticmethod
     def _exported_terms(row, nu):
@@ -142,7 +141,7 @@ class StructureTable:
             return _json_list(terms, 6)
 
         sep = "[\n    "
-        for (ip, iq), terms_text in self._per_row(sorted(self.constants), render):
+        for (ip, iq), terms_text in self.map_rows(render).items():
             chunks += (f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": ', terms_text, "\n    }")
             sep = ",\n    "
         chunks.append("[]\n}\n" if len(chunks) == 1 else "\n  ]\n}\n")
@@ -167,7 +166,7 @@ class StructureTable:
             return [f"{ir},{' '.join(texts)}" for ir, texts in self._exported_terms(row, nu)]
 
         lines = ["p,q,r,poly"]
-        for (ip, iq), tails in self._per_row(sorted(self.constants), render):
+        for (ip, iq), tails in self.map_rows(render).items():
             lines.extend(f"{ip},{iq},{tail}" for tail in tails)
         return "\n".join(lines) + "\n"
 
@@ -281,19 +280,10 @@ def gram_matrix(alpha: int, *, max_alpha: int | None = None) -> tuple[tuple[NuPo
 def trace_form(table: StructureTable) -> tuple[tuple[NuPoly, ...], ...]:
     """B[p][q] = trace(e_p e_q), read straight off the structure table."""
     ident = table.index_of(Monomial.one(table.alpha))
+    zero = NuPoly.zero()
+    traces = table.map_rows(lambda row: next((poly for ir, poly in row if ir == ident), zero))
     n = table.dimension
-    rows = []
-    for ip in range(n):
-        row = []
-        for iq in range(n):
-            c = NuPoly.zero()
-            for ir, poly in table.constants[(ip, iq)]:
-                if ir == ident:
-                    c = poly
-                    break
-            row.append(c)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(traces[(ip, iq)] for iq in range(n)) for ip in range(n))
 
 
 def _pivots(a: list[list[Fraction]]):
@@ -406,13 +396,6 @@ class LimitTable:
     alpha: int
     basis: tuple[Monomial, ...]
     entries: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
-
-    @cached_property
-    def _index_map(self) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.basis)}
-
-    def index_of(self, m: Monomial) -> int:
-        return self._index_map[m]
 
 
 def scaled_limit_table(table: StructureTable) -> LimitTable:

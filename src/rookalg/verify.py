@@ -317,14 +317,18 @@ def crosscheck_structure(
     _require_oracle_degree(ctx)
     tbl = table if table is not None else structure_table(alpha, max_alpha=max_alpha)
     imgs = monomial_images(tbl.basis, ctx)
-    consts_n = tbl.evaluate(n)
+
+    def table_side(row) -> BiinvariantElement:
+        # the keys are the images' own, already valid in ctx
+        terms = ((poly.evaluate(n), imgs[ir].items()) for ir, poly in row)
+        return BiinvariantElement._trusted(ctx, combine((c, v) for c, v in terms if c))
+
+    # one right-hand side per distinct row: the pairs of one fused state share it
+    rhs_of = tbl.map_rows(table_side)
     dim = tbl.dimension
     dual_limit = dim if dim <= 12 else 12
     dual_route = ctx.degree <= 6
     dual_checked = 0
-    # evaluate shares one row tuple among the pairs of one fused state, so a
-    # right-hand side is built once per row object, keyed on its identity
-    rhs_of_row: dict[int, BiinvariantElement] = {}
     for ip in range(dim):
         for iq in range(dim):
             lhs = dc_multiply(imgs[ip], imgs[iq], via="fast")
@@ -332,12 +336,7 @@ def crosscheck_structure(
                 dual_checked += 1
                 if dc_multiply(imgs[ip], imgs[iq], via="convolve") != lhs:
                     col.add("route-disagreement", p=ip, q=iq)
-            row = consts_n[(ip, iq)]
-            rhs = rhs_of_row.get(id(row))
-            if rhs is None:
-                # the keys are the images' own, already valid in ctx
-                acc = combine((c, imgs[ir].items()) for ir, c in row)
-                rhs = rhs_of_row[id(row)] = BiinvariantElement._trusted(ctx, acc)
+            rhs = rhs_of[(ip, iq)]
             if lhs != rhs:
                 col.add(
                     "structure-mismatch",
@@ -409,7 +408,7 @@ def limit_suite(
     rooks = [m.to_rook() for m in tbl.basis]
     for ip in range(tbl.dimension):
         for iq in range(tbl.dimension):
-            expected_ir = lt.index_of(Monomial.from_rook(rooks[ip] * rooks[iq]))
+            expected_ir = tbl.index_of(Monomial.from_rook(rooks[ip] * rooks[iq]))
             got = lt.entries[(ip, iq)]
             if got != ((expected_ir, Fraction(1)),):
                 col.add(

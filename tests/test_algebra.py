@@ -6,6 +6,7 @@ values (the crosscheck suites exercise that agreement systematically).
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +138,26 @@ def test_rewrite_strategies_agree():
         for g in all_permutations(alpha):
             for js in holes:
                 assert left.reduce(g, js) == right.reduce(g, js)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_find_site_is_none_exactly_on_admissible_states(alpha):
+    normalizers = (Normalizer("leftmost"), Normalizer("rightmost"))
+    states = [js for k in range(4) for js in product(range(1, alpha + 1), repeat=k)]
+    admissible = 0
+    for g in all_permutations(alpha):
+        for js in states:
+            try:
+                Monomial(g, js)
+            except ValueError:
+                constructs = False
+            else:
+                constructs = True
+            admissible += constructs
+            for nz in normalizers:
+                assert (nz._find_site(g, js) is None) == constructs, (g, js, nz.strategy)
+    # every admissible monomial has at most alpha <= 3 holes, so all were seen
+    assert admissible == rook_count(alpha)
 
 
 def test_normalizer_stats_and_cache():

@@ -278,6 +278,28 @@ def test_negative_counterexample_cap_exits_2():
     assert "max_counterexamples" in err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        *((f"{c} --alpha -1", "alpha must be non-negative, got -1")
+          for c in ("verify limit", "verify semisimple", "table", "basis", "limit", "gram")),
+        ("table --alpha 2 --capacity -1", "capacity must be non-negative, got -1"),
+        *((f"{c} --nu 1/0", "zero denominator in '1/0'")
+          for c in ("table --alpha 2", "gram --alpha 2", "normalize --alpha 2 --word T1")),
+    ],
+)
+def test_bad_values_exit_2(command, message):
+    code, out, err = run_cli(*command.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    for path in (tmp_path / "missing-dir" / "table.json", tmp_path):
+        code, out, err = run_cli("table", "--alpha", "1", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out {path}: ")
+
+
 @pytest.mark.parametrize("suite, n", [("limit", "7"), ("semisimple", "99")])
 def test_n_is_refused_by_suites_that_do_not_read_it(suite, n):
     with pytest.raises(SystemExit) as exc:

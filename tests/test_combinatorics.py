@@ -195,6 +195,22 @@ def test_rook_enumerate_capacity():
     assert len(rook_enumerate(4, max_alpha=4)) == 209
 
 
+def test_rook_enumerate_refuses_a_negative_alpha():
+    with pytest.raises(ValueError, match="alpha must be non-negative"):
+        rook_enumerate(-1)
+    assert len(rook_enumerate(0)) == 1
+
+
+def test_a_negative_capacity_is_refused_from_either_source(monkeypatch):
+    with pytest.raises(ValueError, match="capacity must be non-negative"):
+        rook_enumerate(1, max_alpha=-1)
+    monkeypatch.setenv("ROOKALG_CAPACITY", "-1")
+    with pytest.raises(ValueError, match="ROOKALG_CAPACITY must be non-negative"):
+        rook_enumerate(1)
+    # an explicit override still wins over the environment
+    assert len(rook_enumerate(1, max_alpha=1)) == 2
+
+
 # -------------------------------------------------------------- block dimensions
 
 

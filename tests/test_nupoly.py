@@ -77,6 +77,13 @@ def test_rational_parsing():
     assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
+def test_zero_denominator_is_a_value_error():
+    # a ZeroDivisionError would escape the CLI's usage-error handling
+    for parse in (parse_rational, lambda text: NuPoly.from_strings(["1", text])):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse("1/0")
+
+
 small_polys = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=8),
     min_size=0,

@@ -13,7 +13,7 @@ from rookalg.combinatorics import PartialInjection, Permutation, idempotent
 from rookalg.errors import ContextError, EmptyCosetError
 from rookalg.nupoly import NuPoly
 from rookalg.oracle import BiinvariantElement, Context, GroupAlgebraElement, gen_hole, gen_perm
-from rookalg.sparse import SparseVector
+from rookalg.sparse import SparseVector, combine
 
 
 def group_element(ctx):
@@ -110,3 +110,37 @@ def test_the_oracle_stays_independent_of_the_rewriting_code(module):
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
     assert not {"algebra", "nupoly", "tables", "verify"} & {name.rsplit(".", 1)[-1] for name in imported if name}
+
+
+def plain_sum(terms):
+    """The sum of w * c by the definition, one multiplication per coefficient."""
+    acc = {}
+    for w, v in terms:
+        for k, c in v:
+            acc[k] = acc[k] + w * c if k in acc else w * c
+    return {k: c for k, c in acc.items() if c}
+
+
+WEIGHTS = [1, -1, 0, 2, Fraction(-1), NuPoly.one(), NuPoly.nu()]
+COEFFICIENTS = {
+    "NuPoly": (NuPoly((1, 2)), NuPoly((0, -1)), NuPoly((-3,))),
+    "Fraction": (Fraction(1, 2), Fraction(-3), Fraction(2, 3)),
+}
+
+
+@pytest.mark.parametrize("w", WEIGHTS, ids=repr)
+@pytest.mark.parametrize("coeffs", COEFFICIENTS.values(), ids=COEFFICIENTS.keys())
+def test_combine_equals_the_plain_sum(w, coeffs):
+    a, b, c = coeffs
+    u, v = [("x", a), ("y", b)], [("y", c), ("z", a)]
+    for terms in ([(w, u)], [(w, u), (w, v)], [(w, u), (w, v), (w, u)]):
+        assert combine(terms) == plain_sum(terms)
+    # the sign weights cancel a vector exactly
+    assert combine([(1, u), (-1, u)]) == {}
+    assert combine([(w, u), (-1, [(k, w * c) for k, c in u])]) == {}
+
+
+def test_combine_mixes_every_weight_over_polynomials():
+    a, b, c = COEFFICIENTS["NuPoly"]
+    terms = [(w, [("x", a), ("y", b), (w.__class__.__name__, c)]) for w in WEIGHTS]
+    assert combine(terms) == plain_sum(terms)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from rookalg.tables import (
     structure_table,
     trace_form,
 )
+from rookalg.verify import crosscheck_structure
 
 NU = NuPoly.nu()
 ONE = NuPoly.one()
@@ -128,6 +130,30 @@ def test_shared_rows_export_like_unshared_rows():
         assert shared.canonical_json(nu) == unshared.canonical_json(nu)
         assert shared.to_csv(nu) == unshared.to_csv(nu)
     assert shared.evaluate(4) == unshared.evaluate(4)
+    assert trace_form(shared) == trace_form(unshared)
+    assert (
+        crosscheck_structure(3, 3, table=shared).canonical_json()
+        == crosscheck_structure(3, 3, table=unshared).canonical_json()
+    )
+
+
+def test_map_rows_maps_each_distinct_row_once():
+    built = structure_table(3, use_cache=False)
+    loaded = StructureTable.from_json_obj(built.to_json_obj())
+    # the same entries, inserted in reverse (p, q) order
+    reversed_order = replace(built, constants=dict(reversed(list(built.constants.items()))))
+    calls = {}
+    for name, table in (("built", built), ("loaded", loaded), ("reversed", reversed_order)):
+        seen = []
+        out = table.map_rows(lambda row: seen.append(row) or len(seen) - 1)
+        assert list(out) == sorted(table.constants)
+        assert len(seen) == len({id(row) for row in seen})
+        for key, row in table.constants.items():
+            assert seen[out[key]] is row
+        calls[name] = len(seen)
+    # one call per fused state on a built table, one per entry on a loaded one
+    assert calls["built"] == calls["reversed"] == len({fuse(p, q) for p in built.basis for q in built.basis})
+    assert calls["loaded"] == len(loaded.constants) > calls["built"]
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -308,9 +334,3 @@ def test_scaled_limit_reproduces_rook_composition(alpha):
         expected = rook_compose(basis[ip].to_rook(), basis[iq].to_rook())
         assert basis[ir].to_rook() == expected
     assert len(lt.entries) == t.dimension**2
-
-
-def test_limit_index_of():
-    lt = scaled_limit_table(structure_table(2))
-    for i, m in enumerate(lt.basis):
-        assert lt.index_of(m) == i
