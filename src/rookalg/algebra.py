@@ -85,9 +85,9 @@ def monomial_sort_key(m: Monomial) -> tuple:
     return (len(m.holes), m.holes, m.perm.images)
 
 
-def basis_enumerate(alpha: int, *, max_alpha: int | None = None) -> tuple[Monomial, ...]:
+def basis_enumerate(alpha: int) -> tuple[Monomial, ...]:
     """All admissible monomials, sorted by (hole count, holes, permutation)."""
-    out = [Monomial.from_rook(s) for s in rook_enumerate(alpha, max_alpha=max_alpha)]
+    out = [Monomial.from_rook(s) for s in rook_enumerate(alpha)]
     out.sort(key=monomial_sort_key)
     return tuple(out)
 

@@ -17,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import capacity
 from .algebra import (
     OElement,
     basis_enumerate,
@@ -163,11 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dims(args) -> int:
-    alpha, cap = args.alpha, args.capacity
+    alpha = args.alpha
     closed = rook_count(alpha)
-    enumerated = len(rook_enumerate(alpha, max_alpha=cap))
-    basis_len = len(basis_enumerate(alpha, max_alpha=cap))
-    squares = sum(d * d for d in fixed_space_dimensions(alpha, max_alpha=cap))
+    enumerated = len(rook_enumerate(alpha))
+    basis_len = len(basis_enumerate(alpha))
+    squares = sum(d * d for d in fixed_space_dimensions(alpha))
     lines = [
         f"alpha: {alpha}",
         f"dimension (closed form): {closed}",
@@ -176,7 +177,7 @@ def _cmd_dims(args) -> int:
         f"dimension (sum of squared block dimensions): {squares}",
     ]
     ns = (args.n,) if args.n is not None else None
-    rep = dimension_suite(alpha, ns, max_alpha=cap)
+    rep = dimension_suite(alpha, ns)
     for n, count in sorted(rep.metrics["cosets_by_n"].items(), key=lambda kv: int(kv[0])):
         lines.append(f"double cosets (n={n}): {count}")
     lines.append(f"status: {rep.status}")
@@ -188,7 +189,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    ms = basis_enumerate(args.alpha, max_alpha=args.capacity)
+    ms = basis_enumerate(args.alpha)
     if args.format == "json":
         obj = {"alpha": args.alpha, "basis": [{"g": list(m.perm.images), "I": list(m.holes)} for m in ms]}
         _emit(json.dumps(obj, indent=2) + "\n", args.out)
@@ -208,7 +209,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    tbl = structure_table(args.alpha, max_alpha=args.capacity)
+    tbl = structure_table(args.alpha)
     nu = parse_rational(args.nu) if args.nu is not None else None
     if args.format == "csv":
         _emit(tbl.to_csv(nu), args.out)
@@ -218,7 +219,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    G = gram_matrix(args.alpha, max_alpha=args.capacity)
+    G = gram_matrix(args.alpha)
     if args.nu is None:
         lines = ["[" + ", ".join(entry.pretty() for entry in row) + "]" for row in G]
         first = smallest_pd_nu(G, start=0, stop=4 * args.alpha)
@@ -238,7 +239,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    tbl = structure_table(args.alpha, max_alpha=args.capacity)
+    tbl = structure_table(args.alpha)
     lt = scaled_limit_table(tbl)
     if args.format == "json":
         entries = [
@@ -256,24 +257,24 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    alpha, cap, k = args.alpha, args.capacity, args.max_counterexamples
+    alpha, k = args.alpha, args.max_counterexamples
     if args.suite == "crosscheck":
         if args.n is not None:
-            rep = crosscheck_structure(alpha, args.n, max_alpha=cap, max_counterexamples=k)
+            rep = crosscheck_structure(alpha, args.n, max_counterexamples=k)
         else:
-            rep = crosscheck_multi(alpha, max_alpha=cap, max_counterexamples=k)
+            rep = crosscheck_multi(alpha, max_counterexamples=k)
     elif args.suite == "relations":
-        rep = relation_suite(alpha, args.n if args.n is not None else alpha, max_alpha=cap, max_counterexamples=k)
+        rep = relation_suite(alpha, args.n if args.n is not None else alpha, max_counterexamples=k)
     elif args.suite == "dims":
         ns = (args.n,) if args.n is not None else None
-        rep = dimension_suite(alpha, ns, max_alpha=cap, max_counterexamples=k)
+        rep = dimension_suite(alpha, ns, max_counterexamples=k)
     elif args.suite == "limit":
-        rep = limit_suite(alpha, max_alpha=cap, max_counterexamples=k)
+        rep = limit_suite(alpha, max_counterexamples=k)
     elif args.suite == "semisimple":
-        rep = semisimplicity_probe(alpha, max_alpha=cap, max_counterexamples=k)
+        rep = semisimplicity_probe(alpha, max_counterexamples=k)
     elif args.suite == "gram":
         ns = (args.n,) if args.n is not None else None
-        rep = gram_suite(alpha, ns, max_alpha=cap, max_counterexamples=k)
+        rep = gram_suite(alpha, ns, max_counterexamples=k)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown suite {args.suite!r}")
     _emit(rep.canonical_json(), args.out)
@@ -298,7 +299,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.alpha < 0:
+            raise ValueError(f"alpha must be non-negative, got {args.alpha}")
+        with capacity.override(args.capacity):
+            return _COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3

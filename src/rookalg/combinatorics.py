@@ -216,12 +216,12 @@ def rook_sort_key(pi: PartialInjection) -> tuple:
     return (a - pi.rank, tuple(a + 1 if v is None else v for v in pi.target))
 
 
-def rook_enumerate(alpha: int, *, max_alpha: int | None = None) -> tuple[PartialInjection, ...]:
+def rook_enumerate(alpha: int) -> tuple[PartialInjection, ...]:
     """All partial injections of {1, ..., alpha} in canonical order."""
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
-    if alpha > rook_limit(max_alpha):
-        raise CapacityError(f"alpha={alpha} exceeds the rook enumeration limit {rook_limit(max_alpha)}")
+    if alpha > rook_limit():
+        raise CapacityError(f"alpha={alpha} exceeds the rook enumeration limit {rook_limit()}")
     points = range(1, alpha + 1)
     out: list[PartialInjection] = []
     for k in range(alpha + 1):
@@ -307,7 +307,7 @@ def irrep_dim(diagram: YoungDiagram) -> int:
     return dim
 
 
-def fixed_space_dimensions(alpha: int, *, max_alpha: int | None = None) -> tuple[int, ...]:
+def fixed_space_dimensions(alpha: int) -> tuple[int, ...]:
     """Multiset of subgroup-fixed-subspace dimensions, one per block.
 
     Each block is labelled by a hole count t in 0..alpha together with a
@@ -315,8 +315,8 @@ def fixed_space_dimensions(alpha: int, *, max_alpha: int | None = None) -> tuple
     irreducible dimension of the partition.  The sum of squares equals the
     rook-monoid size.
     """
-    if alpha > rook_limit(max_alpha):
-        raise CapacityError(f"alpha={alpha} exceeds the enumeration limit {rook_limit(max_alpha)}")
+    if alpha > rook_limit():
+        raise CapacityError(f"alpha={alpha} exceeds the enumeration limit {rook_limit()}")
     out: list[int] = []
     for t in range(alpha + 1):
         for lam in partitions(alpha - t):

@@ -136,17 +136,6 @@ class GroupAlgebraElement(SparseVector):
         """The involution sending each group element to its inverse."""
         return GroupAlgebraElement._trusted(self.ctx, {g.inverse(): c for g, c in self._coeffs.items()})
 
-    def inner(self, other: "GroupAlgebraElement") -> Fraction:
-        """Inner product trace(self * other.star()); deltas are orthonormal."""
-        self._check(other)
-        return sum(
-            (cg * other._coeffs.get(g, Fraction(0)) for g, cg in self._coeffs.items()),
-            Fraction(0),
-        )
-
-    def norm_sq(self) -> Fraction:
-        return self.inner(self)
-
 
 def convolve(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
     return x * y

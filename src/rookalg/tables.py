@@ -5,10 +5,11 @@ monomials, the normal form of their product as polynomial-in-nu
 coefficients.  The 43,681 pairs at alpha=4 fuse to only 3,928 distinct
 states A(g) T_js, so a build reduces, indexes and checks each distinct
 fused state once, with one rewriting engine, and every pair that fuses to
-it shares that one row tuple.  The reads that turn every pair's row into
-a result (evaluation at a point, the JSON and CSV exports, the trace form
-and the oracle crosscheck's right-hand sides) go through
-`StructureTable.map_rows`, which maps each distinct row once.
+it shares that one row tuple.  Every read that turns each pair's row into
+a result (evaluation at a point, the JSON and CSV exports, the maximum
+degree, the trace form, the scaled limit and the oracle crosscheck's
+right-hand sides) goes through `StructureTable.map_rows`, which maps each
+distinct row once.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
@@ -57,20 +58,18 @@ class StructureTable:
         return self.constants[(ip, iq)]
 
     def max_degree(self) -> int:
-        d = 0
-        for terms in self.constants.values():
-            for _, c in terms:
-                if c and c.degree > d:
-                    d = int(c.degree)
-        return d
+        degrees = self.map_rows(lambda _, row: max((int(c.degree) for _, c in row if c), default=0))
+        return max(degrees.values(), default=0)
 
     def map_rows(self, fn) -> dict:
-        """{(p, q): fn(row)} in (p, q) order, calling fn once per distinct row object.
+        """{(p, q): fn(key, row)} in (p, q) order, calling fn once per distinct row object.
 
-        Keyed on the row's identity: pairs that fuse to one state share one
-        row tuple, and hashing the (int, NuPoly) terms would cost what the
-        reuse saves.  Unshared rows, as from_json_obj makes, are each
-        mapped once, with the same result.
+        key is the first (p, q) that reaches the row.  Keyed on the row's
+        identity: pairs that fuse to one state share one row tuple (and so
+        share |I_p| + |I_q|, the state's hole count), and hashing the
+        (int, NuPoly) terms would cost what the reuse saves.  Unshared
+        rows, as from_json_obj makes, are each mapped once, with the same
+        result.
         """
         done: dict[int, object] = {}
         out = {}
@@ -78,13 +77,13 @@ class StructureTable:
             row = self.constants[key]
             rid = id(row)
             if rid not in done:
-                done[rid] = fn(row)
+                done[rid] = fn(key, row)
             out[key] = done[rid]
         return out
 
     def evaluate(self, value) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
         """Specialize every constant at an exact rational value of nu."""
-        return self.map_rows(lambda row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v))
+        return self.map_rows(lambda _, row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v))
 
     @staticmethod
     def _exported_terms(row, nu):
@@ -102,11 +101,10 @@ class StructureTable:
                     yield ir, [format_rational(v)]
 
     def to_json_obj(self, nu=None) -> dict:
+        """The table as a JSON-ready dict; the entries of one shared row share its terms list."""
         basis = [{"g": list(m.perm.images), "I": list(m.holes)} for m in self.basis]
-        constants = [
-            {"p": ip, "q": iq, "terms": [{"r": r, "poly": ts} for r, ts in self._exported_terms(row, nu)]}
-            for (ip, iq), row in sorted(self.constants.items())
-        ]
+        terms = self.map_rows(lambda _, row: [{"r": r, "poly": ts} for r, ts in self._exported_terms(row, nu)])
+        constants = [{"p": ip, "q": iq, "terms": ts} for (ip, iq), ts in terms.items()]
         return {
             "alpha": self.alpha,
             "nu": None if nu is None else format_rational(Fraction(nu)),
@@ -133,7 +131,7 @@ class StructureTable:
             f'\n  "basis": {_json_list(basis, 2)},\n  "constants": '
         ]
 
-        def render(row) -> str:
+        def render(_, row) -> str:
             terms = []
             for ir, texts in self._exported_terms(row, nu):
                 poly_text = _json_list((f'"{t}"' for t in texts), 10)
@@ -162,7 +160,7 @@ class StructureTable:
         return cls(int(obj["alpha"]), basis, constants)
 
     def to_csv(self, nu=None) -> str:
-        def render(row) -> list[str]:
+        def render(_, row) -> list[str]:
             return [f"{ir},{' '.join(texts)}" for ir, texts in self._exported_terms(row, nu)]
 
         lines = ["p,q,r,poly"]
@@ -182,9 +180,7 @@ def _json_list(items, indent: int) -> str:
 _TABLE_CACHE: dict[int, StructureTable] = {}
 
 
-def structure_table(
-    alpha: int, *, max_alpha: int | None = None, use_cache: bool = True
-) -> StructureTable:
+def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
     """Build (or fetch) the full structure table for S_alpha.
 
     Each pair (p, q) is fused to its state A(g) T_js.  A state not yet seen
@@ -198,7 +194,7 @@ def structure_table(
     dimension and the build time.
     """
     # the limit is checked before the cache, so a cached table is refused too
-    limit = table_limit(max_alpha)
+    limit = table_limit()
     if alpha > limit:
         raise CapacityError(
             f"structure table for alpha={alpha} exceeds the limit {limit}; "
@@ -207,7 +203,7 @@ def structure_table(
     if use_cache and alpha in _TABLE_CACHE:
         return _TABLE_CACHE[alpha]
     t0 = time.perf_counter()
-    basis = basis_enumerate(alpha, max_alpha=alpha)
+    basis = basis_enumerate(alpha)
     index = {m: i for i, m in enumerate(basis)}
     nz = Normalizer()
     rows: dict[tuple[Permutation, tuple[int, ...]], tuple[tuple[int, NuPoly], ...]] = {}
@@ -258,14 +254,14 @@ def check_associativity(
     return failures
 
 
-def gram_matrix(alpha: int, *, max_alpha: int | None = None) -> tuple[tuple[NuPoly, ...], ...]:
+def gram_matrix(alpha: int) -> tuple[tuple[NuPoly, ...], ...]:
     """G[p][q] = trace(e_p e_q*), a symmetric matrix of polynomials in nu.
 
     Read off the structure table: with e_q* = sum_r s_qr e_r, the normal form
     of the star of basis monomial q, G[p][q] = sum_r s_qr B[p][r] for the
     trace form B.  Its only rewriting is one star per basis element.
     """
-    table = structure_table(alpha, max_alpha=max_alpha)
+    table = structure_table(alpha)
     B = trace_form(table)
     nz = Normalizer()
     stars = [
@@ -281,7 +277,7 @@ def trace_form(table: StructureTable) -> tuple[tuple[NuPoly, ...], ...]:
     """B[p][q] = trace(e_p e_q), read straight off the structure table."""
     ident = table.index_of(Monomial.one(table.alpha))
     zero = NuPoly.zero()
-    traces = table.map_rows(lambda row: next((poly for ir, poly in row if ir == ident), zero))
+    traces = table.map_rows(lambda _, row: next((poly for ir, poly in row if ir == ident), zero))
     n = table.dimension
     return tuple(tuple(traces[(ip, iq)] for iq in range(n)) for ip in range(n))
 
@@ -399,12 +395,16 @@ class LimitTable:
 
 
 def scaled_limit_table(table: StructureTable) -> LimitTable:
-    """Limits of nu^(|I_r| - |I_p| - |I_q|) c^r_pq(nu); diverging entries are an error."""
+    """Limits of nu^(|I_r| - |I_p| - |I_q|) c^r_pq(nu); diverging entries are an error.
+
+    One limit per distinct row; a divergent one names its row's first pair.
+    """
     deg_of = [m.hole_degree for m in table.basis]
-    entries: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-    for (ip, iq), terms in table.constants.items():
+
+    def limit(key, row) -> tuple[tuple[int, Fraction], ...]:
+        ip, iq = key
         out = []
-        for ir, poly in terms:
+        for ir, poly in row:
             if not poly:
                 continue
             d = int(poly.degree) + deg_of[ir] - deg_of[ip] - deg_of[iq]
@@ -415,5 +415,6 @@ def scaled_limit_table(table: StructureTable) -> LimitTable:
                 )
             if d == 0:
                 out.append((ir, poly.leading))
-        entries[(ip, iq)] = tuple(sorted(out, key=lambda t: t[0]))
-    return LimitTable(table.alpha, table.basis, entries)
+        return tuple(sorted(out, key=lambda t: t[0]))
+
+    return LimitTable(table.alpha, table.basis, table.map_rows(limit))

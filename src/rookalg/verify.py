@@ -166,7 +166,6 @@ def dimension_suite(
     alpha: int,
     ns: Iterable[int] | None = None,
     *,
-    max_alpha: int | None = None,
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Count everything three ways: closed form, enumeration, representation theory."""
@@ -175,11 +174,11 @@ def dimension_suite(
         ns = (alpha,) if 2 * alpha <= ORACLE_DEGREE_LIMIT else ()
     ns = tuple(ns)
     counted = rook_count(alpha)
-    enumerated = len(rook_enumerate(alpha, max_alpha=max_alpha))
-    basis_len = len(basis_enumerate(alpha, max_alpha=max_alpha))
+    enumerated = len(rook_enumerate(alpha))
+    basis_len = len(basis_enumerate(alpha))
     if not counted == enumerated == basis_len:
         col.add("dimension-mismatch", closed_form=counted, enumerated=enumerated, basis=basis_len)
-    fsd = fixed_space_dimensions(alpha, max_alpha=max_alpha)
+    fsd = fixed_space_dimensions(alpha)
     if sum(d * d for d in fsd) != counted:
         col.add("square-sum-mismatch", dims=list(fsd), expected=counted)
     coset_counts: dict[str, int] = {}
@@ -192,7 +191,7 @@ def dimension_suite(
             sigma = corner_map(u, alpha)
             sizes[sigma] = sizes.get(sigma, 0) + 1
             total += 1
-        expected = sum(1 for s in rook_enumerate(alpha, max_alpha=max_alpha) if alpha - s.rank <= n)
+        expected = sum(1 for s in rook_enumerate(alpha) if alpha - s.rank <= n)
         if len(sizes) != expected:
             col.add("coset-count-mismatch", n=n, found=len(sizes), expected=expected)
         if total != factorial(ctx.degree):
@@ -210,13 +209,7 @@ def dimension_suite(
     )
 
 
-def relation_suite(
-    alpha: int,
-    n: int,
-    *,
-    max_alpha: int | None = None,
-    max_counterexamples: int = 5,
-) -> VerificationReport:
+def relation_suite(alpha: int, n: int, *, max_counterexamples: int = 5) -> VerificationReport:
     """Check that convolution of generator images satisfies the defining relations."""
     col = _Collector(max_counterexamples)
     ctx = Context(alpha, n)
@@ -265,7 +258,7 @@ def relation_suite(
     total_size = 0
     printed_disagrees = False
     nf = factorial(n)
-    for sigma in rook_enumerate(alpha, max_alpha=max_alpha):
+    for sigma in rook_enumerate(alpha):
         r = alpha - sigma.rank
         if r > n:
             continue
@@ -287,7 +280,7 @@ def relation_suite(
 
     biinvariance_checked = 0
     if ctx.degree <= 6:
-        for sigma in rook_enumerate(alpha, max_alpha=max_alpha):
+        for sigma in rook_enumerate(alpha):
             if alpha - sigma.rank > n:
                 continue
             e = BiinvariantElement.basis(ctx, sigma).embed()
@@ -308,17 +301,16 @@ def crosscheck_structure(
     n: int,
     *,
     table: StructureTable | None = None,
-    max_alpha: int | None = None,
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Structure constants at nu = n against brute-force convolution, all pairs."""
     col = _Collector(max_counterexamples)
     ctx = Context(alpha, n)
     _require_oracle_degree(ctx)
-    tbl = table if table is not None else structure_table(alpha, max_alpha=max_alpha)
+    tbl = table if table is not None else structure_table(alpha)
     imgs = monomial_images(tbl.basis, ctx)
 
-    def table_side(row) -> BiinvariantElement:
+    def table_side(_, row) -> BiinvariantElement:
         # the keys are the images' own, already valid in ctx
         terms = ((poly.evaluate(n), imgs[ir].items()) for ir, poly in row)
         return BiinvariantElement._trusted(ctx, combine((c, v) for c, v in terms if c))
@@ -359,12 +351,11 @@ def crosscheck_multi(
     alpha: int,
     ns: Iterable[int] | None = None,
     *,
-    max_alpha: int | None = None,
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Crosscheck at several integer values; enough points pin the polynomials."""
     col = _Collector(max_counterexamples)
-    tbl = structure_table(alpha, max_alpha=max_alpha)
+    tbl = structure_table(alpha)
     max_deg = tbl.max_degree()
     if ns is None:
         # smallest tail degrees first; the generator relations hold for every
@@ -372,9 +363,7 @@ def crosscheck_multi(
         ns = list(range(1, ORACLE_DEGREE_LIMIT - alpha + 1))[: max_deg + 1]
     ns = tuple(ns)
     for n in ns:
-        rep = crosscheck_structure(
-            alpha, n, table=tbl, max_alpha=max_alpha, max_counterexamples=max_counterexamples
-        )
+        rep = crosscheck_structure(alpha, n, table=tbl, max_counterexamples=max_counterexamples)
         col.absorb(rep, n=n)
     points = len(set(ns))
     pinned = points >= max_deg + 1
@@ -393,12 +382,10 @@ def crosscheck_multi(
     )
 
 
-def limit_suite(
-    alpha: int, *, max_alpha: int | None = None, max_counterexamples: int = 5
-) -> VerificationReport:
+def limit_suite(alpha: int, *, max_counterexamples: int = 5) -> VerificationReport:
     """The rescaled limit of the table must be the partial-injection monoid algebra."""
     col = _Collector(max_counterexamples)
-    tbl = structure_table(alpha, max_alpha=max_alpha)
+    tbl = structure_table(alpha)
     try:
         lt = scaled_limit_table(tbl)
     except ConsistencyError as exc:
@@ -406,9 +393,10 @@ def limit_suite(
         col.add("divergent-entry", **payload)
         return col.report("limit", {"alpha": alpha})
     rooks = [m.to_rook() for m in tbl.basis]
+    index_of_rook = {sigma: i for i, sigma in enumerate(rooks)}
     for ip in range(tbl.dimension):
         for iq in range(tbl.dimension):
-            expected_ir = tbl.index_of(Monomial.from_rook(rooks[ip] * rooks[iq]))
+            expected_ir = index_of_rook[rooks[ip] * rooks[iq]]
             got = lt.entries[(ip, iq)]
             if got != ((expected_ir, Fraction(1)),):
                 col.add(
@@ -427,7 +415,6 @@ def gram_suite(
     alpha: int,
     ns: Iterable[int] | None = None,
     *,
-    max_alpha: int | None = None,
     max_counterexamples: int = 5,
 ) -> VerificationReport:
     """Symmetry, positive definiteness at integers, and agreement with convolution."""
@@ -438,9 +425,9 @@ def gram_suite(
     ctxs = [Context(alpha, n) for n in ns]
     for ctx in ctxs:
         _require_oracle_degree(ctx)
-    G = gram_matrix(alpha, max_alpha=max_alpha)
+    G = gram_matrix(alpha)
     dim = len(G)
-    basis = basis_enumerate(alpha, max_alpha=max_alpha)
+    basis = basis_enumerate(alpha)
     for ip in range(dim):
         for iq in range(ip):
             if G[ip][iq] != G[iq][ip]:
@@ -495,9 +482,7 @@ def _rational_roots(poly: NuPoly) -> dict[Fraction, int]:
     return dict(sorted(roots.items()))
 
 
-def semisimplicity_probe(
-    alpha: int, *, max_alpha: int | None = None, max_counterexamples: int = 5
-) -> VerificationReport:
+def semisimplicity_probe(alpha: int, *, max_counterexamples: int = 5) -> VerificationReport:
     """Determinant of the trace form: a nonzero polynomial certifies semisimplicity
     away from its finitely many roots.
 
@@ -505,7 +490,7 @@ def semisimplicity_probe(
     makes no claim that each one is genuinely degenerate.
     """
     col = _Collector(max_counterexamples)
-    tbl = structure_table(alpha, max_alpha=max_alpha)
+    tbl = structure_table(alpha)
     B = trace_form(tbl)
     det = det_polynomial(B)
     roots = _rational_roots(det)

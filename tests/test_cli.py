@@ -212,7 +212,8 @@ def test_verify_gram():
 # sha256 of stdout, recorded before the Gram matrix was read off the structure
 # table and before the determinant and the Sylvester test shared one elimination;
 # the verify dims, relations, crosscheck and limit entries were recorded before
-# every suite's report was built by one collector
+# every suite's report was built by one collector; the limit entries were
+# recorded before the scaled limit was computed once per distinct row
 GOLDEN_STDOUT_SHA256 = {
     "gram --alpha 3": "afa961de8091123f3ae33d5609366add49f16773721bd3336b0c7eedc6b74be6",
     "gram --alpha 3 --nu 5/2": "11c190e9df27f3cbca9fb4aa3ba803f3ae257560e0d532f7cbc2e51aeccb4e3c",
@@ -223,6 +224,8 @@ GOLDEN_STDOUT_SHA256 = {
     "verify crosscheck --alpha 2 --n 3": "38ec296f165d482f155a3e7d4be701973521dbe4c27167d5ef87ef65386cb08a",
     "verify crosscheck --alpha 2": "9a9b8506563bcce5b72300d195e316ecb3c3533874d347d593bb94cea68ad35b",
     "verify limit --alpha 3": "6f153f3c2274ddf2bf0d9c3be1e983de48f2b5ece83ba11be876c8efd68caadc",
+    "limit --alpha 3": "c5d5837c3c5315098f042a613c1c01847290bf206e191a64aeb518b127c0171d",
+    "limit --alpha 3 --format json": "3a3979740c69149eddaed699418f038c91634f67b18545064ba170bff7cbe7a5",
 }
 
 
@@ -283,13 +286,21 @@ def test_negative_counterexample_cap_exits_2():
     [
         *((f"{c} --alpha -1", "alpha must be non-negative, got -1")
           for c in ("verify limit", "verify semisimple", "table", "basis", "limit", "gram")),
+        *((f"{c} --alpha -1{rest}", "alpha must be non-negative, got -1")
+          for c, rest in (("dims", ""), ("verify dims", ""), ("verify relations", ""), ("verify gram", ""),
+                          ("normalize", " --word 1"), ("verify crosscheck", " --n 2"))),
         ("table --alpha 2 --capacity -1", "capacity must be non-negative, got -1"),
+        ("normalize --alpha 2 --word T1 --capacity -1", "capacity must be non-negative, got -1"),
+        ("ROOKALG_CAPACITY=abc dims --alpha 2", "ROOKALG_CAPACITY must be an integer, got 'abc'"),
         *((f"{c} --nu 1/0", "zero denominator in '1/0'")
           for c in ("table --alpha 2", "gram --alpha 2", "normalize --alpha 2 --word T1")),
     ],
 )
-def test_bad_values_exit_2(command, message):
-    code, out, err = run_cli(*command.split())
+def test_bad_values_exit_2(command, message, monkeypatch):
+    words = command.split()
+    if "=" in words[0]:  # a leading NAME=value sets the environment
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    code, out, err = run_cli(*words)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

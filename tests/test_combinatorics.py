@@ -5,11 +5,14 @@ counts by direct enumeration cross-checked against the closed form
 sum_r (alpha choose r)^2 r!, and the block dimensions via hook lengths.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import rookalg
+from rookalg.capacity import DEFAULT_ROOK_LIMIT, DEFAULT_TABLE_LIMIT, override, rook_limit, table_limit
 from rookalg.combinatorics import (
     PartialInjection,
     Permutation,
@@ -192,7 +195,8 @@ def test_rook_enumerate_is_sorted():
 def test_rook_enumerate_capacity():
     with pytest.raises(CapacityError):
         rook_enumerate(7)
-    assert len(rook_enumerate(4, max_alpha=4)) == 209
+    with override(4):
+        assert len(rook_enumerate(4)) == 209
 
 
 def test_rook_enumerate_refuses_a_negative_alpha():
@@ -202,13 +206,58 @@ def test_rook_enumerate_refuses_a_negative_alpha():
 
 
 def test_a_negative_capacity_is_refused_from_either_source(monkeypatch):
-    with pytest.raises(ValueError, match="capacity must be non-negative"):
-        rook_enumerate(1, max_alpha=-1)
+    with pytest.raises(ValueError, match="capacity must be non-negative, got -1"):
+        with override(-1):
+            rook_enumerate(1)
     monkeypatch.setenv("ROOKALG_CAPACITY", "-1")
     with pytest.raises(ValueError, match="ROOKALG_CAPACITY must be non-negative"):
         rook_enumerate(1)
     # an explicit override still wins over the environment
-    assert len(rook_enumerate(1, max_alpha=1)) == 2
+    with override(1):
+        assert len(rook_enumerate(1)) == 2
+
+
+@pytest.mark.parametrize("env, outside", [(None, (DEFAULT_ROOK_LIMIT, DEFAULT_TABLE_LIMIT)), ("1", (1, 1))])
+def test_override_scopes_nests_and_restores(monkeypatch, env, outside):
+    if env is None:
+        monkeypatch.delenv("ROOKALG_CAPACITY", raising=False)
+    else:
+        monkeypatch.setenv("ROOKALG_CAPACITY", env)
+    assert (rook_limit(), table_limit()) == outside
+    with override(None):
+        assert (rook_limit(), table_limit()) == outside
+    # the innermost block wins, over the environment too
+    with override(2):
+        assert (rook_limit(), table_limit()) == (2, 2)
+        with override(5):
+            assert (rook_limit(), table_limit()) == (5, 5)
+        assert (rook_limit(), table_limit()) == (2, 2)
+        with override(None):
+            assert (rook_limit(), table_limit()) == (2, 2)
+        # a refused limit leaves the enclosing one in force
+        with pytest.raises(ValueError):
+            with override(-1):
+                pass
+        assert (rook_limit(), table_limit()) == (2, 2)
+    assert (rook_limit(), table_limit()) == outside
+    with pytest.raises(CapacityError):
+        with override(0):
+            rook_enumerate(1)
+    assert (rook_limit(), table_limit()) == outside
+
+
+def test_the_rook_limit_covers_every_table_basis():
+    # structure_table enumerates its basis under the rook limit
+    assert DEFAULT_ROOK_LIMIT >= DEFAULT_TABLE_LIMIT
+
+
+def test_no_public_function_takes_max_alpha():
+    for name in rookalg.__all__:
+        obj = getattr(rookalg, name)
+        if callable(obj) and not inspect.isclass(obj):
+            assert "max_alpha" not in inspect.signature(obj).parameters, name
+    assert not inspect.signature(rook_limit).parameters
+    assert not inspect.signature(table_limit).parameters
 
 
 # -------------------------------------------------------------- block dimensions

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from rookalg.algebra import Monomial, Normalizer, OElement, basis_enumerate, fuse, multiply
+from rookalg.capacity import override
 from rookalg.cli import main
 from rookalg.combinatorics import Permutation, rook_compose
 from rookalg.errors import CapacityError, ConsistencyError
@@ -145,11 +146,15 @@ def test_map_rows_maps_each_distinct_row_once():
     calls = {}
     for name, table in (("built", built), ("loaded", loaded), ("reversed", reversed_order)):
         seen = []
-        out = table.map_rows(lambda row: seen.append(row) or len(seen) - 1)
+        keys = []
+        out = table.map_rows(lambda key, row: keys.append(key) or seen.append(row) or len(seen) - 1)
         assert list(out) == sorted(table.constants)
         assert len(seen) == len({id(row) for row in seen})
         for key, row in table.constants.items():
             assert seen[out[key]] is row
+        # fn sees each row with the first pair, in (p, q) order, that reaches it
+        assert all(table.constants[key] is row for key, row in zip(keys, seen))
+        assert all(keys[i] <= key for key, i in out.items())
         calls[name] = len(seen)
     # one call per fused state on a built table, one per entry on a loaded one
     assert calls["built"] == calls["reversed"] == len({fuse(p, q) for p in built.basis for q in built.basis})
@@ -275,7 +280,8 @@ def test_gram_matrix_refuses_above_the_table_limit():
         gram_matrix(5)
     structure_table(3)
     with pytest.raises(CapacityError, match="structure table for alpha=3 exceeds the limit 2"):
-        gram_matrix(3, max_alpha=2)
+        with override(2):
+            gram_matrix(3)
 
 
 def test_positive_definite():
