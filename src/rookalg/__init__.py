@@ -34,7 +34,6 @@ from .combinatorics import (
     idempotent,
     irrep_dim,
     partitions,
-    rook_compose,
     rook_count,
     rook_enumerate,
     rook_sort_key,
@@ -56,7 +55,6 @@ from .oracle import (
     subgroup_elements,
 )
 from .tables import (
-    LimitTable,
     StructureTable,
     check_associativity,
     det_polynomial,
@@ -90,7 +88,6 @@ __all__ = [
     "ContextError",
     "EmptyCosetError",
     "GroupAlgebraElement",
-    "LimitTable",
     "Monomial",
     "Normalizer",
     "NuPoly",
@@ -136,7 +133,6 @@ __all__ = [
     "positive_definite",
     "project_biinvariant",
     "relation_suite",
-    "rook_compose",
     "rook_count",
     "rook_enumerate",
     "rook_limit",

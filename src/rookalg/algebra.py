@@ -269,8 +269,8 @@ class OElement(SparseVector):
         return cls(alpha, {Monomial.one(alpha): _ONE})
 
     @classmethod
-    def from_monomial(cls, m: Monomial, coeff=1) -> "OElement":
-        return cls(m.alpha, {m: coeff})
+    def from_monomial(cls, m: Monomial) -> "OElement":
+        return cls(m.alpha, {m: _ONE})
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -293,9 +293,9 @@ class OElement(SparseVector):
             acc = acc + c * NuPoly.monomial(m.hole_degree)
         return acc
 
-    def star(self, normalizer: Normalizer | None = None) -> "OElement":
+    def star(self) -> "OElement":
         """Antiautomorphism with A(g)* = A(g^{-1}) and T_i* = T_i."""
-        nz = normalizer or default_normalizer()
+        nz = default_normalizer()
         terms = ((c, nz.reduce(*star_state(m)).items()) for m, c in self._coeffs.items())
         return OElement._trusted(self.alpha, combine(terms))
 
@@ -317,15 +317,14 @@ def gen_hole_element(i: int, alpha: int) -> OElement:
     return OElement.from_monomial(Monomial(Permutation.identity(alpha), (i,)))
 
 
-def element_from_word(alpha: int, tokens: Sequence[tuple[str, object]], normalizer: Normalizer | None = None) -> OElement:
-    nz = normalizer or default_normalizer()
-    return nz.normalize(alpha, tokens)
+def element_from_word(alpha: int, tokens: Sequence[tuple[str, object]]) -> OElement:
+    return default_normalizer().normalize(alpha, tokens)
 
 
-def multiply(x: OElement, y: OElement, normalizer: Normalizer | None = None) -> OElement:
+def multiply(x: OElement, y: OElement) -> OElement:
     """Product via monomial fusion followed by normalization."""
     x._check(y)
-    nz = normalizer or default_normalizer()
+    nz = default_normalizer()
     terms = ((c1 * c2, nz.reduce(*fuse(m1, m2)).items()) for m1, c1 in x.items() for m2, c2 in y.items())
     return OElement._trusted(x.alpha, combine(terms))
 

@@ -200,7 +200,13 @@ def _cmd_basis(args) -> int:
 
 def _cmd_normalize(args) -> int:
     tokens = parse_word(args.alpha, args.word)
-    elem = element_from_word(args.alpha, tokens)
+    try:
+        elem = element_from_word(args.alpha, tokens)
+    except RecursionError:
+        raise CapacityError(
+            f"the {len(tokens)}-letter word needs a rewriting recursion deeper than "
+            f"the interpreter's limit of {sys.getrecursionlimit()} frames"
+        ) from None
     if args.nu is not None:
         value = parse_rational(args.nu)
         elem = OElement(args.alpha, {m: NuPoly.constant(v) for m, v in elem.evaluate(value).items()})
@@ -222,7 +228,7 @@ def _cmd_gram(args) -> int:
     G = gram_matrix(args.alpha)
     if args.nu is None:
         lines = ["[" + ", ".join(entry.pretty() for entry in row) + "]" for row in G]
-        first = smallest_pd_nu(G, start=0, stop=4 * args.alpha)
+        first = smallest_pd_nu(G, stop=4 * args.alpha)
         lines.append(f"smallest positive definite integer in [0, {4 * args.alpha}]: {first}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
@@ -240,17 +246,17 @@ def _cmd_gram(args) -> int:
 
 def _cmd_limit(args) -> int:
     tbl = structure_table(args.alpha)
-    lt = scaled_limit_table(tbl)
+    limits = scaled_limit_table(tbl)
     if args.format == "json":
         entries = [
-            {"p": ip, "q": iq, "terms": [[ir, format_rational(c)] for ir, c in lt.entries[(ip, iq)]]}
-            for ip, iq in sorted(lt.entries)
+            {"p": ip, "q": iq, "terms": [[ir, format_rational(c)] for ir, c in limits[(ip, iq)]]}
+            for ip, iq in sorted(limits)
         ]
-        _emit(json.dumps({"alpha": lt.alpha, "entries": entries}, indent=2) + "\n", args.out)
+        _emit(json.dumps({"alpha": tbl.alpha, "entries": entries}, indent=2) + "\n", args.out)
     else:
         lines = []
-        for ip, iq in sorted(lt.entries):
-            terms = " + ".join(f"{format_rational(c)} [{ir}]" for ir, c in lt.entries[(ip, iq)])
+        for ip, iq in sorted(limits):
+            terms = " + ".join(f"{format_rational(c)} [{ir}]" for ir, c in limits[(ip, iq)])
             lines.append(f"[{ip}] [{iq}] -> {terms}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0

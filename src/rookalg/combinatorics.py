@@ -181,11 +181,6 @@ class PartialInjection:
         return cls(tuple(None if v == 0 else v for v in entries))
 
 
-def rook_compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
-    """Product in the rook monoid: apply b first, then a."""
-    return a * b
-
-
 def idempotent(alpha: int, holes: Sequence[int]) -> PartialInjection:
     """The diagonal idempotent undefined exactly on the given hole set."""
     holes = tuple(holes)

@@ -75,13 +75,10 @@ class NuPoly:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, power: int, coeff: Rational = 1) -> "NuPoly":
+    def monomial(cls, power: int) -> "NuPoly":
         if power < 0:
             raise ValueError("power must be non-negative")
-        return cls((0,) * power + (coeff,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls((0,) * power + (1,))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -139,14 +136,6 @@ class NuPoly:
             return self * other
         return NotImplemented
 
-    def __pow__(self, power: int) -> "NuPoly":
-        if power < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = NuPoly.one()
-        for _ in range(power):
-            out = out * self
-        return out
-
     def evaluate(self, x: Rational) -> Fraction:
         """Exact evaluation by Horner's rule.
 
@@ -167,7 +156,7 @@ class NuPoly:
     def from_strings(cls, items: Sequence[str]) -> "NuPoly":
         return cls(tuple(parse_rational(s) for s in items))
 
-    def pretty(self, var: str = "nu") -> str:
+    def pretty(self) -> str:
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -178,7 +167,7 @@ class NuPoly:
             if k == 0:
                 body = _frac_str(abs(c))
             else:
-                power = var if k == 1 else f"{var}^{k}"
+                power = "nu" if k == 1 else f"nu^{k}"
                 body = power if abs(c) == 1 else f"{_frac_str(abs(c))}*{power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")

@@ -137,10 +137,6 @@ class GroupAlgebraElement(SparseVector):
         return GroupAlgebraElement._trusted(self.ctx, {g.inverse(): c for g, c in self._coeffs.items()})
 
 
-def convolve(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
-    return x * y
-
-
 def k_average(ctx: Context) -> GroupAlgebraElement:
     """The uniform average over the embedded tail subgroup."""
     w = Fraction(1, factorial(ctx.n))

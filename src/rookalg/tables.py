@@ -58,18 +58,16 @@ class StructureTable:
         return self.constants[(ip, iq)]
 
     def max_degree(self) -> int:
-        degrees = self.map_rows(lambda _, row: max((int(c.degree) for _, c in row if c), default=0))
+        degrees = self.map_rows(lambda row: max((int(c.degree) for _, c in row if c), default=0))
         return max(degrees.values(), default=0)
 
     def map_rows(self, fn) -> dict:
-        """{(p, q): fn(key, row)} in (p, q) order, calling fn once per distinct row object.
+        """{(p, q): fn(row)} in (p, q) order, calling fn once per distinct row object.
 
-        key is the first (p, q) that reaches the row.  Keyed on the row's
-        identity: pairs that fuse to one state share one row tuple (and so
-        share |I_p| + |I_q|, the state's hole count), and hashing the
-        (int, NuPoly) terms would cost what the reuse saves.  Unshared
-        rows, as from_json_obj makes, are each mapped once, with the same
-        result.
+        Keyed on the row's identity: pairs that fuse to one state share one
+        row tuple, and hashing the (int, NuPoly) terms would cost what the
+        reuse saves.  Unshared rows, as from_json_obj makes, are each mapped
+        once, with the same result.
         """
         done: dict[int, object] = {}
         out = {}
@@ -77,13 +75,13 @@ class StructureTable:
             row = self.constants[key]
             rid = id(row)
             if rid not in done:
-                done[rid] = fn(key, row)
+                done[rid] = fn(row)
             out[key] = done[rid]
         return out
 
     def evaluate(self, value) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
         """Specialize every constant at an exact rational value of nu."""
-        return self.map_rows(lambda _, row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v))
+        return self.map_rows(lambda row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v))
 
     @staticmethod
     def _exported_terms(row, nu):
@@ -103,7 +101,7 @@ class StructureTable:
     def to_json_obj(self, nu=None) -> dict:
         """The table as a JSON-ready dict; the entries of one shared row share its terms list."""
         basis = [{"g": list(m.perm.images), "I": list(m.holes)} for m in self.basis]
-        terms = self.map_rows(lambda _, row: [{"r": r, "poly": ts} for r, ts in self._exported_terms(row, nu)])
+        terms = self.map_rows(lambda row: [{"r": r, "poly": ts} for r, ts in self._exported_terms(row, nu)])
         constants = [{"p": ip, "q": iq, "terms": ts} for (ip, iq), ts in terms.items()]
         return {
             "alpha": self.alpha,
@@ -131,7 +129,7 @@ class StructureTable:
             f'\n  "basis": {_json_list(basis, 2)},\n  "constants": '
         ]
 
-        def render(_, row) -> str:
+        def render(row) -> str:
             terms = []
             for ir, texts in self._exported_terms(row, nu):
                 poly_text = _json_list((f'"{t}"' for t in texts), 10)
@@ -160,7 +158,7 @@ class StructureTable:
         return cls(int(obj["alpha"]), basis, constants)
 
     def to_csv(self, nu=None) -> str:
-        def render(_, row) -> list[str]:
+        def render(row) -> list[str]:
             return [f"{ir},{' '.join(texts)}" for ir, texts in self._exported_terms(row, nu)]
 
         lines = ["p,q,r,poly"]
@@ -277,7 +275,7 @@ def trace_form(table: StructureTable) -> tuple[tuple[NuPoly, ...], ...]:
     """B[p][q] = trace(e_p e_q), read straight off the structure table."""
     ident = table.index_of(Monomial.one(table.alpha))
     zero = NuPoly.zero()
-    traces = table.map_rows(lambda _, row: next((poly for ir, poly in row if ir == ident), zero))
+    traces = table.map_rows(lambda row: next((poly for ir, poly in row if ir == ident), zero))
     n = table.dimension
     return tuple(tuple(traces[(ip, iq)] for iq in range(n)) for ip in range(n))
 
@@ -329,9 +327,9 @@ def evaluate_matrix(mat: Sequence[Sequence[NuPoly]], value) -> list[list[Fractio
     return [[c.evaluate(value) for c in row] for row in mat]
 
 
-def smallest_pd_nu(mat: Sequence[Sequence[NuPoly]], *, start: int = 0, stop: int = 200) -> int | None:
-    """Smallest integer in [start, stop] where the evaluated matrix is positive definite."""
-    for n in range(start, stop + 1):
+def smallest_pd_nu(mat: Sequence[Sequence[NuPoly]], *, stop: int) -> int | None:
+    """Smallest integer in [0, stop] where the evaluated matrix is positive definite."""
+    for n in range(stop + 1):
         if positive_definite(evaluate_matrix(mat, n)):
             return n
     return None
@@ -360,6 +358,8 @@ def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
     result is confirmed at one extra evaluation point.
     """
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
     if n == 0:
         return NuPoly.one()
     bound = 0
@@ -385,36 +385,32 @@ def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
     return poly
 
 
-@dataclass(frozen=True)
-class LimitTable:
-    """Structure constants of the rescaled basis as nu grows without bound."""
+def scaled_limit_table(table: StructureTable) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+    """{(p, q): limits of nu^(|I_r| - |I_p| - |I_q|) c^r_pq(nu)}; diverging entries are an error.
 
-    alpha: int
-    basis: tuple[Monomial, ...]
-    entries: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
-
-
-def scaled_limit_table(table: StructureTable) -> LimitTable:
-    """Limits of nu^(|I_r| - |I_p| - |I_q|) c^r_pq(nu); diverging entries are an error.
-
-    One limit per distinct row; a divergent one names its row's first pair.
+    Each distinct row is read once, for the largest deg c^r + |I_r| over
+    its terms and the leading coefficients of the terms that reach it;
+    each pair then compares that with its own |I_p| + |I_q|.  A divergent
+    entry names the first such pair in (p, q) order.
     """
     deg_of = [m.hole_degree for m in table.basis]
 
-    def limit(key, row) -> tuple[tuple[int, Fraction], ...]:
-        ip, iq = key
-        out = []
-        for ir, poly in row:
-            if not poly:
-                continue
-            d = int(poly.degree) + deg_of[ir] - deg_of[ip] - deg_of[iq]
-            if d > 0:
-                raise ConsistencyError(
-                    "structure constant outgrows the scaled limit",
-                    {"p": ip, "q": iq, "r": ir, "degree": int(poly.degree)},
-                )
-            if d == 0:
-                out.append((ir, poly.leading))
-        return tuple(sorted(out, key=lambda t: t[0]))
+    def top(row) -> tuple[int, tuple[tuple[int, Fraction], ...]]:
+        reach = [(int(poly.degree) + deg_of[ir], ir, poly) for ir, poly in row if poly]
+        most = max((e for e, _, _ in reach), default=-1)
+        return most, tuple(sorted(((ir, poly.leading) for e, ir, poly in reach if e == most), key=lambda t: t[0]))
 
-    return LimitTable(table.alpha, table.basis, table.map_rows(limit))
+    out = {}
+    for key, (most, leading) in table.map_rows(top).items():
+        ip, iq = key
+        own = deg_of[ip] + deg_of[iq]
+        if most > own:
+            ir, poly = next(
+                (ir, poly) for ir, poly in table.constants[key] if poly and int(poly.degree) + deg_of[ir] > own
+            )
+            raise ConsistencyError(
+                "structure constant outgrows the scaled limit",
+                {"p": ip, "q": iq, "r": ir, "degree": int(poly.degree)},
+            )
+        out[key] = leading if most == own else ()
+    return out

@@ -310,7 +310,7 @@ def crosscheck_structure(
     tbl = table if table is not None else structure_table(alpha)
     imgs = monomial_images(tbl.basis, ctx)
 
-    def table_side(_, row) -> BiinvariantElement:
+    def table_side(row) -> BiinvariantElement:
         # the keys are the images' own, already valid in ctx
         terms = ((poly.evaluate(n), imgs[ir].items()) for ir, poly in row)
         return BiinvariantElement._trusted(ctx, combine((c, v) for c, v in terms if c))
@@ -387,7 +387,7 @@ def limit_suite(alpha: int, *, max_counterexamples: int = 5) -> VerificationRepo
     col = _Collector(max_counterexamples)
     tbl = structure_table(alpha)
     try:
-        lt = scaled_limit_table(tbl)
+        limits = scaled_limit_table(tbl)
     except ConsistencyError as exc:
         payload = exc.payload if isinstance(exc.payload, dict) else {}
         col.add("divergent-entry", **payload)
@@ -397,7 +397,7 @@ def limit_suite(alpha: int, *, max_counterexamples: int = 5) -> VerificationRepo
     for ip in range(tbl.dimension):
         for iq in range(tbl.dimension):
             expected_ir = index_of_rook[rooks[ip] * rooks[iq]]
-            got = lt.entries[(ip, iq)]
+            got = limits[(ip, iq)]
             if got != ((expected_ir, Fraction(1)),):
                 col.add(
                     "limit-mismatch",
@@ -459,7 +459,7 @@ def gram_suite(
         {"alpha": alpha, "ns": list(ns)},
         dimension=dim,
         agreement_pairs=agreement_pairs,
-        first_positive_definite_integer=smallest_pd_nu(G, start=0, stop=4 * alpha),
+        first_positive_definite_integer=smallest_pd_nu(G, stop=4 * alpha),
     )
 
 

@@ -1,8 +1,10 @@
 """Command line interface: output formats, exit codes, determinism."""
 
 import hashlib
+import inspect
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -255,6 +257,21 @@ def test_capacity_exits_3():
     code, _, err = run_cli("dims", "--alpha", "7")
     assert code == 3
     assert err != ""
+
+
+def test_word_too_deep_for_the_rewriting_recursion_exits_3():
+    # a lowered limit reaches the refusal in about a second; T1 repeated
+    # 1,000 times reaches it at the default limit after tens of seconds
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        code, out, err = run_cli("normalize", "--alpha", "2", "--word", " ".join(["T1"] * 400))
+    finally:
+        sys.setrecursionlimit(old)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity exceeded: the 400-letter word needs a rewriting recursion deeper")
+    assert run_cli("normalize", "--alpha", "2", "--word", "T1 T1") == (0, "nu + (nu - 1) T1\n", "")
 
 
 def test_capacity_override():

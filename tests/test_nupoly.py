@@ -11,7 +11,7 @@ from rookalg.nupoly import NuPoly, format_rational, parse_rational
 def test_trailing_zeros_are_stripped():
     assert NuPoly((1, 2, 0, 0)) == NuPoly((1, 2))
     assert NuPoly((0,)) == NuPoly.zero()
-    assert NuPoly(()).is_zero()
+    assert not NuPoly(())
 
 
 def test_constructors():
@@ -99,7 +99,7 @@ def test_evaluation_is_a_ring_homomorphism(p, q, v):
 
 @given(small_polys, small_polys)
 def test_product_degree(p, q):
-    if not p.is_zero() and not q.is_zero():
+    if p and q:
         assert (p * q).degree == p.degree + q.degree
         assert (p * q).leading == p.leading * q.leading
 

@@ -20,7 +20,6 @@ from rookalg.combinatorics import (
     all_permutations,
     corner_map,
     idempotent,
-    rook_compose,
     rook_enumerate,
 )
 from rookalg.errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
@@ -29,7 +28,6 @@ from rookalg.oracle import (
     Context,
     GroupAlgebraElement,
     canonical_completion,
-    convolve,
     coset_corank,
     coset_enumerate,
     coset_size,
@@ -67,9 +65,7 @@ def test_delta_convolution_follows_the_group_law():
     ctx = Context(1, 2)
     for u in all_permutations(3):
         for v in all_permutations(3):
-            lhs = convolve(
-                GroupAlgebraElement.delta(ctx, u), GroupAlgebraElement.delta(ctx, v)
-            )
+            lhs = GroupAlgebraElement.delta(ctx, u) * GroupAlgebraElement.delta(ctx, v)
             assert lhs == GroupAlgebraElement.delta(ctx, u * v)
 
 
@@ -86,7 +82,7 @@ def test_context_mixing_is_rejected():
     x = GroupAlgebraElement.delta(Context(1, 1), Permutation.identity(2))
     y = GroupAlgebraElement.delta(Context(1, 2), Permutation.identity(3))
     with pytest.raises(ContextError):
-        convolve(x, y)
+        x * y
     with pytest.raises(ContextError):
         GroupAlgebraElement.delta(Context(1, 2), Permutation.identity(2))
 
@@ -94,7 +90,7 @@ def test_context_mixing_is_rejected():
 def test_k_average_is_idempotent():
     ctx = Context(2, 2)
     avg = k_average(ctx)
-    assert convolve(avg, avg) == avg
+    assert avg * avg == avg
     assert avg.augmentation() == 1
     assert avg.support_size() == 2
 
@@ -148,7 +144,7 @@ s3_elements = st.dictionaries(
 @example(s3_element({E: Fraction(1, 2)}), s3_element({}))
 @example(s3_element({}), s3_element({C: Fraction(-5, 7)}))
 def test_convolution_matches_fraction_accumulation(x, y):
-    product = convolve(x, y)
+    product = x * y
     assert product == fraction_convolution(x, y)
     assert all(c != 0 for _, c in product.items())
 
@@ -168,20 +164,20 @@ s5_elements = st.dictionaries(
 @settings(deadline=None)
 @given(s5_elements, s5_elements)
 def test_convolution_matches_fraction_accumulation_on_s5(x, y):
-    assert convolve(x, y) == fraction_convolution(x, y)
+    assert x * y == fraction_convolution(x, y)
 
 
 def test_convolution_refuses_more_than_255_points():
     # 255 points still fit in a byte; the 256th does not
     ctx = Context(1, 254)
     s = Permutation.transposition(255, 1, 255)
-    assert convolve(GroupAlgebraElement.delta(ctx, s), GroupAlgebraElement.delta(ctx, s)) == (
+    assert GroupAlgebraElement.delta(ctx, s) * GroupAlgebraElement.delta(ctx, s) == (
         GroupAlgebraElement.delta(ctx, Permutation.identity(255))
     )
     ctx = Context(1, 255)
     e = GroupAlgebraElement.delta(ctx, Permutation.identity(256))
     with pytest.raises(CapacityError, match="degree <= 255"):
-        convolve(e, e)
+        e * e
 
 
 # -------------------------------------------------------------------- cosets
@@ -372,7 +368,7 @@ def test_perm_generator_absorbs_into_holes():
     ctx = Context(2, 2)
     g = Permutation((2, 1))
     lhs = dc_multiply(gen_perm(g, ctx), gen_hole(1, ctx))
-    target = rook_compose(PartialInjection.from_permutation(g), idempotent(2, (1,)))
+    target = PartialInjection.from_permutation(g) * idempotent(2, (1,))
     assert lhs == BiinvariantElement.basis(ctx, target)
 
 

@@ -12,11 +12,10 @@ import pytest
 from rookalg.algebra import Monomial, Normalizer, OElement, basis_enumerate, fuse, multiply
 from rookalg.capacity import override
 from rookalg.cli import main
-from rookalg.combinatorics import Permutation, rook_compose
+from rookalg.combinatorics import Permutation
 from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly
 from rookalg.tables import (
-    LimitTable,
     StructureTable,
     check_associativity,
     det_polynomial,
@@ -146,15 +145,11 @@ def test_map_rows_maps_each_distinct_row_once():
     calls = {}
     for name, table in (("built", built), ("loaded", loaded), ("reversed", reversed_order)):
         seen = []
-        keys = []
-        out = table.map_rows(lambda key, row: keys.append(key) or seen.append(row) or len(seen) - 1)
+        out = table.map_rows(lambda row: seen.append(row) or len(seen) - 1)
         assert list(out) == sorted(table.constants)
         assert len(seen) == len({id(row) for row in seen})
         for key, row in table.constants.items():
             assert seen[out[key]] is row
-        # fn sees each row with the first pair, in (p, q) order, that reaches it
-        assert all(table.constants[key] is row for key, row in zip(keys, seen))
-        assert all(keys[i] <= key for key, i in out.items())
         calls[name] = len(seen)
     # one call per fused state on a built table, one per entry on a loaded one
     assert calls["built"] == calls["reversed"] == len({fuse(p, q) for p in built.basis for q in built.basis})
@@ -251,7 +246,7 @@ def test_trace_form_is_symmetric():
 def test_gram_alpha1_golden():
     G = gram_matrix(1)
     assert G == ((ONE, NuPoly.zero()), (NuPoly.zero(), NU))
-    assert smallest_pd_nu(G, start=0, stop=4) == 1
+    assert smallest_pd_nu(G, stop=4) == 1
 
 
 def test_gram_alpha2_entries():
@@ -267,11 +262,10 @@ def test_gram_alpha2_entries():
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_gram_matrix_is_the_trace_of_products_with_stars(alpha):
     # the definition, computed by rewriting each product e_p e_q* in full
-    nz = Normalizer()
     basis = basis_enumerate(alpha)
     elems = [OElement.from_monomial(m) for m in basis]
-    stars = [e.star(nz) for e in elems]
-    expected = tuple(tuple(multiply(ep, sq, nz).trace() for sq in stars) for ep in elems)
+    stars = [e.star() for e in elems]
+    expected = tuple(tuple(multiply(ep, sq).trace() for sq in stars) for ep in elems)
     assert gram_matrix(alpha) == expected
 
 
@@ -318,9 +312,19 @@ def test_det_polynomial():
     assert det_polynomial([[ONE, NU, ONE], [ONE, NU, c(2)], [ONE, NU, c(3)]]) == NuPoly.zero()
 
 
+@pytest.mark.parametrize(
+    "mat",
+    [[[ONE, NU, ONE]], [[ONE], [NU]], [[ONE, NU], [ONE]]],
+    ids=["1x3", "2x1", "ragged"],
+)
+def test_det_polynomial_refuses_a_non_square_matrix(mat):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        det_polynomial(mat)
+
+
 def test_smallest_pd_nu_none_when_out_of_range():
     G = gram_matrix(1)
-    assert smallest_pd_nu(G, start=0, stop=0) is None
+    assert smallest_pd_nu(G, stop=0) is None
 
 
 # -------------------------------------------------------------------- limits
@@ -329,14 +333,26 @@ def test_smallest_pd_nu_none_when_out_of_range():
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_scaled_limit_reproduces_rook_composition(alpha):
     t = structure_table(alpha)
-    lt = scaled_limit_table(t)
-    assert isinstance(lt, LimitTable)
-    basis = lt.basis
-    assert basis == t.basis
-    for (ip, iq), entries in lt.entries.items():
+    limits = scaled_limit_table(t)
+    assert isinstance(limits, dict)
+    basis = t.basis
+    for (ip, iq), entries in limits.items():
         assert len(entries) == 1
         ir, coeff = entries[0]
         assert coeff == Fraction(1)
-        expected = rook_compose(basis[ip].to_rook(), basis[iq].to_rook())
+        expected = basis[ip].to_rook() * basis[iq].to_rook()
         assert basis[ir].to_rook() == expected
-    assert len(lt.entries) == t.dimension**2
+    assert len(limits) == t.dimension**2
+
+
+def test_scaled_limit_reads_each_pairs_own_hole_count_on_a_shared_row():
+    # nu A(1) scales to 1 against |I_0| + |I_1| = 1 and vanishes against
+    # |I_1| + |I_1| = 2, whether or not the two pairs share the row object
+    t = structure_table(1)
+    row = ((0, NU),)
+    shared = replace(t, constants={**t.constants, (0, 1): row, (1, 1): row})
+    unshared = replace(t, constants={**t.constants, (0, 1): row, (1, 1): ((0, NU),)})
+    for table in (shared, unshared):
+        limits = scaled_limit_table(table)
+        assert limits[(0, 1)] == ((0, Fraction(1)),)
+        assert limits[(1, 1)] == ()
