@@ -15,6 +15,7 @@ from .algebra import (
     Normalizer,
     OElement,
     basis_enumerate,
+    default_normalizer,
     element_from_word,
     format_element,
     format_monomial,
@@ -66,6 +67,7 @@ from .tables import (
     structure_table,
     trace_form,
 )
+from . import tables as _tables
 from .verify import (
     VerificationReport,
     crosscheck_multi,
@@ -79,6 +81,17 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache: the built structure tables, the
+    default normalizer's memo and the oracle's three lookups.  No result
+    changes; the next call that needs an entry computes it again."""
+    _tables._TABLE_CACHE.clear()
+    default_normalizer()._cache.clear()
+    for cached in (subgroup_elements, canonical_completion, coset_enumerate):
+        cached.cache_clear()
+
 
 __all__ = [
     "BiinvariantElement",
@@ -102,6 +115,7 @@ __all__ = [
     "basis_enumerate",
     "canonical_completion",
     "check_associativity",
+    "clear_caches",
     "corner_map",
     "coset_enumerate",
     "coset_size",

@@ -18,7 +18,7 @@ measure, and a violation raises ConsistencyError instead of looping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,6 +39,7 @@ class Monomial:
 
     perm: Permutation
     holes: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = self.perm.degree
@@ -50,6 +51,11 @@ class Monomial:
         images = tuple(self.perm(j) for j in self.holes)
         if any(a >= b for a, b in zip(images, images[1:])):
             raise ValueError(f"hole images must be strictly increasing: {self.holes} -> {images}")
+        # a dict key on every rewriting step; hashed once, as the dataclass would
+        object.__setattr__(self, "_hash", hash((self.perm, self.holes)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def one(cls, alpha: int) -> "Monomial":
@@ -109,8 +115,9 @@ def fuse(p: Monomial, q: Monomial) -> tuple[Permutation, tuple[int, ...]]:
     A(g) T_I A(h) T_J = A(gh) T_{h^{-1}(I)} T_J, since each T_i slides
     through A(h) by T_i A(h) = A(h) T_{h^{-1}(i)}.
     """
-    inv = q.perm.inverse()
-    return p.perm * q.perm, tuple(inv(i) for i in p.holes) + q.holes
+    # h^{-1}(i) is the position of i in h's one-line images
+    images = q.perm.images
+    return p.perm * q.perm, tuple([images.index(i) + 1 for i in p.holes]) + q.holes
 
 
 def star_state(m: Monomial) -> tuple[Permutation, tuple[int, ...]]:
@@ -188,15 +195,19 @@ class Normalizer:
         else:
             rule, t = site
             self.stats[rule] += 1
-            parent = _measure(g, js)
+            parent = None
             terms = []
             for w, g2, js2 in _emit(rule, t, g, js):
-                child = _measure(g2, js2)
-                if not child < parent:
-                    raise ConsistencyError(
-                        "termination measure failed to decrease",
-                        {"rule": rule, "parent": parent, "child": child, "js": js},
-                    )
+                # a shorter child decreases the measure by its length alone
+                if len(js2) >= len(js):
+                    if parent is None:
+                        parent = _measure(g, js)
+                    child = _measure(g2, js2)
+                    if not child < parent:
+                        raise ConsistencyError(
+                            "termination measure failed to decrease",
+                            {"rule": rule, "parent": parent, "child": child, "js": js},
+                        )
                 terms.append((w, self.reduce(g2, js2).items()))
             out = combine(terms)
         self._cache[key] = out

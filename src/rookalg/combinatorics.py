@@ -9,11 +9,18 @@ Conventions used consistently across the package:
   image of x, or ``None`` where x is undefined.  Viewed as a 0/1 matrix it
   has a unit in row x, column ``target[x - 1]``.  The serialized form
   writes 0 for None.
+
+`Permutation` and `PartialInjection` check their input in the public
+constructor and cache their hash there, since both are dict keys on every
+hot path.  Each also has one unchecked `_trusted` constructor, which sets
+the same fields and the same hash; only values valid by construction go
+through it (products and inverses of permutations, corners read off a
+permutation), and outside input always goes through the checked one.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations as _permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -26,10 +33,22 @@ class Permutation:
     """A permutation in one-line notation acting on {1, ..., degree}."""
 
     images: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not one-line notation for a permutation: {self.images!r}")
+        object.__setattr__(self, "_hash", hash((self.images,)))
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap images that are a permutation by construction; no check."""
+        out = object.__new__(cls)
+        out.__dict__.update(images=images, _hash=hash((images,)))
+        return out
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -70,13 +89,14 @@ class Permutation:
             return NotImplemented
         if self.degree != other.degree:
             raise ContextError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return Permutation(tuple(self.images[y - 1] for y in other.images))
+        images = self.images
+        return Permutation._trusted(tuple([images[y - 1] for y in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for x, y in enumerate(self.images, start=1):
             inv[y - 1] = x
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images, start=1))
@@ -116,6 +136,7 @@ class PartialInjection:
     """A partial injection of {1, ..., alpha}, stored as its target row."""
 
     target: tuple[int | None, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = len(self.target)
@@ -124,6 +145,17 @@ class PartialInjection:
             raise ValueError(f"target values must lie in 1..{alpha}: {self.target!r}")
         if len(set(defined)) != len(defined):
             raise ValueError(f"target values must be distinct: {self.target!r}")
+        object.__setattr__(self, "_hash", hash((self.target,)))
+
+    @classmethod
+    def _trusted(cls, target: tuple[int | None, ...]) -> "PartialInjection":
+        """Wrap a target row that is a partial injection by construction; no check."""
+        out = object.__new__(cls)
+        out.__dict__.update(target=target, _hash=hash((target,)))
+        return out
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, alpha: int) -> "PartialInjection":
@@ -200,9 +232,8 @@ def corner_map(u: Permutation, alpha: int) -> PartialInjection:
     """
     if not 0 <= alpha <= u.degree:
         raise ValueError(f"alpha must lie in 0..{u.degree}, got {alpha}")
-    return PartialInjection(
-        tuple(u(x) if u(x) <= alpha else None for x in range(1, alpha + 1))
-    )
+    # a permutation's corner is injective with values in 1..alpha
+    return PartialInjection._trusted(tuple([y if y <= alpha else None for y in u.images[:alpha]]))
 
 
 def rook_sort_key(pi: PartialInjection) -> tuple:

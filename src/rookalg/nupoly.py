@@ -99,24 +99,39 @@ class NuPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
+    @classmethod
+    def _trusted(cls, coeffs: tuple) -> "NuPoly":
+        """Wrap coefficients already in smallest form with no trailing zero."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    def _plus(self, other: "NuPoly", sign: int) -> "NuPoly":
+        """self + sign * other in one pass, each new coefficient in smallest form."""
+        a, b = self.coeffs, other.coeffs
+        out = list(a)
+        if len(a) < len(b):
+            out += [0] * (len(b) - len(a))
+        for k, c in enumerate(b):
+            s = out[k] + c if sign > 0 else out[k] - c
+            out[k] = s if type(s) is int else _smallest(s)
+        while out and not out[-1]:
+            out.pop()
+        return NuPoly._trusted(tuple(out))
+
     def __add__(self, other: "NuPoly") -> "NuPoly":
         if not isinstance(other, NuPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return NuPoly(out)
-
-    def __neg__(self) -> "NuPoly":
-        return NuPoly(tuple(-c for c in self.coeffs))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "NuPoly") -> "NuPoly":
         if not isinstance(other, NuPoly):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "NuPoly":
+        # negation keeps each coefficient's form and the leading term nonzero
+        return NuPoly._trusted(tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -366,7 +366,8 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
     d = dx * dy * nf * nf
     out: dict[PartialInjection, Fraction] = {}
     for corner, c in acc.items():
-        rho = PartialInjection(corner)
+        # distinct points of u's one-line images, read through its injective corner
+        rho = PartialInjection._trusted(corner)
         out[rho] = Fraction(c, d * coset_size(ctx, rho))
     return BiinvariantElement._trusted(ctx, out)
 

@@ -24,19 +24,25 @@ from .errors import ContextError
 def combine(terms):
     """The sum of w * v over (w, v) pairs, as a dict with the zero sums dropped.
 
-    Each v yields (key, coefficient) items.  A weight equal to 1 keeps each
-    coefficient and one equal to -1 negates it, without a multiplication.
+    Each v yields (key, coefficient) items.  A weight equal to 1 adds each
+    coefficient and one equal to -1 subtracts it, without a multiplication.
     """
     acc = {}
+    get = acc.get
     for w, v in terms:
-        keep, negate = w == 1, w == -1
-        for k, c in v:
-            if negate:
-                c = -c
-            elif not keep:
+        if w == 1:
+            for k, c in v:
+                prev = get(k)
+                acc[k] = c if prev is None else prev + c
+        elif w == -1:
+            for k, c in v:
+                prev = get(k)
+                acc[k] = -c if prev is None else prev - c
+        else:
+            for k, c in v:
                 c = w * c
-            prev = acc.get(k)
-            acc[k] = c if prev is None else prev + c
+                prev = get(k)
+                acc[k] = c if prev is None else prev + c
     return {k: c for k, c in acc.items() if c}
 
 

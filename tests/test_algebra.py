@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rookalg import algebra
 from rookalg.algebra import (
     Monomial,
     Normalizer,
@@ -28,11 +29,13 @@ from rookalg.algebra import (
 )
 from rookalg.cli import parse_word
 from rookalg.combinatorics import (
+    PartialInjection,
     Permutation,
     all_permutations,
     rook_count,
     rook_enumerate,
 )
+from rookalg.errors import ConsistencyError
 from rookalg.nupoly import NuPoly
 
 
@@ -167,6 +170,42 @@ def test_normalizer_stats_and_cache():
     before = nz.stats["cache_hits"]
     nz.normalize(2, parse_word(2, "T1 T1"))
     assert nz.stats["cache_hits"] > before
+
+
+def test_a_same_length_child_that_does_not_decrease_is_refused(monkeypatch):
+    # every rule emits the state it was given, so its measure stays (2, 1, 4)
+    monkeypatch.setattr(algebra, "_emit", lambda rule, t, g, js: ((1, g, js),))
+    with pytest.raises(ConsistencyError, match="termination measure failed to decrease") as exc:
+        Normalizer().reduce(Permutation.identity(2), (2, 1))
+    assert exc.value.payload == {"rule": "swap", "parent": (2, 1, 4), "child": (2, 1, 4), "js": (2, 1)}
+
+
+def test_shorter_children_are_not_measured(monkeypatch):
+    calls = []
+    measure = algebra._measure
+    monkeypatch.setattr(algebra, "_measure", lambda g, js: calls.append(js) or measure(g, js))
+    out = Normalizer().reduce(Permutation.identity(2), (1,) * 30)
+    assert out and not calls
+    # a swap's first child has the parent's length, so both are measured
+    Normalizer().reduce(Permutation.identity(2), (2, 1))
+    assert calls == [(2, 1), (1, 2)]
+
+
+# a partial injection of degree 0..6: a permutation with some points undefined
+rooks = st.integers(min_value=0, max_value=6).flatmap(
+    lambda d: st.tuples(st.permutations(range(1, d + 1)), st.lists(st.booleans(), min_size=d, max_size=d))
+).map(lambda drawn: PartialInjection(tuple(None if hole else y for y, hole in zip(*drawn))))
+
+
+@given(rooks)
+def test_monomials_on_trusted_permutations_hash_like_from_rook(sigma):
+    checked = Monomial.from_rook(sigma)
+    # the same permutation, rebuilt by the unchecked inverse and product
+    for perm in (checked.perm.inverse().inverse(), Permutation.identity(sigma.alpha) * checked.perm):
+        made = Monomial(perm, checked.holes)
+        assert made == checked
+        assert hash(made) == hash(checked)
+        assert {checked: "found"}[made] == "found"
 
 
 def test_unknown_strategy_rejected():

@@ -228,6 +228,8 @@ GOLDEN_STDOUT_SHA256 = {
     "verify limit --alpha 3": "6f153f3c2274ddf2bf0d9c3be1e983de48f2b5ece83ba11be876c8efd68caadc",
     "limit --alpha 3": "c5d5837c3c5315098f042a613c1c01847290bf206e191a64aeb518b127c0171d",
     "limit --alpha 3 --format json": "3a3979740c69149eddaed699418f038c91634f67b18545064ba170bff7cbe7a5",
+    "table --alpha 3 --format csv": "e1714074e7a221e9fda19c79a4f1076dd7e5992b17d2cddee183bda134c9af34",
+    "table --alpha 3 --nu 5/2 --format csv": "65764a1448c066c8bf75f9ad93421b791dc820772251b0d54fe28d605192db59",
 }
 
 
@@ -260,8 +262,8 @@ def test_capacity_exits_3():
 
 
 def test_word_too_deep_for_the_rewriting_recursion_exits_3():
-    # a lowered limit reaches the refusal in about a second; T1 repeated
-    # 1,000 times reaches it at the default limit after tens of seconds
+    # a lowered limit keeps the word short; T1 repeated 1,000 times reaches
+    # the refusal at the default limit, also in under a second
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:

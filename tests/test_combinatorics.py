@@ -94,6 +94,47 @@ def test_permutation_group_laws(a, b):
         assert (p * q)(x) == p(q(x))
 
 
+# ------------------------------------------------------- trusted constructors
+
+# two permutations of one degree in 0..6
+perm_pairs = st.integers(min_value=0, max_value=6).flatmap(
+    lambda d: st.tuples(st.permutations(range(1, d + 1)), st.permutations(range(1, d + 1)))
+)
+
+
+@given(perm_pairs)
+def test_trusted_products_and_inverses_hash_like_checked_permutations(pair):
+    p, q = (Permutation(tuple(images)) for images in pair)
+    points = range(1, p.degree + 1)
+    for made, checked in (
+        (p * q, Permutation(tuple(p(q(x)) for x in points))),
+        (p.inverse(), Permutation(tuple(p.images.index(y) + 1 for y in points))),
+    ):
+        assert made == checked
+        assert hash(made) == hash(checked)
+        assert {checked: "found"}[made] == "found"
+
+
+@given(perm_pairs, st.data())
+def test_trusted_corners_hash_like_checked_partial_injections(pair, data):
+    u = Permutation(tuple(pair[0]))
+    alpha = data.draw(st.integers(min_value=0, max_value=u.degree))
+    made = corner_map(u, alpha)
+    checked = PartialInjection(tuple(y if y <= alpha else None for y in u.images[:alpha]))
+    assert made == checked
+    assert hash(made) == hash(checked)
+    assert {checked: "found"}[made] == "found"
+
+
+def test_public_constructors_still_check():
+    with pytest.raises(ValueError):
+        Permutation((1, 1))
+    with pytest.raises(ValueError):
+        PartialInjection((2, 2))
+    with pytest.raises(ValueError):
+        PartialInjection((3, None))
+
+
 # ------------------------------------------------------------ partial injections
 
 

@@ -152,6 +152,10 @@ def _ref_add(a, b):
     return [(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)]
 
 
+def _ref_sub(a, b):
+    return _ref_add(a, [-c for c in b])
+
+
 def _ref_mul(a, b):
     out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
@@ -169,8 +173,21 @@ def test_mixed_arithmetic_matches_fraction_reference(a, b, x):
     fa, fb = [Fraction(c) for c in a], [Fraction(c) for c in b]
     p, q = NuPoly(a), NuPoly(b)
     assert p + q == NuPoly(_ref_add(fa, fb))
+    assert p - q == NuPoly(_ref_sub(fa, fb))
+    assert -p == NuPoly([-c for c in fa])
     assert p * q == NuPoly(_ref_mul(fa, fb))
     assert p.evaluate(x) == _ref_eval(fa, x)
     assert type(p.evaluate(x)) is Fraction
-    for r in (p + q, p * q, -p):
+    for r in (p + q, p - q, p * q, -p):
+        # smallest form: ints where integral, and no trailing zero
         assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in r.coeffs)
+        assert not r.coeffs or r.coeffs[-1]
+
+
+def test_sums_that_become_integral_are_stored_as_int():
+    half = NuPoly((Fraction(1, 2), Fraction(1, 2)))
+    assert (half + half).coeffs == (1, 1)
+    assert all(type(c) is int for c in (half + half).coeffs)
+    assert (half - NuPoly((Fraction(-1, 2), Fraction(1, 2)))).coeffs == (1,)
+    assert (half - half).coeffs == ()
+    assert (-half).coeffs == (Fraction(-1, 2), Fraction(-1, 2))

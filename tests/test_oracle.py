@@ -349,6 +349,21 @@ def test_fast_product_matches_full_sum_with_rational_coefficients(alpha, n):
         assert dc_multiply(x, y, via="fast") == full_sum_product(x, y)
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_fast_product_corners_hash_like_checked_partial_injections(data):
+    alpha = data.draw(st.integers(min_value=1, max_value=3))
+    ctx = Context(alpha, data.draw(st.integers(min_value=0, max_value=6 - alpha)))
+    keys = st.sampled_from([s for s in rook_enumerate(alpha) if coset_corank(s) <= ctx.n])
+    x = BiinvariantElement.basis(ctx, data.draw(keys))
+    y = BiinvariantElement.basis(ctx, data.draw(keys))
+    for rho, _ in dc_multiply(x, y).items():
+        checked = PartialInjection(rho.target)
+        assert rho == checked
+        assert hash(rho) == hash(checked)
+        assert {checked: "found"}[rho] == "found"
+
+
 def test_hole_generator_products():
     ctx = Context(2, 2)
     th1 = gen_hole(1, ctx)

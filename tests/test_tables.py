@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from rookalg.algebra import Monomial, Normalizer, OElement, basis_enumerate, fuse, multiply
+import rookalg
+from rookalg.algebra import Monomial, Normalizer, OElement, basis_enumerate, default_normalizer, fuse, multiply
 from rookalg.capacity import override
 from rookalg.cli import main
 from rookalg.combinatorics import Permutation
@@ -356,3 +357,17 @@ def test_scaled_limit_reads_each_pairs_own_hole_count_on_a_shared_row():
         limits = scaled_limit_table(table)
         assert limits[(0, 1)] == ((0, Fraction(1)),)
         assert limits[(1, 1)] == ()
+
+
+def test_clear_caches_empties_every_module_level_cache():
+    table = structure_table(2)
+    assert structure_table(2) is table
+    rookalg.element_from_word(2, [("hole", 1), ("hole", 1)])
+    rookalg.coset_enumerate(rookalg.PartialInjection((1, 2)), rookalg.Context(2, 1))
+    rookalg.clear_caches()
+    fresh = structure_table(2)
+    assert fresh is not table
+    assert fresh.constants == table.constants
+    assert not default_normalizer()._cache
+    for cached in (rookalg.subgroup_elements, rookalg.canonical_completion, rookalg.coset_enumerate):
+        assert cached.cache_info().currsize == 0
