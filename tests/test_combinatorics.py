@@ -127,11 +127,11 @@ def test_trusted_corners_hash_like_checked_partial_injections(pair, data):
 
 
 def test_public_constructors_still_check():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not one-line notation"):
         Permutation((1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be distinct"):
         PartialInjection((2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must lie in 1..2"):
         PartialInjection((3, None))
 
 
