@@ -15,6 +15,14 @@ A(g) T_{j_1} ... T_{j_m} with j_1 < ... < j_m and g(j_1) < ... < g(j_m).
 The rewriting engine reduces arbitrary words to that basis and refuses to
 run forever: each rule application must strictly decrease a termination
 measure, and a violation raises ConsistencyError instead of looping.
+
+It rewrites in one order: the leftmost square or swap site fires first,
+and an erase site fires only when there is none.  That the normal form does
+not depend on the order is checked, not assumed: the tests fire every site
+`_sites` lists, for every state reached from the alpha <= 3 tables and every
+state with at most four holes at alpha <= 4, and require each to leave the
+normal form unchanged.  With termination, that makes the normal form unique
+on those states (Newman's lemma).
 """
 from __future__ import annotations
 
@@ -150,36 +158,29 @@ def word_to_state(alpha: int, tokens: Sequence[tuple[str, object]]) -> tuple[Per
     return h, tuple(reversed(js_rev))
 
 
+def _sites(g: Permutation, js: tuple[int, ...]) -> list[tuple[str, int]]:
+    """Every (rule, t) that may fire on A(g) T_{js}, in the order reduce tries them.
+
+    Square and swap sites come first, left to right.  Erase sites are listed
+    only when there is none: `_emit`'s erase rule assumes the other holes
+    avoid u and v, which holds once js strictly increases.  An empty list
+    means the state is admissible.
+    """
+    pairs = range(len(js) - 1)
+    sites = [("square" if js[t] == js[t + 1] else "swap", t) for t in pairs if js[t] >= js[t + 1]]
+    return sites or [("erase", t) for t in pairs if g(js[t]) > g(js[t + 1])]
+
+
 class Normalizer:
     """Rewrites states A(g) T_{js} to admissible normal form, with memoization.
 
-    strategy picks which reducible site fires first; "leftmost" and
-    "rightmost" must produce identical normal forms (the rules are
-    confluent), which the test suite checks.
+    The first site `_sites` lists fires.  The tests check that every other
+    listed site gives the same normal form (see the module docstring).
     """
 
-    def __init__(self, strategy: str = "leftmost"):
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self.strategy = strategy
+    def __init__(self):
         self._cache: dict[tuple[Permutation, tuple[int, ...]], dict[Monomial, NuPoly]] = {}
         self.stats = {"square": 0, "swap": 0, "erase": 0, "states": 0, "cache_hits": 0}
-
-    def _find_site(self, g: Permutation, js: tuple[int, ...]) -> tuple[str, int] | None:
-        """The rule and position that fire first, or None for an admissible state."""
-        order = range(len(js) - 1)
-        if self.strategy == "rightmost":
-            order = reversed(order)  # type: ignore[assignment]
-        positions = list(order)
-        for t in positions:
-            if js[t] == js[t + 1]:
-                return "square", t
-            if js[t] > js[t + 1]:
-                return "swap", t
-        for t in positions:
-            if g(js[t]) > g(js[t + 1]):
-                return "erase", t
-        return None
 
     def reduce(self, g: Permutation, js: tuple[int, ...]) -> dict[Monomial, NuPoly]:
         """Normal form of the single state A(g) T_{js}, as monomial -> coefficient."""
@@ -189,11 +190,11 @@ class Normalizer:
             self.stats["cache_hits"] += 1
             return hit
         self.stats["states"] += 1
-        site = self._find_site(g, js)
-        if site is None:
+        sites = _sites(g, js)
+        if not sites:
             out = {Monomial(g, js): _ONE}
         else:
-            rule, t = site
+            rule, t = sites[0]
             self.stats[rule] += 1
             parent = None
             terms = []
@@ -206,16 +207,12 @@ class Normalizer:
                     if not child < parent:
                         raise ConsistencyError(
                             "termination measure failed to decrease",
-                            {"rule": rule, "parent": parent, "child": child, "js": js},
+                            {"rule": rule, "g": list(g.images), "parent": parent, "child": child, "js": js},
                         )
                 terms.append((w, self.reduce(g2, js2).items()))
             out = combine(terms)
         self._cache[key] = out
         return out
-
-    def normalize(self, alpha: int, tokens: Sequence[tuple[str, object]]) -> "OElement":
-        g, js = word_to_state(alpha, tokens)
-        return OElement._trusted(alpha, self.reduce(g, js))
 
 
 def _emit(rule: str, t: int, g: Permutation, js: tuple[int, ...]):
@@ -329,7 +326,7 @@ def gen_hole_element(i: int, alpha: int) -> OElement:
 
 
 def element_from_word(alpha: int, tokens: Sequence[tuple[str, object]]) -> OElement:
-    return default_normalizer().normalize(alpha, tokens)
+    return OElement._trusted(alpha, default_normalizer().reduce(*word_to_state(alpha, tokens)))
 
 
 def multiply(x: OElement, y: OElement) -> OElement:

@@ -314,6 +314,9 @@ def main(argv=None) -> int:
         return 3
     except ConsistencyError as exc:
         print(f"FAIL consistency: {exc}", file=sys.stderr)
+        if exc.payload is not None:
+            # the offending data, so the failure can be reproduced
+            print(json.dumps(exc.payload, sort_keys=True), file=sys.stderr)
         return 1
     except (ValueError, ContextError, EmptyCosetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -145,17 +145,39 @@ class StructureTable:
 
     @classmethod
     def from_json_obj(cls, obj) -> "StructureTable":
+        """The table that to_json_obj wrote; a malformed one raises ValueError naming the entry."""
+        alpha = int(obj["alpha"])
         basis = tuple(
             Monomial(Permutation(tuple(int(x) for x in e["g"])), tuple(int(x) for x in e["I"]))
             for e in obj["basis"]
         )
+        first: dict[Monomial, int] = {}
+        for i, m in enumerate(basis):
+            if m.alpha != alpha:
+                raise ValueError(f"basis entry {i} has degree {m.alpha}, but alpha is {alpha}")
+            if m in first:
+                raise ValueError(f"basis entry {i} repeats basis entry {first[m]}")
+            first[m] = i
+        dim = len(basis)
         constants: dict[tuple[int, int], tuple[tuple[int, NuPoly], ...]] = {}
         for entry in obj["constants"]:
+            key = (int(entry["p"]), int(entry["q"]))
             terms = tuple(
                 (int(t["r"]), NuPoly.from_strings(t["poly"])) for t in entry["terms"]
             )
-            constants[(int(entry["p"]), int(entry["q"]))] = terms
-        return cls(int(obj["alpha"]), basis, constants)
+            rs = [ir for ir, _ in terms]
+            bad = [i for i in (*key, *rs) if not 0 <= i < dim]
+            if bad:
+                raise ValueError(f"constants entry {key} has index {bad[0]} outside range({dim})")
+            if any(a >= b for a, b in zip(rs, rs[1:])):
+                raise ValueError(f"constants entry {key} has r values that do not increase strictly: {rs}")
+            if key in constants:
+                raise ValueError(f"constants entry {key} repeats")
+            constants[key] = terms
+        if len(constants) < dim * dim:
+            missing = next((ip, iq) for ip in range(dim) for iq in range(dim) if (ip, iq) not in constants)
+            raise ValueError(f"constants entry {missing} is missing")
+        return cls(alpha, basis, constants)
 
     def to_csv(self, nu=None) -> str:
         def render(row) -> list[str]:

@@ -21,6 +21,7 @@ from rookalg.algebra import (
     element_from_word,
     format_element,
     format_monomial,
+    fuse,
     gen_hole_element,
     gen_perm_element,
     monomial_sort_key,
@@ -37,6 +38,7 @@ from rookalg.combinatorics import (
 )
 from rookalg.errors import ConsistencyError
 from rookalg.nupoly import NuPoly
+from rookalg.sparse import combine
 
 
 def mono(images, holes=()):
@@ -129,23 +131,45 @@ def test_normalize_fixes_basis_monomials(alpha):
         assert nz.reduce(m.perm, m.holes) == {m: NuPoly.one()}
 
 
-def test_rewrite_strategies_agree():
-    # every state with at most two holes reduces to the same normal form
-    # under the leftmost and the rightmost strategies
-    for alpha in (2, 3):
-        left = Normalizer("leftmost")
-        right = Normalizer("rightmost")
-        holes = [()] + [(i,) for i in range(1, alpha + 1)] + [
-            (i, j) for i in range(1, alpha + 1) for j in range(1, alpha + 1)
-        ]
-        for g in all_permutations(alpha):
-            for js in holes:
-                assert left.reduce(g, js) == right.reduce(g, js)
+def check_every_site(states) -> int:
+    """Fire every site of every state reachable from `states`; return how many states that is.
+
+    Each site's children, normalized, must sum to the normal form of their
+    parent.  The children are checked in turn, so the set checked is closed
+    under rewriting in any order, and on it the normal form is unique.
+    """
+    nz = Normalizer()
+    seen = set(states)
+    work = list(seen)
+    while work:
+        g, js = work.pop()
+        nf = nz.reduce(g, js)
+        for rule, t in algebra._sites(g, js):
+            children = algebra._emit(rule, t, g, js)
+            assert combine((w, nz.reduce(g2, js2).items()) for w, g2, js2 in children) == nf, (rule, t, g, js)
+            for _, g2, js2 in children:
+                if (g2, js2) not in seen:
+                    seen.add((g2, js2))
+                    work.append((g2, js2))
+    return len(seen)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
-def test_find_site_is_none_exactly_on_admissible_states(alpha):
-    normalizers = (Normalizer("leftmost"), Normalizer("rightmost"))
+def test_every_site_agrees_on_every_state_of_the_table(alpha):
+    basis = basis_enumerate(alpha)
+    check_every_site({fuse(p, q) for p in basis for q in basis})
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_every_site_agrees_on_every_state_with_at_most_four_holes(alpha):
+    holes = [js for k in range(5) for js in product(range(1, alpha + 1), repeat=k)]
+    states = [(g, js) for g in all_permutations(alpha) for js in holes]
+    # no rule lengthens a state, so these states are closed under rewriting
+    assert check_every_site(states) == len(states) == len(set(states))
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_sites_are_empty_exactly_on_admissible_states(alpha):
     states = [js for k in range(4) for js in product(range(1, alpha + 1), repeat=k)]
     admissible = 0
     for g in all_permutations(alpha):
@@ -157,18 +181,26 @@ def test_find_site_is_none_exactly_on_admissible_states(alpha):
             else:
                 constructs = True
             admissible += constructs
-            for nz in normalizers:
-                assert (nz._find_site(g, js) is None) == constructs, (g, js, nz.strategy)
+            assert (algebra._sites(g, js) == []) == constructs, (g, js)
     # every admissible monomial has at most alpha <= 3 holes, so all were seen
     assert admissible == rook_count(alpha)
 
 
+def test_sites_list_erase_sites_only_once_holes_increase():
+    g = Permutation((3, 2, 1))
+    # (3, 1) swaps; (1, 3) would erase but waits for the swap to clear
+    assert algebra._sites(g, (3, 1, 3)) == [("swap", 0)]
+    assert algebra._sites(g, (2, 2, 1)) == [("square", 0), ("swap", 1)]
+    assert algebra._sites(g, (1, 2, 3)) == [("erase", 0), ("erase", 1)]
+
+
 def test_normalizer_stats_and_cache():
     nz = Normalizer()
-    nz.normalize(2, parse_word(2, "T1 T1"))
+    state = word_to_state(2, parse_word(2, "T1 T1"))
+    nz.reduce(*state)
     assert nz.stats["square"] >= 1
     before = nz.stats["cache_hits"]
-    nz.normalize(2, parse_word(2, "T1 T1"))
+    nz.reduce(*state)
     assert nz.stats["cache_hits"] > before
 
 
@@ -177,7 +209,7 @@ def test_a_same_length_child_that_does_not_decrease_is_refused(monkeypatch):
     monkeypatch.setattr(algebra, "_emit", lambda rule, t, g, js: ((1, g, js),))
     with pytest.raises(ConsistencyError, match="termination measure failed to decrease") as exc:
         Normalizer().reduce(Permutation.identity(2), (2, 1))
-    assert exc.value.payload == {"rule": "swap", "parent": (2, 1, 4), "child": (2, 1, 4), "js": (2, 1)}
+    assert exc.value.payload == {"rule": "swap", "g": [1, 2], "parent": (2, 1, 4), "child": (2, 1, 4), "js": (2, 1)}
 
 
 def test_shorter_children_are_not_measured(monkeypatch):
@@ -208,8 +240,9 @@ def test_monomials_on_trusted_permutations_hash_like_from_rook(sigma):
         assert {checked: "found"}[made] == "found"
 
 
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
+def test_normalizer_takes_no_arguments():
+    # one rewriting order, so there is nothing to choose
+    with pytest.raises(TypeError):
         Normalizer("middle")
 
 
@@ -328,7 +361,7 @@ def test_default_normalizer_is_shared():
     assert default_normalizer() is default_normalizer()
 
 
-token_strategy = st.lists(
+words = st.lists(
     st.one_of(
         st.sampled_from([("hole", 1), ("hole", 2)]),
         st.sampled_from(
@@ -341,16 +374,15 @@ token_strategy = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(token_strategy)
+@given(words)
 def test_random_words_normalize_consistently(tokens):
-    left = Normalizer("leftmost").normalize(2, tokens)
-    right = Normalizer("rightmost").normalize(2, tokens)
-    assert left == right
+    x = element_from_word(2, tokens)
+    check_every_site([word_to_state(2, tokens)])
     # the result is already in normal form: renormalizing is the identity
     again = OElement.zero(2)
     nz = Normalizer()
-    for m, c in left.items():
+    for m, c in x.items():
         state = nz.reduce(m.perm, m.holes)
         assert state == {m: NuPoly.one()}
         again = again + OElement(2, {m: c})
-    assert again == left
+    assert again == x

@@ -4,12 +4,13 @@ import hashlib
 import inspect
 import io
 import json
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from rookalg import cli
+from rookalg import algebra, cli
 from rookalg.cli import main, parse_word
 from rookalg.combinatorics import Permutation
 from rookalg.tables import StructureTable, structure_table
@@ -215,7 +216,9 @@ def test_verify_gram():
 # table and before the determinant and the Sylvester test shared one elimination;
 # the verify dims, relations, crosscheck and limit entries were recorded before
 # every suite's report was built by one collector; the limit entries were
-# recorded before the scaled limit was computed once per distinct row
+# recorded before the scaled limit was computed once per distinct row; the
+# normalize entries, whose words fire the square, swap and erase rules, were
+# recorded before the rewriting sites were listed by one function
 GOLDEN_STDOUT_SHA256 = {
     "gram --alpha 3": "afa961de8091123f3ae33d5609366add49f16773721bd3336b0c7eedc6b74be6",
     "gram --alpha 3 --nu 5/2": "11c190e9df27f3cbca9fb4aa3ba803f3ae257560e0d532f7cbc2e51aeccb4e3c",
@@ -230,12 +233,14 @@ GOLDEN_STDOUT_SHA256 = {
     "limit --alpha 3 --format json": "3a3979740c69149eddaed699418f038c91634f67b18545064ba170bff7cbe7a5",
     "table --alpha 3 --format csv": "e1714074e7a221e9fda19c79a4f1076dd7e5992b17d2cddee183bda134c9af34",
     "table --alpha 3 --nu 5/2 --format csv": "65764a1448c066c8bf75f9ad93421b791dc820772251b0d54fe28d605192db59",
+    'normalize --alpha 3 --word "T3 T2 T1 T1"': "d54a319577b5e3176bd5e5ece309fbee3804267e7d27c930c9d32f369db756c7",
+    'normalize --alpha 4 --word "A(14) T4 T3 T2 T1 T1"': "8bfd32f140d262680df5f9a09600b0ca96657b94e930d1e70be12f35be13f5c4",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT_SHA256))
 def test_stdout_matches_its_golden_hash(command):
-    code, out, err = run_cli(*command.split())
+    code, out, err = run_cli(*shlex.split(command))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[command]
 
@@ -321,6 +326,19 @@ def test_bad_values_exit_2(command, message, monkeypatch):
         monkeypatch.setenv(*words.pop(0).split("=", 1))
     code, out, err = run_cli(*words)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_consistency_failure_prints_its_payload(monkeypatch):
+    # every rule emits the state it was given, so the measure does not decrease;
+    # a fresh default normalizer has no memoized normal form to return instead
+    monkeypatch.setattr(algebra, "_emit", lambda rule, t, g, js: ((1, g, js),))
+    monkeypatch.setattr(algebra, "_DEFAULT_NORMALIZER", algebra.Normalizer())
+    assert run_cli("normalize", "--alpha", "2", "--word", "T2 T1") == (
+        1,
+        "",
+        "FAIL consistency: termination measure failed to decrease\n"
+        '{"child": [2, 1, 4], "g": [1, 2], "js": [2, 1], "parent": [2, 1, 4], "rule": "swap"}\n',
+    )
 
 
 def test_unwritable_out_exits_2(tmp_path):

@@ -174,14 +174,52 @@ def test_cli_table_json_same_bytes_to_file_and_stdout(tmp_path):
 
 
 def test_json_roundtrip():
-    t = structure_table(2)
-    obj = json.loads(t.canonical_json())
-    assert obj["alpha"] == 2
-    assert obj["nu"] is None
-    restored = StructureTable.from_json_obj(obj)
-    assert restored == t
+    for alpha in (1, 2, 3):
+        t = structure_table(alpha)
+        obj = json.loads(t.canonical_json())
+        assert obj["alpha"] == alpha
+        assert obj["nu"] is None
+        restored = StructureTable.from_json_obj(obj)
+        assert restored == t
     # canonical form is byte-stable
-    assert t.canonical_json() == structure_table(2).canonical_json()
+    assert t.canonical_json() == structure_table(3).canonical_json()
+
+
+def _set(path, value):
+    """An edit of the alpha=1 table's JSON: the item at path becomes value."""
+
+    def edit(obj):
+        *keys, last = path
+        for k in keys:
+            obj = obj[k]
+        obj[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(["alpha"], 2), "basis entry 0 has degree 1, but alpha is 2"),
+        (_set(["basis", 1], {"g": [1], "I": []}), "basis entry 1 repeats basis entry 0"),
+        (_set(["constants", 0, "p"], 2), "constants entry (2, 0) has index 2 outside range(2)"),
+        (_set(["constants", 0, "q"], -1), "constants entry (0, -1) has index -1 outside range(2)"),
+        (_set(["constants", 0, "terms", 0, "r"], 7), "constants entry (0, 0) has index 7 outside range(2)"),
+        (_set(["constants", 1, "q"], 0), "constants entry (0, 0) repeats"),
+        (lambda obj: obj["constants"].pop(), "constants entry (1, 1) is missing"),
+        (_set(["constants", 3, "terms", 1, "r"], 0),
+         "constants entry (1, 1) has r values that do not increase strictly: [0, 0]"),
+    ],
+    ids=["alpha", "basis-repeat", "p-range", "q-range", "r-range", "pair-repeat", "pair-missing", "r-order"],
+)
+def test_malformed_json_tables_are_refused(edit, message):
+    obj = structure_table(1).to_json_obj()
+    # T1 T1 = nu + (nu - 1) T1 is the last entry, and the one with two terms
+    assert [t["r"] for t in obj["constants"][3]["terms"]] == [0, 1]
+    edit(obj)
+    with pytest.raises(ValueError) as exc:
+        StructureTable.from_json_obj(obj)
+    assert str(exc.value) == message
 
 
 def test_json_at_a_point():
