@@ -62,6 +62,7 @@ from .tables import (
     evaluate_matrix,
     gram_matrix,
     positive_definite,
+    rank,
     scaled_limit_table,
     smallest_pd_nu,
     structure_table,
@@ -146,6 +147,7 @@ __all__ = [
     "partitions",
     "positive_definite",
     "project_biinvariant",
+    "rank",
     "relation_suite",
     "rook_count",
     "rook_enumerate",

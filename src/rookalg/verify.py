@@ -52,7 +52,8 @@ from .oracle import (
 from .sparse import combine
 from .tables import (
     StructureTable,
-    det_polynomial,
+    _det_factors,
+    _times_roots,
     evaluate_matrix,
     gram_matrix,
     positive_definite,
@@ -464,8 +465,11 @@ def gram_suite(
 
 
 def _rational_roots(poly: NuPoly) -> dict[Fraction, int]:
-    """Rational roots in increasing order, with multiplicities, via exact factorization."""
-    if not poly:
+    """Rational roots in increasing order, with multiplicities, via exact factorization.
+
+    A constant (or zero) polynomial has none, and sympy is not imported for it.
+    """
+    if poly.degree < 1:
         return {}
     from sympy import Poly, Rational, Symbol, factor_list
 
@@ -486,19 +490,27 @@ def semisimplicity_probe(alpha: int, *, max_counterexamples: int = 5) -> Verific
     """Determinant of the trace form: a nonzero polynomial certifies semisimplicity
     away from its finitely many roots.
 
-    The reported rational roots are candidates for degeneration; the probe
-    makes no claim that each one is genuinely degenerate.
+    The determinant comes factored: (nu - x)^k for each integer x where the
+    trace form has nullity k, times a cofactor.  Its rational roots are
+    those x, plus the cofactor's rational roots found by factoring it
+    (sympy), so a constant cofactor needs no factoring.  The reported roots
+    are candidates for degeneration; the probe makes no claim that each one
+    is genuinely degenerate.
     """
     col = _Collector(max_counterexamples)
     tbl = structure_table(alpha)
-    B = trace_form(tbl)
-    det = det_polynomial(B)
-    roots = _rational_roots(det)
+    nullities, cofactor = _det_factors(trace_form(tbl))
+    det = _times_roots(nullities, cofactor)
+    roots = _rational_roots(cofactor)
+    probe_at = alpha + 1
     if not det:
         col.add("degenerate-trace-form")
-    probe_at = alpha + 1
-    if det and det.evaluate(probe_at) == 0:
-        col.add("vanishing-just-past-alpha", at=probe_at)
+    else:
+        for x, k in nullities.items():
+            roots[Fraction(x)] = roots.get(Fraction(x), 0) + k
+        if det.evaluate(probe_at) == 0:
+            col.add("vanishing-just-past-alpha", at=probe_at)
+    roots = dict(sorted(roots.items()))
     return col.report(
         "semisimplicity",
         {"alpha": alpha},

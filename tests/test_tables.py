@@ -16,13 +16,16 @@ from rookalg.cli import main
 from rookalg.combinatorics import Permutation
 from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly
+from rookalg import tables
 from rookalg.tables import (
     StructureTable,
+    _pivots,
     check_associativity,
     det_polynomial,
     evaluate_matrix,
     gram_matrix,
     positive_definite,
+    rank,
     scaled_limit_table,
     smallest_pd_nu,
     structure_table,
@@ -209,8 +212,12 @@ def _set(path, value):
         (lambda obj: obj["constants"].pop(), "constants entry (1, 1) is missing"),
         (_set(["constants", 3, "terms", 1, "r"], 0),
          "constants entry (1, 1) has r values that do not increase strictly: [0, 0]"),
+        (_set(["nu"], "3/1"), 'field "nu" is "3/1": a table exported at a point does not load as polynomials'),
     ],
-    ids=["alpha", "basis-repeat", "p-range", "q-range", "r-range", "pair-repeat", "pair-missing", "r-order"],
+    ids=[
+        "alpha", "basis-repeat", "p-range", "q-range", "r-range", "pair-repeat", "pair-missing", "r-order",
+        "at-a-point",
+    ],
 )
 def test_malformed_json_tables_are_refused(edit, message):
     obj = structure_table(1).to_json_obj()
@@ -328,6 +335,26 @@ def test_positive_definite():
     # pivot at all in its second column
     assert not positive_definite([[0, 1], [1, 0]])
     assert not positive_definite([[1, 1], [1, 1]])
+    # a skipped column followed by a pivot in the next one
+    assert not positive_definite([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    assert positive_definite([])
+
+
+def test_rank():
+    # column 1 is column 0 once row 0 is eliminated, so it has no pivot;
+    # columns 2 and 3 still do, the first after a row exchange
+    skipped = [[1, 1, 0, 2], [2, 2, 0, 0], [3, 3, 1, 5]]
+    a = [[Fraction(x) for x in row] for row in skipped]
+    assert [(k, exchanged) for k, _, exchanged in _pivots(a)] == [(0, False), (2, True), (3, False)]
+    assert rank(skipped) == 3
+    assert rank([[1, 2, 3], [2, 4, 6]]) == 1
+    assert rank([[1, 2], [3, 4], [5, 6]]) == 2
+    assert rank([[0, 0, 1], [0, 0, 2], [1, 0, 0]]) == 2
+    assert rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert rank([[0, 0]]) == 0
+    assert rank([]) == 0
+    with pytest.raises(ValueError, match="equal length"):
+        rank([[1, 2], [3]])
 
 
 def test_evaluate_matrix():
@@ -349,6 +376,63 @@ def test_det_polynomial():
     # eliminated the second has no pivot left
     c = NuPoly.constant
     assert det_polynomial([[ONE, NU, ONE], [ONE, NU, c(2)], [ONE, NU, c(3)]]) == NuPoly.zero()
+
+
+def _point_det(mat, x) -> Fraction:
+    """det M(x): the signed product of the pivots, 0 when a column has none."""
+    det, count = Fraction(1), 0
+    for _, piv, exchanged in _pivots(evaluate_matrix(mat, Fraction(x))):
+        det *= -piv if exchanged else piv
+        count += 1
+    return det if count == len(mat) else Fraction(0)
+
+
+def _interpolated_det(mat) -> NuPoly:
+    """det M(nu) by Newton interpolation through all bound + 1 points x = 0..bound."""
+    bound = sum(max((int(c.degree) for c in row if c), default=0) for row in mat)
+    xs = list(range(bound + 1))
+    coeffs = [_point_det(mat, x) for x in xs]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    poly = NuPoly.zero()
+    for i in reversed(range(len(xs))):
+        poly = poly * (NU - NuPoly.constant(xs[i])) + NuPoly.constant(coeffs[i])
+    return poly
+
+
+@pytest.mark.parametrize(
+    "mat, expected",
+    [
+        # a root at 1/2, which no integer point sees
+        ([[NuPoly((-1, 2)), NuPoly.zero()], [NuPoly.zero(), NU]], NuPoly((0, -1, 2))),
+        # no rational root at all
+        ([[NuPoly((1, 0, 1))]], NuPoly((1, 0, 1))),
+        # a double root at 0 where the nullity is only 1
+        ([[NuPoly((0, 0, 1))]], NuPoly((0, 0, 1))),
+    ],
+    ids=["rational-root", "irreducible-quadratic", "multiplicity-above-nullity"],
+)
+def test_det_polynomial_interpolates_the_cofactor(mat, expected):
+    assert det_polynomial(mat) == expected == _interpolated_det(mat)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_trace_form_determinant_matches_full_interpolation(alpha):
+    B = trace_form(structure_table(alpha))
+    assert det_polynomial(B) == _interpolated_det(B)
+
+
+def test_det_polynomial_checks_the_cofactor_at_an_extra_point(monkeypatch):
+    # [[nu]] is singular at 0, so its cofactor is a constant read at 1 and
+    # checked at 2; a wrong value there is caught
+    def evaluate(mat, value):
+        return [[Fraction(5)]] if value == 2 else evaluate_matrix(mat, value)
+
+    monkeypatch.setattr(tables, "evaluate_matrix", evaluate)
+    with pytest.raises(ConsistencyError, match="extra-point check") as exc:
+        det_polynomial([[NU]])
+    assert exc.value.payload == {"point": "2"}
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,22 @@
 """Cross-checking suites: reports, warnings, and failure collection."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rookalg.algebra import basis_enumerate
 from rookalg.combinatorics import PartialInjection
 from rookalg.errors import CapacityError
-from rookalg.nupoly import NuPoly
+from rookalg.nupoly import NuPoly, format_rational
 from rookalg.oracle import BiinvariantElement, Context, dc_multiply, gen_hole
 from rookalg import verify
-from rookalg.tables import structure_table
+from rookalg.tables import det_polynomial, structure_table, trace_form
 from rookalg.verify import (
     VerificationReport,
     crosscheck_multi,
@@ -236,6 +240,42 @@ def test_root_multiplicities_count_the_rational_roots(alpha):
     assert sum(m["root_multiplicities"].values()) == len(m["rational_roots"])
     expanded = [r for r, k in m["root_multiplicities"].items() for _ in range(k)]
     assert expanded == m["rational_roots"]
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_probe_roots_match_factoring_the_whole_determinant(alpha):
+    # the reference route: sympy factors the expanded determinant
+    det = det_polynomial(trace_form(structure_table(alpha)))
+    expected = {format_rational(r): k for r, k in verify._rational_roots(det).items()}
+    assert semisimplicity_probe(alpha).metrics["root_multiplicities"] == expected
+
+
+def test_probe_adds_the_cofactor_roots_to_the_nullities(monkeypatch):
+    # det = nu^2 (2 nu - 1): nullity 1 at 0, and a cofactor nu (2 nu - 1)
+    # whose roots sympy finds, 0 among them
+    z = NuPoly.zero()
+    monkeypatch.setattr(verify, "trace_form", lambda tbl: [[NuPoly((0, 0, 1)), z], [z, NuPoly((-1, 2))]])
+    m = semisimplicity_probe(1).metrics
+    assert m["root_multiplicities"] == {"0/1": 2, "1/2": 1}
+    assert m["det_degree"] == 3
+    assert m["det_leading"] == "2/1"
+
+
+def test_probe_does_not_import_sympy_when_the_cofactor_is_constant():
+    # a fresh interpreter, so no earlier test has imported sympy already
+    import rookalg
+
+    src = str(Path(rookalg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys\n"
+        "from rookalg.verify import semisimplicity_probe\n"
+        "assert semisimplicity_probe(3).passed\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_monomial_images():
