@@ -120,8 +120,9 @@ class GroupAlgebraElement(SparseVector):
                 for gh, count in counts.items():
                     acc[gh] += w * count
         d = dx * dy
+        # each key is a product of two permutations, so valid by construction
         return GroupAlgebraElement._trusted(
-            self.ctx, {Permutation(tuple(gh)): Fraction(c, d) for gh, c in acc.items() if c}
+            self.ctx, {Permutation._trusted(tuple(gh)): Fraction(c, d) for gh, c in acc.items() if c}
         )
 
     def trace(self) -> Fraction:

@@ -3,13 +3,16 @@
 A structure table records, for every ordered pair of admissible basis
 monomials, the normal form of their product as polynomial-in-nu
 coefficients.  The 43,681 pairs at alpha=4 fuse to only 3,928 distinct
-states A(g) T_js, so a build reduces, indexes and checks each distinct
-fused state once, with one rewriting engine, and every pair that fuses to
-it shares that one row tuple.  Every read that turns each pair's row into
-a result (evaluation at a point, the JSON and CSV exports, the maximum
-degree, the trace form, the scaled limit and the oracle crosscheck's
-right-hand sides) goes through `StructureTable.map_rows`, which maps each
-distinct row once.
+states A(g) T_js, which give 3,928 distinct rows, so a table stores each
+distinct row once, in `rows`, and for each pair only the index of its
+row, in `row_of` (4 bytes a pair).  A build reduces, indexes and checks each
+distinct fused state once, with one rewriting engine.  A table read from
+outside goes through `StructureTable.from_pairs`, which interns its rows by
+value, so a loaded table has the same layout as the built one and equals
+it.  Every read that turns each pair's row into a result (evaluation at a
+point, the JSON and CSV exports, the trace form, the scaled limit and the
+oracle crosscheck's right-hand sides) goes through `StructureTable.map_rows`,
+which maps each row once and spreads the results over the pairs.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
@@ -22,13 +25,15 @@ the nullities leave.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import Monomial, Normalizer, basis_enumerate, fuse, star_state
 from .capacity import table_limit
@@ -37,14 +42,22 @@ from .errors import CapacityError, ConsistencyError
 from .nupoly import NuPoly, format_rational
 from .sparse import combine
 
+Row = tuple[tuple[int, NuPoly], ...]
+
 
 @dataclass(frozen=True)
 class StructureTable:
-    """Products of basis monomials: constants[(p, q)] = ((r, poly), ...)."""
+    """Products of basis monomials: the product of pair (p, q) is rows[row_of[p * dimension + q]].
+
+    rows holds each distinct row ((r, poly), ...) once, with r increasing, in
+    the order of the first pair (p, q) that reaches it; row_of holds one row
+    index per pair, in (p, q) order.
+    """
 
     alpha: int
     basis: tuple[Monomial, ...]
-    constants: dict[tuple[int, int], tuple[tuple[int, NuPoly], ...]]
+    rows: tuple[Row, ...]
+    row_of: array
     build_stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -58,34 +71,37 @@ class StructureTable:
     def index_of(self, m: Monomial) -> int:
         return self._index_map[m]
 
-    def product(self, ip: int, iq: int) -> tuple[tuple[int, NuPoly], ...]:
-        return self.constants[(ip, iq)]
+    def product(self, ip: int, iq: int) -> Row:
+        dim = len(self.basis)
+        if not (0 <= ip < dim and 0 <= iq < dim):
+            raise IndexError(f"pair ({ip}, {iq}) is outside range({dim})")
+        return self.rows[self.row_of[ip * dim + iq]]
+
+    def _pairs(self) -> Iterable[tuple[int, int]]:
+        """Every pair (p, q) in (p, q) order, the order of row_of and of map_rows."""
+        return itertools.product(range(self.dimension), repeat=2)
+
+    @property
+    def constants(self) -> dict[tuple[int, int], Row]:
+        """{(p, q): row}, built on each read; the table itself stores no pair-keyed dict."""
+        return dict(zip(self._pairs(), map(self.rows.__getitem__, self.row_of)))
 
     def max_degree(self) -> int:
-        degrees = self.map_rows(lambda row: max((int(c.degree) for _, c in row if c), default=0))
-        return max(degrees.values(), default=0)
+        return max((int(c.degree) for row in self.rows for _, c in row if c), default=0)
 
-    def map_rows(self, fn) -> dict:
-        """{(p, q): fn(row)} in (p, q) order, calling fn once per distinct row object.
+    def map_rows(self, fn) -> list:
+        """fn(self.product(p, q)) for every pair, in (p, q) order: pair (p, q) is at p * dimension + q.
 
-        Keyed on the row's identity: pairs that fuse to one state share one
-        row tuple, and hashing the (int, NuPoly) terms would cost what the
-        reuse saves.  Unshared rows, as from_json_obj makes, are each mapped
-        once, with the same result.
+        fn is called once per row, and its results are spread over the pairs
+        through row_of.
         """
-        done: dict[int, object] = {}
-        out = {}
-        for key in sorted(self.constants):
-            row = self.constants[key]
-            rid = id(row)
-            if rid not in done:
-                done[rid] = fn(row)
-            out[key] = done[rid]
-        return out
+        mapped = [fn(row) for row in self.rows]
+        return list(map(mapped.__getitem__, self.row_of))
 
     def evaluate(self, value) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
         """Specialize every constant at an exact rational value of nu."""
-        return self.map_rows(lambda row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v))
+        at = self.map_rows(lambda row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v))
+        return dict(zip(self._pairs(), at))
 
     @staticmethod
     def _exported_terms(row, nu):
@@ -103,10 +119,10 @@ class StructureTable:
                     yield ir, [format_rational(v)]
 
     def to_json_obj(self, nu=None) -> dict:
-        """The table as a JSON-ready dict; the entries of one shared row share its terms list."""
+        """The table as a JSON-ready dict; the entries of one row share its terms list."""
         basis = [{"g": list(m.perm.images), "I": list(m.holes)} for m in self.basis]
         terms = self.map_rows(lambda row: [{"r": r, "poly": ts} for r, ts in self._exported_terms(row, nu)])
-        constants = [{"p": ip, "q": iq, "terms": ts} for (ip, iq), ts in terms.items()]
+        constants = [{"p": ip, "q": iq, "terms": ts} for (ip, iq), ts in zip(self._pairs(), terms)]
         return {
             "alpha": self.alpha,
             "nu": None if nu is None else format_rational(Fraction(nu)),
@@ -117,10 +133,10 @@ class StructureTable:
     def canonical_json(self, nu=None) -> str:
         """json.dumps(self.to_json_obj(nu), indent=2) + "\n", byte for byte.
 
-        Written straight from basis and constants and joined once: the dict
-        tree of to_json_obj is never built, each distinct row's terms are
-        rendered once and shared by every entry that points at that row, and
-        the text is copied only by that one join.
+        Written straight from basis and rows and joined once: the dict tree
+        of to_json_obj is never built, each row's terms are rendered once and
+        shared by every entry that points at that row, and the text is copied
+        only by that one join.
         """
         nu_text = "null" if nu is None else f'"{format_rational(Fraction(nu))}"'
         basis = [
@@ -141,24 +157,25 @@ class StructureTable:
             return _json_list(terms, 6)
 
         sep = "[\n    "
-        for (ip, iq), terms_text in self.map_rows(render).items():
+        for (ip, iq), terms_text in zip(self._pairs(), self.map_rows(render)):
             chunks += (f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": ', terms_text, "\n    }")
             sep = ",\n    "
         chunks.append("[]\n}\n" if len(chunks) == 1 else "\n  ]\n}\n")
         return "".join(chunks)
 
     @classmethod
-    def from_json_obj(cls, obj) -> "StructureTable":
-        """The table that to_json_obj wrote; a malformed one raises ValueError naming the entry."""
-        if obj.get("nu") is not None:
-            raise ValueError(
-                f'field "nu" is "{obj["nu"]}": a table exported at a point does not load as polynomials'
-            )
-        alpha = int(obj["alpha"])
-        basis = tuple(
-            Monomial(Permutation(tuple(int(x) for x in e["g"])), tuple(int(x) for x in e["I"]))
-            for e in obj["basis"]
-        )
+    def from_pairs(cls, alpha: int, basis: Sequence[Monomial], pairs) -> "StructureTable":
+        """The table whose product of pair (p, q) is terms, for each ((p, q), terms) in pairs.
+
+        The one checking constructor: a malformed table raises ValueError
+        naming the entry.  Every basis monomial has degree alpha and appears
+        once; every pair of basis indices appears exactly once, with indices
+        in range and r values that increase strictly.  Equal rows are interned
+        by value in (p, q) order, so the layout does not depend on which row
+        objects the pairs share, and a table built by structure_table comes
+        back equal to itself.
+        """
+        basis = tuple(basis)
         first: dict[Monomial, int] = {}
         for i, m in enumerate(basis):
             if m.alpha != alpha:
@@ -167,32 +184,51 @@ class StructureTable:
                 raise ValueError(f"basis entry {i} repeats basis entry {first[m]}")
             first[m] = i
         dim = len(basis)
-        constants: dict[tuple[int, int], tuple[tuple[int, NuPoly], ...]] = {}
-        for entry in obj["constants"]:
-            key = (int(entry["p"]), int(entry["q"]))
-            terms = tuple(
-                (int(t["r"]), NuPoly.from_strings(t["poly"])) for t in entry["terms"]
-            )
+        slots: list[Row | None] = [None] * (dim * dim)
+        for (ip, iq), terms in pairs:
+            key = (ip, iq)
+            terms = tuple(terms)
             rs = [ir for ir, _ in terms]
             bad = [i for i in (*key, *rs) if not 0 <= i < dim]
             if bad:
                 raise ValueError(f"constants entry {key} has index {bad[0]} outside range({dim})")
             if any(a >= b for a, b in zip(rs, rs[1:])):
                 raise ValueError(f"constants entry {key} has r values that do not increase strictly: {rs}")
-            if key in constants:
+            if slots[ip * dim + iq] is not None:
                 raise ValueError(f"constants entry {key} repeats")
-            constants[key] = terms
-        if len(constants) < dim * dim:
-            missing = next((ip, iq) for ip in range(dim) for iq in range(dim) if (ip, iq) not in constants)
-            raise ValueError(f"constants entry {missing} is missing")
-        return cls(alpha, basis, constants)
+            slots[ip * dim + iq] = terms
+        if None in slots:
+            raise ValueError(f"constants entry {divmod(slots.index(None), dim)} is missing")
+        index: dict[Row, int] = {}
+        row_of = array("I", [index.setdefault(row, len(index)) for row in slots])
+        return cls(alpha, basis, tuple(index), row_of)
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "StructureTable":
+        """The table that to_json_obj wrote; a malformed one raises ValueError naming the entry."""
+        if obj.get("nu") is not None:
+            raise ValueError(
+                f'field "nu" is "{obj["nu"]}": a table exported at a point does not load as polynomials'
+            )
+        basis = [
+            Monomial(Permutation(tuple(int(x) for x in e["g"])), tuple(int(x) for x in e["I"]))
+            for e in obj["basis"]
+        ]
+        pairs = (
+            (
+                (int(e["p"]), int(e["q"])),
+                tuple((int(t["r"]), NuPoly.from_strings(t["poly"])) for t in e["terms"]),
+            )
+            for e in obj["constants"]
+        )
+        return cls.from_pairs(int(obj["alpha"]), basis, pairs)
 
     def to_csv(self, nu=None) -> str:
         def render(row) -> list[str]:
             return [f"{ir},{' '.join(texts)}" for ir, texts in self._exported_terms(row, nu)]
 
         lines = ["p,q,r,poly"]
-        for (ip, iq), tails in self.map_rows(render).items():
+        for (ip, iq), tails in zip(self._pairs(), self.map_rows(render)):
             lines.extend(f"{ip},{iq},{tail}" for tail in tails)
         return "\n".join(lines) + "\n"
 
@@ -213,10 +249,12 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
 
     Each pair (p, q) is fused to its state A(g) T_js.  A state not yet seen
     in this build is reduced by the build's one Normalizer, mapped to basis
-    indices, sorted and checked to have integer coefficients, once; every
-    pair that fuses to it points at that same row tuple.  A constant that is
-    not in Z[nu] raises ConsistencyError naming the first such pair in
-    (p, q) order, which is the pair that reached its row first.
+    indices, sorted and checked to have integer coefficients, once, and its
+    row is appended to rows; every pair records the index of its state's
+    row in row_of.  A row equal to an earlier one is not stored again, as
+    from_pairs interns rows.  A constant that is not in Z[nu] raises
+    ConsistencyError naming the first such pair in (p, q) order, which is
+    the pair that reached its row first.
 
     build_stats holds the rule counters of the Normalizer, plus the
     dimension and the build time.
@@ -234,15 +272,16 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
     basis = basis_enumerate(alpha)
     index = {m: i for i, m in enumerate(basis)}
     nz = Normalizer()
-    rows: dict[tuple[Permutation, tuple[int, ...]], tuple[tuple[int, NuPoly], ...]] = {}
-    constants: dict[tuple[int, int], tuple[tuple[int, NuPoly], ...]] = {}
+    row_index: dict[Row, int] = {}
+    state_row: dict[tuple[Permutation, tuple[int, ...]], int] = {}
+    row_of = array("I")
     for ip, p in enumerate(basis):
         for iq, q in enumerate(basis):
             state = fuse(p, q)
-            row = rows.get(state)
-            if row is None:
+            i = state_row.get(state)
+            if i is None:
                 nf = nz.reduce(*state)
-                row = rows[state] = tuple(sorted(((index[m], c) for m, c in nf.items()), key=lambda t: t[0]))
+                row = tuple(sorted(((index[m], c) for m, c in nf.items()), key=lambda t: t[0]))
                 # every rule coefficient lies in Z[nu], so every structure constant must too
                 for ir, poly in row:
                     for c in poly.coeffs:
@@ -251,9 +290,10 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
                                 "non-integral structure constant",
                                 {"p": ip, "q": iq, "r": ir, "coefficient": format_rational(c)},
                             )
-            constants[(ip, iq)] = row
+                i = state_row[state] = row_index.setdefault(row, len(row_index))
+            row_of.append(i)
     stats = dict(nz.stats, dimension=len(basis), elapsed_s=time.perf_counter() - t0)
-    table = StructureTable(alpha, basis, constants, stats)
+    table = StructureTable(alpha, basis, tuple(row_index), row_of, stats)
     if use_cache:
         _TABLE_CACHE[alpha] = table
     return table
@@ -307,7 +347,7 @@ def trace_form(table: StructureTable) -> tuple[tuple[NuPoly, ...], ...]:
     zero = NuPoly.zero()
     traces = table.map_rows(lambda row: next((poly for ir, poly in row if ir == ident), zero))
     n = table.dimension
-    return tuple(tuple(traces[(ip, iq)] for iq in range(n)) for ip in range(n))
+    return tuple(tuple(traces[ip * n : (ip + 1) * n]) for ip in range(n))
 
 
 def _pivots(a: list[list[Fraction]]):
@@ -474,7 +514,7 @@ def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
 def scaled_limit_table(table: StructureTable) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
     """{(p, q): limits of nu^(|I_r| - |I_p| - |I_q|) c^r_pq(nu)}; diverging entries are an error.
 
-    Each distinct row is read once, for the largest deg c^r + |I_r| over
+    Each row is read once, for the largest deg c^r + |I_r| over
     its terms and the leading coefficients of the terms that reach it;
     each pair then compares that with its own |I_p| + |I_q|.  A divergent
     entry names the first such pair in (p, q) order.
@@ -487,16 +527,15 @@ def scaled_limit_table(table: StructureTable) -> dict[tuple[int, int], tuple[tup
         return most, tuple(sorted(((ir, poly.leading) for e, ir, poly in reach if e == most), key=lambda t: t[0]))
 
     out = {}
-    for key, (most, leading) in table.map_rows(top).items():
-        ip, iq = key
+    for (ip, iq), (most, leading) in zip(table._pairs(), table.map_rows(top)):
         own = deg_of[ip] + deg_of[iq]
         if most > own:
             ir, poly = next(
-                (ir, poly) for ir, poly in table.constants[key] if poly and int(poly.degree) + deg_of[ir] > own
+                (ir, poly) for ir, poly in table.product(ip, iq) if poly and int(poly.degree) + deg_of[ir] > own
             )
             raise ConsistencyError(
                 "structure constant outgrows the scaled limit",
                 {"p": ip, "q": iq, "r": ir, "degree": int(poly.degree)},
             )
-        out[key] = leading if most == own else ()
+        out[(ip, iq)] = leading if most == own else ()
     return out

@@ -6,10 +6,12 @@ Every comparison is exact; there are no tolerances anywhere.
 
 The central suite is the structure-constant crosscheck: the polynomial
 table built by rewriting must reproduce, at nu = n, the multiplication of
-generator images computed by brute-force convolution.  When the number of
-checked integer points exceeds the maximum polynomial degree, the table is
-the unique polynomial family of that degree agreeing with the ground truth
-at the checked points, and the report says so.
+generator images computed by brute-force convolution.  Agreement at n fixes
+the constants at n only where the monomial images are linearly independent,
+which they are from n = alpha on.  When the number of such checked points
+exceeds the maximum polynomial degree, the table is the unique polynomial
+family of that degree agreeing with the ground truth there, and the report
+says so.
 
 Suites do not stop at the first failure: they keep checking and collect up
 to max_counterexamples of them (default 5) for diagnosis, with the full
@@ -57,6 +59,7 @@ from .tables import (
     evaluate_matrix,
     gram_matrix,
     positive_definite,
+    rank,
     scaled_limit_table,
     smallest_pd_nu,
     structure_table,
@@ -316,7 +319,7 @@ def crosscheck_structure(
         terms = ((poly.evaluate(n), imgs[ir].items()) for ir, poly in row)
         return BiinvariantElement._trusted(ctx, combine((c, v) for c, v in terms if c))
 
-    # one right-hand side per distinct row: the pairs of one fused state share it
+    # one right-hand side per row, shared by the pairs that point at it
     rhs_of = tbl.map_rows(table_side)
     dim = tbl.dimension
     dual_limit = dim if dim <= 12 else 12
@@ -329,7 +332,7 @@ def crosscheck_structure(
                 dual_checked += 1
                 if dc_multiply(imgs[ip], imgs[iq], via="convolve") != lhs:
                     col.add("route-disagreement", p=ip, q=iq)
-            rhs = rhs_of[(ip, iq)]
+            rhs = rhs_of[ip * dim + iq]
             if lhs != rhs:
                 col.add(
                     "structure-mismatch",
@@ -348,36 +351,53 @@ def crosscheck_structure(
     )
 
 
+def _image_rank(imgs: Sequence[BiinvariantElement]) -> int:
+    """Rank over Q of the elements, as coefficient vectors over the coset keys they use."""
+    keys = list(dict.fromkeys(k for x in imgs for k, _ in x.items()))
+    return rank([[x.coefficient(k) for k in keys] for x in imgs])
+
+
 def crosscheck_multi(
     alpha: int,
     ns: Iterable[int] | None = None,
     *,
     max_counterexamples: int = 5,
 ) -> VerificationReport:
-    """Crosscheck at several integer values; enough points pin the polynomials."""
+    """Crosscheck at several integer values; enough independent points pin the polynomials.
+
+    A point n counts toward pinning only when the monomial images at n have
+    full rank: below that, a wrong row plus a null vector of the images
+    agrees with the oracle at n.  The default points are n = alpha, ...,
+    ORACLE_DEGREE_LIMIT - alpha, at most max degree + 1 of them, since the
+    images are dependent below n = alpha.
+    """
     col = _Collector(max_counterexamples)
     tbl = structure_table(alpha)
     max_deg = tbl.max_degree()
     if ns is None:
-        # smallest tail degrees first; the generator relations hold for every
-        # n >= 1, so points below alpha are legitimate and cheap
-        ns = list(range(1, ORACLE_DEGREE_LIMIT - alpha + 1))[: max_deg + 1]
+        ns = list(range(alpha, ORACLE_DEGREE_LIMIT - alpha + 1))[: max_deg + 1]
     ns = tuple(ns)
     for n in ns:
         rep = crosscheck_structure(alpha, n, table=tbl, max_counterexamples=max_counterexamples)
         col.absorb(rep, n=n)
     points = len(set(ns))
-    pinned = points >= max_deg + 1
+    independent = [
+        n for n in sorted(set(ns))
+        if _image_rank(monomial_images(tbl.basis, Context(alpha, n))) == tbl.dimension
+    ]
+    pinned = len(independent) >= max_deg + 1
     if not pinned:
         col.warnings.append(
-            f"only {points} distinct points checked against polynomial degree {max_deg}; "
-            "equality is verified at those points but the polynomials are not pinned by them"
+            f"only {len(independent)} of the {points} distinct points checked have independent "
+            f"monomial images, against polynomial degree {max_deg}; equality is verified at the "
+            "points checked but the polynomials are not pinned by them"
         )
     return col.report(
         "crosscheck",
         {"alpha": alpha, "ns": list(ns)},
         dimension=tbl.dimension,
         points=points,
+        independent_points=independent,
         max_nu_degree=max_deg,
         degree_pinned=pinned,
     )

@@ -199,7 +199,21 @@ def test_verify_crosscheck_multi_point():
     assert code == 0
     obj = json.loads(out)
     assert obj["params"]["ns"] == [1, 2]
+    assert obj["metrics"]["independent_points"] == [1, 2]
     assert obj["metrics"]["degree_pinned"] is True
+
+
+@pytest.mark.parametrize("alpha, pinned", [(2, True), (3, False)])
+def test_verify_crosscheck_counts_only_independent_points(alpha, pinned):
+    # the default points n = alpha .. 8 - alpha all have independent images; at
+    # alpha = 3 they are one short of the four that degree 3 needs
+    code, out, _ = run_cli("verify", "crosscheck", "--alpha", str(alpha))
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["status"] == "pass"
+    assert obj["params"]["ns"] == obj["metrics"]["independent_points"] == [alpha, alpha + 1, alpha + 2]
+    assert obj["metrics"]["degree_pinned"] is pinned
+    assert bool(obj["warnings"]) is not pinned
 
 
 def test_verify_gram():
@@ -218,7 +232,9 @@ def test_verify_gram():
 # every suite's report was built by one collector; the limit entries were
 # recorded before the scaled limit was computed once per distinct row; the
 # normalize entries, whose words fire the square, swap and erase rules, were
-# recorded before the rewriting sites were listed by one function
+# recorded before the rewriting sites were listed by one function; the verify
+# crosscheck --alpha 2 entry was recorded when the default points became
+# n = alpha .. 8 - alpha and the report began to list its independent points
 GOLDEN_STDOUT_SHA256 = {
     "gram --alpha 3": "afa961de8091123f3ae33d5609366add49f16773721bd3336b0c7eedc6b74be6",
     "gram --alpha 3 --nu 5/2": "11c190e9df27f3cbca9fb4aa3ba803f3ae257560e0d532f7cbc2e51aeccb4e3c",
@@ -227,7 +243,7 @@ GOLDEN_STDOUT_SHA256 = {
     "verify dims --alpha 3": "a16f653447723186a87bf10990e92206baa63e01411b6b51c4b2189cbdf1cf0d",
     "verify relations --alpha 2 --n 3": "00acdfcc4db5ad9e0e762008bbc7bec5ec53177be8f7f65d2788819f344749ce",
     "verify crosscheck --alpha 2 --n 3": "38ec296f165d482f155a3e7d4be701973521dbe4c27167d5ef87ef65386cb08a",
-    "verify crosscheck --alpha 2": "9a9b8506563bcce5b72300d195e316ecb3c3533874d347d593bb94cea68ad35b",
+    "verify crosscheck --alpha 2": "54bc3d714e949bb9fce08124925e3f998ced93fee935b3538a90334f44e73bc8",
     "verify limit --alpha 3": "6f153f3c2274ddf2bf0d9c3be1e983de48f2b5ece83ba11be876c8efd68caadc",
     "limit --alpha 3": "c5d5837c3c5315098f042a613c1c01847290bf206e191a64aeb518b127c0171d",
     "limit --alpha 3 --format json": "3a3979740c69149eddaed699418f038c91634f67b18545064ba170bff7cbe7a5",

@@ -69,6 +69,21 @@ def test_delta_convolution_follows_the_group_law():
             assert lhs == GroupAlgebraElement.delta(ctx, u * v)
 
 
+def test_convolution_keys_hash_and_compare_like_checked_permutations():
+    # the product's keys are built without the check; each must be the
+    # checked permutation in every way a dict or a set can tell
+    ctx = Context(1, 3)
+    x = GroupAlgebraElement(ctx, {u: i + 1 for i, u in enumerate(all_permutations(4))})
+    product = x * x.star()
+    assert len(product.items()) == 24
+    for key, c in product.items():
+        checked = Permutation(tuple(key.images))
+        assert type(key) is Permutation and type(key.images) is tuple
+        assert key == checked and hash(key) == hash(checked)
+        assert product.coefficient(checked) == c
+    assert set(dict(product.items())) == set(all_permutations(4))
+
+
 def test_group_algebra_star_trace_inner():
     ctx = Context(1, 2)
     u = Permutation((2, 1, 3))

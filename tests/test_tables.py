@@ -3,8 +3,8 @@
 import hashlib
 import io
 import json
+from array import array
 from contextlib import redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -44,6 +44,9 @@ def test_table_alpha1_golden():
     assert t.product(0, 1) == ((1, ONE),)
     assert t.product(1, 0) == ((1, ONE),)
     assert dict(t.product(1, 1)) == {0: NU, 1: NuPoly((-1, 1))}
+    for ip, iq in ((0, 2), (2, 0), (0, -1), (-1, 1)):
+        with pytest.raises(IndexError, match=rf"pair \({ip}, {iq}\) is outside range\(2\)"):
+            t.product(ip, iq)
 
 
 def test_index_of():
@@ -92,8 +95,8 @@ def test_alpha3_exports_are_byte_identical():
 
 def test_table_constants_are_integers():
     for alpha in (1, 2, 3):
-        for terms in structure_table(alpha).constants.values():
-            for _, poly in terms:
+        for row in structure_table(alpha).rows:
+            for _, poly in row:
                 assert all(type(c) is int for c in poly.coeffs)
 
 
@@ -122,42 +125,50 @@ def test_non_integral_constant_raises(monkeypatch):
     assert excinfo.value.payload == {"p": ip, "q": iq, "r": 0, "coefficient": "1/2"}
 
 
-def test_shared_rows_export_like_unshared_rows():
-    shared = structure_table(3, use_cache=False)
-    # one row object per distinct fused state, shared by the pairs that reach it
-    states = {fuse(p, q) for p in shared.basis for q in shared.basis}
-    assert len({id(row) for row in shared.constants.values()}) == len(states)
-    # a loaded table has one row tuple per entry, so nothing is reused
-    unshared = StructureTable.from_json_obj(shared.to_json_obj())
-    assert len({id(row) for row in unshared.constants.values()}) == len(unshared.constants)
-    for nu in (None, 0, 1, Fraction(5, 2), -1):
-        assert shared.canonical_json(nu) == unshared.canonical_json(nu)
-        assert shared.to_csv(nu) == unshared.to_csv(nu)
-    assert shared.evaluate(4) == unshared.evaluate(4)
-    assert trace_form(shared) == trace_form(unshared)
-    assert (
-        crosscheck_structure(3, 3, table=shared).canonical_json()
-        == crosscheck_structure(3, 3, table=unshared).canonical_json()
-    )
-
-
 def test_map_rows_maps_each_distinct_row_once():
     built = structure_table(3, use_cache=False)
+    # one row per distinct fused state, and one row index per pair
+    states = {fuse(p, q) for p in built.basis for q in built.basis}
+    assert len(built.rows) == len(set(built.rows)) == len(states)
+    assert len(built.row_of) == built.dimension**2
+    # a loaded table, and the same entries given in reverse (p, q) order, intern
+    # their rows by value into the built table's layout
     loaded = StructureTable.from_json_obj(built.to_json_obj())
-    # the same entries, inserted in reverse (p, q) order
-    reversed_order = replace(built, constants=dict(reversed(list(built.constants.items()))))
-    calls = {}
-    for name, table in (("built", built), ("loaded", loaded), ("reversed", reversed_order)):
+    reordered = StructureTable.from_pairs(3, built.basis, reversed(list(built.constants.items())))
+    assert loaded == built == reordered
+    pairs = [(ip, iq) for ip in range(built.dimension) for iq in range(built.dimension)]
+    for table in (built, loaded, reordered):
         seen = []
         out = table.map_rows(lambda row: seen.append(row) or len(seen) - 1)
-        assert list(out) == sorted(table.constants)
-        assert len(seen) == len({id(row) for row in seen})
-        for key, row in table.constants.items():
-            assert seen[out[key]] is row
-        calls[name] = len(seen)
-    # one call per fused state on a built table, one per entry on a loaded one
-    assert calls["built"] == calls["reversed"] == len({fuse(p, q) for p in built.basis for q in built.basis})
-    assert calls["loaded"] == len(loaded.constants) > calls["built"]
+        assert seen == list(table.rows)
+        assert len(out) == len(pairs)
+        for (ip, iq), k in zip(pairs, out):
+            assert seen[k] is table.product(ip, iq)
+
+
+def test_shared_rows_export_like_unshared_rows():
+    shared = structure_table(3, use_cache=False)
+    # one row per distinct fused state, shared by the pairs that reach it
+    states = {fuse(p, q) for p in shared.basis for q in shared.basis}
+    assert len(shared.rows) == len(states) < len(shared.row_of)
+    # the same products with one row per pair, so that no row is shared
+    n = shared.dimension**2
+    unshared = StructureTable(
+        shared.alpha, shared.basis, tuple(map(shared.rows.__getitem__, shared.row_of)), array("I", range(n))
+    )
+    assert len(unshared.rows) == n
+    assert unshared.constants == shared.constants
+    loaded = StructureTable.from_json_obj(shared.to_json_obj())
+    for table in (unshared, loaded):
+        for nu in (None, 0, 1, Fraction(5, 2), -1):
+            assert shared.canonical_json(nu) == table.canonical_json(nu)
+            assert shared.to_csv(nu) == table.to_csv(nu)
+        assert shared.evaluate(4) == table.evaluate(4)
+        assert trace_form(shared) == trace_form(table)
+        assert (
+            crosscheck_structure(3, 3, table=shared).canonical_json()
+            == crosscheck_structure(3, 3, table=table).canonical_json()
+        )
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -470,15 +481,13 @@ def test_scaled_limit_reproduces_rook_composition(alpha):
 
 def test_scaled_limit_reads_each_pairs_own_hole_count_on_a_shared_row():
     # nu A(1) scales to 1 against |I_0| + |I_1| = 1 and vanishes against
-    # |I_1| + |I_1| = 2, whether or not the two pairs share the row object
+    # |I_1| + |I_1| = 2, though the two pairs point at one row
     t = structure_table(1)
-    row = ((0, NU),)
-    shared = replace(t, constants={**t.constants, (0, 1): row, (1, 1): row})
-    unshared = replace(t, constants={**t.constants, (0, 1): row, (1, 1): ((0, NU),)})
-    for table in (shared, unshared):
-        limits = scaled_limit_table(table)
-        assert limits[(0, 1)] == ((0, Fraction(1)),)
-        assert limits[(1, 1)] == ()
+    table = StructureTable.from_pairs(1, t.basis, {**t.constants, (0, 1): ((0, NU),), (1, 1): ((0, NU),)}.items())
+    assert table.row_of[0 * 2 + 1] == table.row_of[1 * 2 + 1]
+    limits = scaled_limit_table(table)
+    assert limits[(0, 1)] == ((0, Fraction(1)),)
+    assert limits[(1, 1)] == ()
 
 
 def test_clear_caches_empties_every_module_level_cache():
@@ -489,7 +498,7 @@ def test_clear_caches_empties_every_module_level_cache():
     rookalg.clear_caches()
     fresh = structure_table(2)
     assert fresh is not table
-    assert fresh.constants == table.constants
+    assert fresh == table
     assert not default_normalizer()._cache
     for cached in (rookalg.subgroup_elements, rookalg.canonical_completion, rookalg.coset_enumerate):
         assert cached.cache_info().currsize == 0

@@ -4,19 +4,18 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rookalg.algebra import basis_enumerate
-from rookalg.combinatorics import PartialInjection
+from rookalg.combinatorics import PartialInjection, rook_enumerate
 from rookalg.errors import CapacityError
 from rookalg.nupoly import NuPoly, format_rational
 from rookalg.oracle import BiinvariantElement, Context, dc_multiply, gen_hole
 from rookalg import verify
-from rookalg.tables import det_polynomial, structure_table, trace_form
+from rookalg.tables import StructureTable, _det_factors, det_polynomial, structure_table, trace_form
 from rookalg.verify import (
     VerificationReport,
     crosscheck_multi,
@@ -100,16 +99,17 @@ def test_crosscheck_dual_route_runs_at_small_degree():
     assert r.metrics["dual_route_pairs"] > 0
 
 
+def _tampered(t, rows):
+    """t with the entries {(p, q): row} replaced, through the checking constructor."""
+    return StructureTable.from_pairs(t.alpha, t.basis, {**t.constants, **rows}.items())
+
+
 def test_crosscheck_detects_a_tampered_table():
     t = structure_table(1)
-    bad_constants = dict(t.constants)
-    # one row object shared by three pairs, as the table build shares rows:
-    # its right-hand side is built once, but every pair is still reported
+    # one row for three pairs: its right-hand side is built once, but every
+    # pair is still reported
     bad_row = ((0, NuPoly.one()),)
-    bad_constants[(0, 1)] = bad_row
-    bad_constants[(1, 0)] = bad_row
-    bad_constants[(1, 1)] = bad_row
-    bad = replace(t, constants=bad_constants)
+    bad = _tampered(t, {(0, 1): bad_row, (1, 0): bad_row, (1, 1): bad_row})
     r = crosscheck_structure(1, 2, table=bad)
     assert not r.passed
     assert r.status == "fail"
@@ -130,11 +130,8 @@ def test_crosscheck_detects_a_tampered_table():
 
 def test_counterexample_cap():
     t = structure_table(1)
-    bad_constants = dict(t.constants)
-    bad_constants[(0, 1)] = ((0, NuPoly.one()),)
-    bad_constants[(1, 0)] = ((0, NuPoly.one()),)
-    bad_constants[(1, 1)] = ((0, NuPoly.one()),)
-    bad = replace(t, constants=bad_constants)
+    bad_row = ((0, NuPoly.one()),)
+    bad = _tampered(t, {(0, 1): bad_row, (1, 0): bad_row, (1, 1): bad_row})
     r = crosscheck_structure(1, 2, table=bad, max_counterexamples=1)
     assert len(r.counterexamples) == 1
     # the count keeps tallying past the cap
@@ -149,13 +146,9 @@ def test_negative_counterexample_cap_is_refused():
 
 
 def test_crosscheck_multi_merges_the_points(monkeypatch):
-    t = structure_table(1)
-    bad_constants = dict(t.constants)
     bad_row = ((0, NuPoly.one()),)
-    bad_constants[(0, 1)] = bad_row
-    bad_constants[(1, 0)] = bad_row
-    bad_constants[(1, 1)] = bad_row
-    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: replace(t, constants=bad_constants))
+    bad = _tampered(structure_table(1), {(0, 1): bad_row, (1, 0): bad_row, (1, 1): bad_row})
+    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: bad)
     r = crosscheck_multi(1, ns=(1, 2), max_counterexamples=4)
     assert r.status == "fail"
     # at n = 1 the true (1,1) product (nu-1) T1 + nu is nu = 1, the tampered row
@@ -186,6 +179,75 @@ def test_crosscheck_multi_warns_when_not_pinned():
     assert any("pin" in w for w in r.warnings)
 
 
+def _null_vector(imgs) -> list[Fraction]:
+    """A nonzero k with sum_r k[r] imgs[r] = 0: eliminate [M | I] on M's columns, read I's part."""
+    keys = list(dict.fromkeys(key for x in imgs for key, _ in x.items()))
+    dim = len(imgs)
+    a = [[Fraction(x.coefficient(key)) for key in keys] + [Fraction(r == i) for i in range(dim)]
+         for r, x in enumerate(imgs)]
+    top = 0
+    for col in range(len(keys)):
+        piv = next((i for i in range(top, dim) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        for i in range(top + 1, dim):
+            f = a[i][col] / a[top][col]
+            a[i] = [u - f * v for u, v in zip(a[i], a[top])]
+        top += 1
+    assert top < dim, "the images are independent"
+    return a[top][len(keys):]
+
+
+def test_crosscheck_multi_catches_a_tamper_in_the_null_space_of_dependent_images(monkeypatch):
+    # entry (5, 7) plus (nu-3)(nu-4)[(2-nu) k1 + (nu-1) k2], with k_n a null vector of
+    # the images at n: it vanishes at n = 3, 4 and is a null vector at n = 1, 2, so
+    # it agrees with the oracle at n = 1..4, and it keeps the degree at 3
+    t = structure_table(3)
+    k1, k2 = (_null_vector(monomial_images(t.basis, Context(3, n))) for n in (1, 2))
+    w = NuPoly((12, -7, 1))  # (nu - 3)(nu - 4)
+    row = dict(t.product(5, 7))
+    for r in range(t.dimension):
+        extra = w * (NuPoly((2, -1)) * NuPoly((k1[r],)) + NuPoly((-1, 1)) * NuPoly((k2[r],)))
+        row[r] = row.get(r, NuPoly.zero()) + extra
+    bad = _tampered(t, {(5, 7): tuple(sorted(((r, p) for r, p in row.items() if p), key=lambda e: e[0]))})
+    assert bad != t and bad.max_degree() == t.max_degree() == 3
+    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: bad)
+    # the old default points agree everywhere, and only two of them are independent
+    old = crosscheck_multi(3, ns=(1, 2, 3, 4))
+    assert old.passed
+    assert old.metrics["independent_points"] == [3, 4]
+    assert old.metrics["degree_pinned"] is False
+    # the default points are all independent, and n = 5 catches the tamper
+    r = crosscheck_multi(3)
+    assert r.status == "fail"
+    assert r.params["ns"] == r.metrics["independent_points"] == [3, 4, 5]
+    assert [(c["n"], c["p"], c["q"]) for c in r.counterexamples] == [(5, 5, 7)]
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_image_rank_counts_the_rooks_of_corank_at_most_n(alpha):
+    # measured: 6, 7, 7 at alpha = 2 and 24, 33, 34, 34, 34 at alpha = 3, n = 1..5
+    t = structure_table(alpha)
+    for n in range(1, 6):
+        expected = sum(1 for s in rook_enumerate(alpha) if alpha - s.rank <= n)
+        assert verify._image_rank(monomial_images(t.basis, Context(alpha, n))) == expected
+
+
+@pytest.mark.parametrize("alpha, expected", [(1, {}), (2, {1: 1}), (3, {1: 10, 2: 1})])
+def test_trace_form_nullity_is_the_rank_defect_of_the_images(alpha, expected):
+    # two routes to one number: the nullity of the trace form at nu = x, and
+    # dimension minus the oracle's rank of the monomial images at n = x
+    t = structure_table(alpha)
+    nullities, _ = _det_factors(trace_form(t))
+    defects = {}
+    for x in range(1, alpha):
+        defects[x] = t.dimension - verify._image_rank(monomial_images(t.basis, Context(alpha, x)))
+    assert {x: k for x, k in nullities.items() if x >= 1} == defects == expected
+    # at x >= alpha the images are independent, and the trace form is not singular
+    assert all(x < alpha for x in nullities)
+
+
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_limit_suite(alpha):
     r = limit_suite(alpha)
@@ -194,10 +256,8 @@ def test_limit_suite(alpha):
 
 
 def test_limit_suite_reports_a_divergent_entry(monkeypatch):
-    t = structure_table(1)
-    bad_constants = dict(t.constants)
-    bad_constants[(0, 0)] = ((0, NuPoly.nu()),)
-    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: replace(t, constants=bad_constants))
+    bad = _tampered(structure_table(1), {(0, 0): ((0, NuPoly.nu()),)})
+    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: bad)
     r = limit_suite(1)
     assert r.status == "fail"
     assert [c["kind"] for c in r.counterexamples] == ["divergent-entry"]
