@@ -247,6 +247,7 @@ _DEFAULT_NORMALIZER = Normalizer()
 
 
 def default_normalizer() -> Normalizer:
+    """The Normalizer that element arithmetic shares; public because the bench/ tracer reads its stats."""
     return _DEFAULT_NORMALIZER
 
 

@@ -9,10 +9,11 @@ row, in `row_of` (4 bytes a pair).  A build reduces, indexes and checks each
 distinct fused state once, with one rewriting engine.  A table read from
 outside goes through `StructureTable.from_pairs`, which interns its rows by
 value, so a loaded table has the same layout as the built one and equals
-it.  Every read that turns each pair's row into a result (evaluation at a
-point, the JSON and CSV exports, the trace form, the scaled limit and the
-oracle crosscheck's right-hand sides) goes through `StructureTable.map_rows`,
-which maps each row once and spreads the results over the pairs.
+it.  Every read that turns each pair's row into a result (the JSON and CSV
+exports, the trace form, the scaled limit and the oracle crosscheck's
+right-hand sides) goes through `StructureTable.map_rows`, which maps each
+row once and spreads the results over the pairs in (p, q) order.
+`canonical_json` is the one JSON writer.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
@@ -83,7 +84,7 @@ class StructureTable:
 
     @property
     def constants(self) -> dict[tuple[int, int], Row]:
-        """{(p, q): row}, built on each read; the table itself stores no pair-keyed dict."""
+        """{(p, q): row}, built on each read; kept because the benchmark tracer in bench/ reads it."""
         return dict(zip(self._pairs(), map(self.rows.__getitem__, self.row_of)))
 
     def max_degree(self) -> int:
@@ -97,11 +98,6 @@ class StructureTable:
         """
         mapped = [fn(row) for row in self.rows]
         return list(map(mapped.__getitem__, self.row_of))
-
-    def evaluate(self, value) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        """Specialize every constant at an exact rational value of nu."""
-        at = self.map_rows(lambda row: tuple((ir, v) for ir, c in row for v in (c.evaluate(value),) if v))
-        return dict(zip(self._pairs(), at))
 
     @staticmethod
     def _exported_terms(row, nu):
@@ -118,25 +114,12 @@ class StructureTable:
                 if v:
                     yield ir, [format_rational(v)]
 
-    def to_json_obj(self, nu=None) -> dict:
-        """The table as a JSON-ready dict; the entries of one row share its terms list."""
-        basis = [{"g": list(m.perm.images), "I": list(m.holes)} for m in self.basis]
-        terms = self.map_rows(lambda row: [{"r": r, "poly": ts} for r, ts in self._exported_terms(row, nu)])
-        constants = [{"p": ip, "q": iq, "terms": ts} for (ip, iq), ts in zip(self._pairs(), terms)]
-        return {
-            "alpha": self.alpha,
-            "nu": None if nu is None else format_rational(Fraction(nu)),
-            "basis": basis,
-            "constants": constants,
-        }
-
     def canonical_json(self, nu=None) -> str:
-        """json.dumps(self.to_json_obj(nu), indent=2) + "\n", byte for byte.
+        """The table as JSON, indented as json.dumps(indent=2) would, with a final newline.
 
-        Written straight from basis and rows and joined once: the dict tree
-        of to_json_obj is never built, each row's terms are rendered once and
-        shared by every entry that points at that row, and the text is copied
-        only by that one join.
+        "constants" holds one {"p", "q", "terms"} entry per pair in (p, q)
+        order.  Each row's terms are rendered once and shared by every entry
+        that points at that row, and the text is copied only by one join.
         """
         nu_text = "null" if nu is None else f'"{format_rational(Fraction(nu))}"'
         basis = [
@@ -205,7 +188,7 @@ class StructureTable:
 
     @classmethod
     def from_json_obj(cls, obj) -> "StructureTable":
-        """The table that to_json_obj wrote; a malformed one raises ValueError naming the entry."""
+        """The table from json.loads of its canonical_json(); a malformed one raises ValueError naming it."""
         if obj.get("nu") is not None:
             raise ValueError(
                 f'field "nu" is "{obj["nu"]}": a table exported at a point does not load as polynomials'
@@ -246,6 +229,8 @@ _TABLE_CACHE: dict[int, StructureTable] = {}
 
 def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
     """Build (or fetch) the full structure table for S_alpha.
+
+    use_cache=False builds afresh, kept because bench/ counter tests read a fresh build's stats.
 
     Each pair (p, q) is fused to its state A(g) T_js.  A state not yet seen
     in this build is reduced by the build's one Normalizer, mapped to basis
@@ -511,13 +496,13 @@ def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
     return _times_roots(*_det_factors(mat))
 
 
-def scaled_limit_table(table: StructureTable) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-    """{(p, q): limits of nu^(|I_r| - |I_p| - |I_q|) c^r_pq(nu)}; diverging entries are an error.
+def scaled_limit_table(table: StructureTable) -> list[tuple[tuple[int, Fraction], ...]]:
+    """((r, lim nu^(|I_r| - |I_p| - |I_q|) c^r_pq(nu)), ...) per pair, in map_rows's (p, q) order.
 
     Each row is read once, for the largest deg c^r + |I_r| over
     its terms and the leading coefficients of the terms that reach it;
     each pair then compares that with its own |I_p| + |I_q|.  A divergent
-    entry names the first such pair in (p, q) order.
+    entry is an error naming the first such pair in (p, q) order.
     """
     deg_of = [m.hole_degree for m in table.basis]
 
@@ -526,7 +511,7 @@ def scaled_limit_table(table: StructureTable) -> dict[tuple[int, int], tuple[tup
         most = max((e for e, _, _ in reach), default=-1)
         return most, tuple(sorted(((ir, poly.leading) for e, ir, poly in reach if e == most), key=lambda t: t[0]))
 
-    out = {}
+    out = []
     for (ip, iq), (most, leading) in zip(table._pairs(), table.map_rows(top)):
         own = deg_of[ip] + deg_of[iq]
         if most > own:
@@ -537,5 +522,5 @@ def scaled_limit_table(table: StructureTable) -> dict[tuple[int, int], tuple[tup
                 "structure constant outgrows the scaled limit",
                 {"p": ip, "q": iq, "r": ir, "degree": int(poly.degree)},
             )
-        out[(ip, iq)] = leading if most == own else ()
+        out.append(leading if most == own else ())
     return out

@@ -15,9 +15,10 @@ says so.
 
 Suites do not stop at the first failure: they keep checking and collect up
 to max_counterexamples of them (default 5) for diagnosis, with the full
-failure count in the metrics.  One collector per run times it, merges the
-reports of its sub-runs and builds its report; the report's canonical JSON
-leaves the timing out, so equal runs print equal bytes.
+failure count in the metrics.  One collector per run times it and builds
+its report; a suite that checks several points adds every point's failures
+to that one collector.  The report's canonical JSON leaves the timing out,
+so equal runs print equal bytes.
 """
 from __future__ import annotations
 
@@ -122,13 +123,6 @@ class _Collector:
         if len(self.kept) < self.cap:
             self.kept.append({"kind": kind, **info})
 
-    def absorb(self, rep: VerificationReport, **extra) -> None:
-        """Merge a sub-report; its counterexamples are tagged with `extra`."""
-        self.total += rep.metrics["failure_count"]
-        room = max(0, self.cap - len(self.kept))
-        self.kept.extend(dict(c, **extra) for c in rep.counterexamples[:room])
-        self.warnings.extend(rep.warnings)
-
     def report(self, suite: str, params: dict, **metrics) -> VerificationReport:
         return VerificationReport(
             suite=suite,
@@ -149,6 +143,14 @@ def _require_oracle_degree(ctx: Context) -> None:
         raise CapacityError(
             f"brute-force check at degree {ctx.degree} exceeds the limit {ORACLE_DEGREE_LIMIT}"
         )
+
+
+def _default_points(alpha: int, count: int) -> tuple[int, ...]:
+    """The first `count` points n >= alpha with alpha + n <= ORACLE_DEGREE_LIMIT.
+
+    Below n = alpha the monomial images are dependent.
+    """
+    return tuple(range(alpha, ORACLE_DEGREE_LIMIT - alpha + 1))[:count]
 
 
 def _pairs_obj(x: BiinvariantElement) -> list:
@@ -174,9 +176,7 @@ def dimension_suite(
 ) -> VerificationReport:
     """Count everything three ways: closed form, enumeration, representation theory."""
     col = _Collector(max_counterexamples)
-    if ns is None:
-        ns = (alpha,) if 2 * alpha <= ORACLE_DEGREE_LIMIT else ()
-    ns = tuple(ns)
+    ns = _default_points(alpha, 1) if ns is None else tuple(ns)
     counted = rook_count(alpha)
     enumerated = len(rook_enumerate(alpha))
     basis_len = len(basis_enumerate(alpha))
@@ -300,23 +300,16 @@ def relation_suite(alpha: int, n: int, *, max_counterexamples: int = 5) -> Verif
     )
 
 
-def crosscheck_structure(
-    alpha: int,
-    n: int,
-    *,
-    table: StructureTable | None = None,
-    max_counterexamples: int = 5,
-) -> VerificationReport:
-    """Structure constants at nu = n against brute-force convolution, all pairs."""
-    col = _Collector(max_counterexamples)
-    ctx = Context(alpha, n)
-    _require_oracle_degree(ctx)
-    tbl = table if table is not None else structure_table(alpha)
+def _check_point(col: _Collector, tbl: StructureTable, ctx: Context, **tag) -> tuple[list, int]:
+    """Every pair at nu = ctx.n against convolution, failures tagged with `tag`.
+
+    Returns the images at ctx.n and the number of pairs also checked by the convolve route.
+    """
     imgs = monomial_images(tbl.basis, ctx)
 
     def table_side(row) -> BiinvariantElement:
         # the keys are the images' own, already valid in ctx
-        terms = ((poly.evaluate(n), imgs[ir].items()) for ir, poly in row)
+        terms = ((poly.evaluate(ctx.n), imgs[ir].items()) for ir, poly in row)
         return BiinvariantElement._trusted(ctx, combine((c, v) for c, v in terms if c))
 
     # one right-hand side per row, shared by the pairs that point at it
@@ -331,7 +324,7 @@ def crosscheck_structure(
             if dual_route and ip < dual_limit and iq < dual_limit:
                 dual_checked += 1
                 if dc_multiply(imgs[ip], imgs[iq], via="convolve") != lhs:
-                    col.add("route-disagreement", p=ip, q=iq)
+                    col.add("route-disagreement", p=ip, q=iq, **tag)
             rhs = rhs_of[ip * dim + iq]
             if lhs != rhs:
                 col.add(
@@ -340,12 +333,23 @@ def crosscheck_structure(
                     q=iq,
                     convolution=_pairs_obj(lhs),
                     table=_pairs_obj(rhs),
+                    **tag,
                 )
+    return imgs, dual_checked
+
+
+def crosscheck_structure(alpha: int, n: int, *, max_counterexamples: int = 5) -> VerificationReport:
+    """Structure constants at nu = n against brute-force convolution, all pairs."""
+    col = _Collector(max_counterexamples)
+    ctx = Context(alpha, n)
+    _require_oracle_degree(ctx)
+    tbl = structure_table(alpha)
+    _, dual_checked = _check_point(col, tbl, ctx)
     return col.report(
         "crosscheck",
         {"alpha": alpha, "n": n},
-        dimension=dim,
-        pairs=dim * dim,
+        dimension=tbl.dimension,
+        pairs=tbl.dimension**2,
         dual_route_pairs=dual_checked,
         max_nu_degree=tbl.max_degree(),
     )
@@ -365,7 +369,8 @@ def crosscheck_multi(
 ) -> VerificationReport:
     """Crosscheck at several integer values; enough independent points pin the polynomials.
 
-    A point n counts toward pinning only when the monomial images at n have
+    Each point is checked once, its counterexamples tagged with n.  A point
+    n counts toward pinning only when the images the check used there have
     full rank: below that, a wrong row plus a null vector of the images
     agrees with the oracle at n.  The default points are n = alpha, ...,
     ORACLE_DEGREE_LIMIT - alpha, at most max degree + 1 of them, since the
@@ -374,17 +379,15 @@ def crosscheck_multi(
     col = _Collector(max_counterexamples)
     tbl = structure_table(alpha)
     max_deg = tbl.max_degree()
-    if ns is None:
-        ns = list(range(alpha, ORACLE_DEGREE_LIMIT - alpha + 1))[: max_deg + 1]
-    ns = tuple(ns)
+    ns = _default_points(alpha, max_deg + 1) if ns is None else tuple(ns)
+    independent = set()
     for n in ns:
-        rep = crosscheck_structure(alpha, n, table=tbl, max_counterexamples=max_counterexamples)
-        col.absorb(rep, n=n)
+        ctx = Context(alpha, n)
+        _require_oracle_degree(ctx)
+        imgs, _ = _check_point(col, tbl, ctx, n=n)
+        if _image_rank(imgs) == tbl.dimension:
+            independent.add(n)
     points = len(set(ns))
-    independent = [
-        n for n in sorted(set(ns))
-        if _image_rank(monomial_images(tbl.basis, Context(alpha, n))) == tbl.dimension
-    ]
     pinned = len(independent) >= max_deg + 1
     if not pinned:
         col.warnings.append(
@@ -397,7 +400,7 @@ def crosscheck_multi(
         {"alpha": alpha, "ns": list(ns)},
         dimension=tbl.dimension,
         points=points,
-        independent_points=independent,
+        independent_points=sorted(independent),
         max_nu_degree=max_deg,
         degree_pinned=pinned,
     )
@@ -415,18 +418,17 @@ def limit_suite(alpha: int, *, max_counterexamples: int = 5) -> VerificationRepo
         return col.report("limit", {"alpha": alpha})
     rooks = [m.to_rook() for m in tbl.basis]
     index_of_rook = {sigma: i for i, sigma in enumerate(rooks)}
-    for ip in range(tbl.dimension):
-        for iq in range(tbl.dimension):
-            expected_ir = index_of_rook[rooks[ip] * rooks[iq]]
-            got = limits[(ip, iq)]
-            if got != ((expected_ir, Fraction(1)),):
-                col.add(
-                    "limit-mismatch",
-                    p=ip,
-                    q=iq,
-                    expected_r=expected_ir,
-                    got=[[ir, format_rational(c)] for ir, c in got],
-                )
+    for k, got in enumerate(limits):
+        ip, iq = divmod(k, tbl.dimension)
+        expected_ir = index_of_rook[rooks[ip] * rooks[iq]]
+        if got != ((expected_ir, Fraction(1)),):
+            col.add(
+                "limit-mismatch",
+                p=ip,
+                q=iq,
+                expected_r=expected_ir,
+                got=[[ir, format_rational(c)] for ir, c in got],
+            )
     return col.report(
         "limit", {"alpha": alpha}, dimension=tbl.dimension, pairs=tbl.dimension**2
     )
@@ -440,9 +442,7 @@ def gram_suite(
 ) -> VerificationReport:
     """Symmetry, positive definiteness at integers, and agreement with convolution."""
     col = _Collector(max_counterexamples)
-    if ns is None:
-        ns = tuple(n for n in (alpha, alpha + 1) if alpha + n <= ORACLE_DEGREE_LIMIT)
-    ns = tuple(ns)
+    ns = _default_points(alpha, 2) if ns is None else tuple(ns)
     ctxs = [Context(alpha, n) for n in ns]
     for ctx in ctxs:
         _require_oracle_degree(ctx)

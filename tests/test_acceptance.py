@@ -115,7 +115,9 @@ def test_ac08_scaled_limits_reproduce_partial_injections(acceptance):
         for alpha in (1, 2, 3):
             table = structure_table(alpha)
             limit = scaled_limit_table(table)
-            for (ip, iq), entries in limit.items():
+            assert len(limit) == table.dimension**2
+            for k, entries in enumerate(limit):
+                ip, iq = divmod(k, table.dimension)
                 assert len(entries) == 1
                 ir, coeff = entries[0]
                 assert coeff == Fraction(1)

@@ -16,7 +16,7 @@ from rookalg.cli import main
 from rookalg.combinatorics import Permutation
 from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly
-from rookalg import tables
+from rookalg import tables, verify
 from rookalg.tables import (
     StructureTable,
     _pivots,
@@ -133,7 +133,7 @@ def test_map_rows_maps_each_distinct_row_once():
     assert len(built.row_of) == built.dimension**2
     # a loaded table, and the same entries given in reverse (p, q) order, intern
     # their rows by value into the built table's layout
-    loaded = StructureTable.from_json_obj(built.to_json_obj())
+    loaded = StructureTable.from_json_obj(json.loads(built.canonical_json()))
     reordered = StructureTable.from_pairs(3, built.basis, reversed(list(built.constants.items())))
     assert loaded == built == reordered
     pairs = [(ip, iq) for ip in range(built.dimension) for iq in range(built.dimension)]
@@ -146,7 +146,7 @@ def test_map_rows_maps_each_distinct_row_once():
             assert seen[k] is table.product(ip, iq)
 
 
-def test_shared_rows_export_like_unshared_rows():
+def test_shared_rows_export_like_unshared_rows(monkeypatch):
     shared = structure_table(3, use_cache=False)
     # one row per distinct fused state, shared by the pairs that reach it
     states = {fuse(p, q) for p in shared.basis for q in shared.basis}
@@ -158,24 +158,51 @@ def test_shared_rows_export_like_unshared_rows():
     )
     assert len(unshared.rows) == n
     assert unshared.constants == shared.constants
-    loaded = StructureTable.from_json_obj(shared.to_json_obj())
+    loaded = StructureTable.from_json_obj(json.loads(shared.canonical_json()))
+
+    def crosscheck(table):
+        monkeypatch.setattr(verify, "structure_table", lambda *a, **k: table)
+        return crosscheck_structure(3, 3).canonical_json()
+
     for table in (unshared, loaded):
-        for nu in (None, 0, 1, Fraction(5, 2), -1):
+        for nu in (None, 0, 1, 4, Fraction(5, 2), -1):
             assert shared.canonical_json(nu) == table.canonical_json(nu)
             assert shared.to_csv(nu) == table.to_csv(nu)
-        assert shared.evaluate(4) == table.evaluate(4)
         assert trace_form(shared) == trace_form(table)
-        assert (
-            crosscheck_structure(3, 3, table=shared).canonical_json()
-            == crosscheck_structure(3, 3, table=table).canonical_json()
-        )
+        assert crosscheck(shared) == crosscheck(table)
+
+
+def _ratio_text(x) -> str:
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 @pytest.mark.parametrize("nu", [None, 0, 1, 2, Fraction(5, 2), -1])
 def test_canonical_json_matches_json_dumps(alpha, nu):
+    # the reference is read off product() and NuPoly, and laid out by the stdlib:
+    # at a point each term carries its one value, and a term that vanishes is left out
     t = structure_table(alpha)
-    assert t.canonical_json(nu) == json.dumps(t.to_json_obj(nu), indent=2) + "\n"
+
+    def terms(row):
+        if nu is None:
+            return [{"r": ir, "poly": [_ratio_text(c) for c in poly.coeffs]} for ir, poly in row]
+        return [{"r": ir, "poly": [_ratio_text(v)]} for ir, poly in row for v in (poly.evaluate(nu),) if v]
+
+    expected = {
+        "alpha": alpha,
+        "nu": None if nu is None else _ratio_text(nu),
+        "basis": [{"g": list(m.perm.images), "I": list(m.holes)} for m in t.basis],
+        "constants": [
+            {"p": ip, "q": iq, "terms": terms(t.product(ip, iq))}
+            for ip in range(t.dimension)
+            for iq in range(t.dimension)
+        ],
+    }
+    text = t.canonical_json(nu)
+    assert json.loads(text) == expected
+    # the layout and the key order
+    assert text == json.dumps(expected, indent=2) + "\n"
 
 
 def test_cli_table_json_same_bytes_to_file_and_stdout(tmp_path):
@@ -231,7 +258,7 @@ def _set(path, value):
     ],
 )
 def test_malformed_json_tables_are_refused(edit, message):
-    obj = structure_table(1).to_json_obj()
+    obj = json.loads(structure_table(1).canonical_json())
     # T1 T1 = nu + (nu - 1) T1 is the last entry, and the one with two terms
     assert [t["r"] for t in obj["constants"][3]["terms"]] == [0, 1]
     edit(obj)
@@ -242,7 +269,7 @@ def test_malformed_json_tables_are_refused(edit, message):
 
 def test_json_at_a_point():
     t = structure_table(1)
-    obj = t.to_json_obj(nu=3)
+    obj = json.loads(t.canonical_json(nu=3))
     assert obj["nu"] == "3/1"
     flat = {
         (e["p"], e["q"], tuple(term["r"] for term in e["terms"])): [
@@ -266,12 +293,13 @@ def test_csv_golden():
     assert t.to_csv(3).splitlines()[4] == "1,1,0,3/1"
 
 
-def test_evaluate_and_vector_multiply():
+def test_exports_at_a_point_evaluate_each_constant():
     t = structure_table(2)
-    at3 = t.evaluate(3)
-    # theta_1 * theta_1 at nu = 3: 3 over the unit, 2 over theta_1
-    assert at3[(2, 2)] == ((0, Fraction(3)), (2, Fraction(2)))
     assert t.product(2, 2) == ((0, NU), (2, NuPoly((-1, 1))))
+    # theta_1 * theta_1 at nu = 3: 3 over the unit, 2 over theta_1
+    entry = json.loads(t.canonical_json(3))["constants"][2 * t.dimension + 2]
+    assert entry == {"p": 2, "q": 2, "terms": [{"r": 0, "poly": ["3/1"]}, {"r": 2, "poly": ["2/1"]}]}
+    assert [line for line in t.to_csv(3).splitlines() if line.startswith("2,2,")] == ["2,2,0,3/1", "2,2,2,2/1"]
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
@@ -468,9 +496,11 @@ def test_smallest_pd_nu_none_when_out_of_range():
 def test_scaled_limit_reproduces_rook_composition(alpha):
     t = structure_table(alpha)
     limits = scaled_limit_table(t)
-    assert isinstance(limits, dict)
+    # one entry per pair, in (p, q) order
+    assert isinstance(limits, list)
     basis = t.basis
-    for (ip, iq), entries in limits.items():
+    for k, entries in enumerate(limits):
+        ip, iq = divmod(k, t.dimension)
         assert len(entries) == 1
         ir, coeff = entries[0]
         assert coeff == Fraction(1)
@@ -486,8 +516,8 @@ def test_scaled_limit_reads_each_pairs_own_hole_count_on_a_shared_row():
     table = StructureTable.from_pairs(1, t.basis, {**t.constants, (0, 1): ((0, NU),), (1, 1): ((0, NU),)}.items())
     assert table.row_of[0 * 2 + 1] == table.row_of[1 * 2 + 1]
     limits = scaled_limit_table(table)
-    assert limits[(0, 1)] == ((0, Fraction(1)),)
-    assert limits[(1, 1)] == ()
+    assert limits[0 * 2 + 1] == ((0, Fraction(1)),)
+    assert limits[1 * 2 + 1] == ()
 
 
 def test_clear_caches_empties_every_module_level_cache():

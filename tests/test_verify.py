@@ -104,13 +104,14 @@ def _tampered(t, rows):
     return StructureTable.from_pairs(t.alpha, t.basis, {**t.constants, **rows}.items())
 
 
-def test_crosscheck_detects_a_tampered_table():
+def test_crosscheck_detects_a_tampered_table(monkeypatch):
     t = structure_table(1)
     # one row for three pairs: its right-hand side is built once, but every
     # pair is still reported
     bad_row = ((0, NuPoly.one()),)
     bad = _tampered(t, {(0, 1): bad_row, (1, 0): bad_row, (1, 1): bad_row})
-    r = crosscheck_structure(1, 2, table=bad)
+    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: bad)
+    r = crosscheck_structure(1, 2)
     assert not r.passed
     assert r.status == "fail"
     assert r.metrics["failure_count"] == 3
@@ -128,11 +129,12 @@ def test_crosscheck_detects_a_tampered_table():
     assert r.summary_line().startswith("FAIL")
 
 
-def test_counterexample_cap():
+def test_counterexample_cap(monkeypatch):
     t = structure_table(1)
     bad_row = ((0, NuPoly.one()),)
     bad = _tampered(t, {(0, 1): bad_row, (1, 0): bad_row, (1, 1): bad_row})
-    r = crosscheck_structure(1, 2, table=bad, max_counterexamples=1)
+    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: bad)
+    r = crosscheck_structure(1, 2, max_counterexamples=1)
     assert len(r.counterexamples) == 1
     # the count keeps tallying past the cap
     assert r.metrics["failure_count"] == 3
@@ -170,6 +172,21 @@ def test_crosscheck_multi_pins_the_degree():
     assert r2.passed
     assert r2.metrics["degree_pinned"] is True
     assert r2.metrics["points"] == 3
+
+
+def test_crosscheck_multi_forms_each_points_images_once(monkeypatch):
+    # the images a point is checked with are the ones its independence is read from
+    calls = []
+    original = verify.monomial_images
+
+    def counted(basis, ctx):
+        calls.append(ctx.n)
+        return original(basis, ctx)
+
+    monkeypatch.setattr(verify, "monomial_images", counted)
+    r = crosscheck_multi(2)
+    assert r.passed
+    assert calls == r.params["ns"] == [2, 3, 4]
 
 
 def test_crosscheck_multi_warns_when_not_pinned():
