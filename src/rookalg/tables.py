@@ -188,7 +188,10 @@ class StructureTable:
 
     @classmethod
     def from_json_obj(cls, obj) -> "StructureTable":
-        """The table from json.loads of its canonical_json(); a malformed one raises ValueError naming it."""
+        """The table from json.loads of its canonical_json().
+
+        A malformed one raises ValueError naming the entry.
+        """
         if obj.get("nu") is not None:
             raise ValueError(
                 f'field "nu" is "{obj["nu"]}": a table exported at a point does not load as polynomials'
