@@ -86,10 +86,11 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every module-level cache: the built structure tables, the
-    default normalizer's memo and the oracle's three lookups.  No result
-    changes; the next call that needs an entry computes it again."""
+    default normalizer's memo and intern table, and the oracle's three
+    lookups.  No result changes; the next call that needs an entry computes
+    it again."""
     _tables._TABLE_CACHE.clear()
-    default_normalizer()._cache.clear()
+    default_normalizer().clear()
     for cached in (subgroup_elements, canonical_completion, coset_enumerate):
         cached.cache_clear()
 

@@ -13,7 +13,10 @@ it.  Every read that turns each pair's row into a result (the JSON and CSV
 exports, the trace form, the scaled limit and the oracle crosscheck's
 right-hand sides) goes through `StructureTable.map_rows`, which maps each
 row once and spreads the results over the pairs in (p, q) order.
-`canonical_json` is the one JSON writer.
+`StructureTable.json_chunks` holds the one JSON layout and yields the text
+in pieces, one per basis element p, so a writer never holds the whole
+export; `canonical_json` joins them.  `csv_chunks` and `to_csv` do the same
+for CSV.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import Monomial, Normalizer, basis_enumerate, fuse, star_state
 from .capacity import table_limit
@@ -114,12 +117,14 @@ class StructureTable:
                 if v:
                     yield ir, [format_rational(v)]
 
-    def canonical_json(self, nu=None) -> str:
-        """The table as JSON, indented as json.dumps(indent=2) would, with a final newline.
+    def json_chunks(self, nu=None) -> Iterator[str]:
+        """The table as JSON in pieces, indented as json.dumps(indent=2) would, with a final newline.
 
-        "constants" holds one {"p", "q", "terms"} entry per pair in (p, q)
-        order.  Each row's terms are rendered once and shared by every entry
-        that points at that row, and the text is copied only by one join.
+        The first piece holds the header and the basis, then one piece per
+        basis element p holds its dimension entries, and the last piece
+        closes the text.  "constants" holds one {"p", "q", "terms"} entry per
+        pair in (p, q) order.  Each row's terms are rendered once and shared
+        by every entry that points at that row.
         """
         nu_text = "null" if nu is None else f'"{format_rational(Fraction(nu))}"'
         basis = [
@@ -127,10 +132,10 @@ class StructureTable:
             f'\n      "I": {_json_list(map(str, m.holes), 6)}\n    }}'
             for m in self.basis
         ]
-        chunks = [
+        yield (
             f'{{\n  "alpha": {self.alpha},\n  "nu": {nu_text},'
             f'\n  "basis": {_json_list(basis, 2)},\n  "constants": '
-        ]
+        )
 
         def render(row) -> str:
             terms = []
@@ -139,12 +144,20 @@ class StructureTable:
                 terms.append(f'{{\n          "r": {ir},\n          "poly": {poly_text}\n        }}')
             return _json_list(terms, 6)
 
+        dim = self.dimension
+        rendered = self.map_rows(render)
         sep = "[\n    "
-        for (ip, iq), terms_text in zip(self._pairs(), self.map_rows(render)):
-            chunks += (f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": ', terms_text, "\n    }")
-            sep = ",\n    "
-        chunks.append("[]\n}\n" if len(chunks) == 1 else "\n  ]\n}\n")
-        return "".join(chunks)
+        for ip in range(dim):
+            chunk = []
+            for iq, terms_text in enumerate(rendered[ip * dim : (ip + 1) * dim]):
+                chunk += (f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": ', terms_text, "\n    }")
+                sep = ",\n    "
+            yield "".join(chunk)
+        yield "\n  ]\n}\n" if dim else "[]\n}\n"
+
+    def canonical_json(self, nu=None) -> str:
+        """The table as JSON: the pieces of json_chunks, joined."""
+        return "".join(self.json_chunks(nu))
 
     @classmethod
     def from_pairs(cls, alpha: int, basis: Sequence[Monomial], pairs) -> "StructureTable":
@@ -209,14 +222,21 @@ class StructureTable:
         )
         return cls.from_pairs(int(obj["alpha"]), basis, pairs)
 
-    def to_csv(self, nu=None) -> str:
+    def csv_chunks(self, nu=None) -> Iterator[str]:
+        """The table as CSV lines, in pieces: the header, then one piece per basis element p."""
         def render(row) -> list[str]:
             return [f"{ir},{' '.join(texts)}" for ir, texts in self._exported_terms(row, nu)]
 
-        lines = ["p,q,r,poly"]
-        for (ip, iq), tails in zip(self._pairs(), self.map_rows(render)):
-            lines.extend(f"{ip},{iq},{tail}" for tail in tails)
-        return "\n".join(lines) + "\n"
+        yield "p,q,r,poly\n"
+        dim = self.dimension
+        rendered = self.map_rows(render)
+        for ip in range(dim):
+            tails_of_p = rendered[ip * dim : (ip + 1) * dim]
+            yield "".join(f"{ip},{iq},{tail}\n" for iq, tails in enumerate(tails_of_p) for tail in tails)
+
+    def to_csv(self, nu=None) -> str:
+        """The table as CSV: the pieces of csv_chunks, joined."""
+        return "".join(self.csv_chunks(nu))
 
 
 def _json_list(items, indent: int) -> str:

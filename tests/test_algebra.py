@@ -131,6 +131,17 @@ def test_normalize_fixes_basis_monomials(alpha):
         assert nz.reduce(m.perm, m.holes) == {m: NuPoly.one()}
 
 
+def test_normalizer_memo_holds_one_object_per_distinct_polynomial():
+    nz = Normalizer()
+    basis = basis_enumerate(3)
+    for p in basis[-6:]:
+        for q in basis[-6:]:
+            nz.reduce(*fuse(p, q))
+    polys = [c for nf in nz._cache.values() for c in nf.values()]
+    assert len(set(polys)) > 1
+    assert len({id(c) for c in polys}) == len(set(polys))
+
+
 def check_every_site(states) -> int:
     """Fire every site of every state reachable from `states`; return how many states that is.
 

@@ -247,6 +247,8 @@ GOLDEN_STDOUT_SHA256 = {
     "verify limit --alpha 3": "6f153f3c2274ddf2bf0d9c3be1e983de48f2b5ece83ba11be876c8efd68caadc",
     "limit --alpha 3": "c5d5837c3c5315098f042a613c1c01847290bf206e191a64aeb518b127c0171d",
     "limit --alpha 3 --format json": "3a3979740c69149eddaed699418f038c91634f67b18545064ba170bff7cbe7a5",
+    "table --alpha 3 --format json": "c16c0bdab61e3a3206422e9f80ffa23c4d29882bf467ac8e02dc1cb5eea69740",
+    "table --alpha 3 --nu 5/2 --format json": "c1e9eba91f31ba4b86208124cf1f9e4e28b7e3a879fdc633271986db6bd01a18",
     "table --alpha 3 --format csv": "e1714074e7a221e9fda19c79a4f1076dd7e5992b17d2cddee183bda134c9af34",
     "table --alpha 3 --nu 5/2 --format csv": "65764a1448c066c8bf75f9ad93421b791dc820772251b0d54fe28d605192db59",
     'normalize --alpha 3 --word "T3 T2 T1 T1"': "d54a319577b5e3176bd5e5ece309fbee3804267e7d27c930c9d32f369db756c7",
@@ -390,3 +392,10 @@ def test_emit_writes_the_bytes_of_one_plain_write(tmp_path):
     emitted = tmp_path / "emitted.txt"
     cli._emit(text, str(emitted))
     assert emitted.read_bytes() == plain.read_bytes() == text.encode("utf-8")
+    # the same text as pieces, one longer than a slice, each cut between multi-byte characters
+    cuts = [0, 3, cli._EMIT_CHARS + 7, 2 * cli._EMIT_CHARS + 1, len(text)]
+    for cut in cuts[1:-1]:
+        assert not text[cut - 1 : cut + 1].isascii()
+    in_pieces = tmp_path / "in_pieces.txt"
+    cli._emit((text[a:b] for a, b in zip(cuts, cuts[1:])), str(in_pieces))
+    assert in_pieces.read_bytes() == plain.read_bytes()

@@ -93,6 +93,12 @@ def test_alpha3_exports_are_byte_identical():
     assert digest(t.to_csv()) == "e1714074e7a221e9fda19c79a4f1076dd7e5992b17d2cddee183bda134c9af34"
 
 
+def test_a_fresh_build_holds_one_object_per_distinct_polynomial():
+    # the build's Normalizer interns every coefficient, so rows share objects by value
+    polys = [c for row in structure_table(3, use_cache=False).rows for _, c in row]
+    assert len({id(c) for c in polys}) == len(set(polys))
+
+
 def test_table_constants_are_integers():
     for alpha in (1, 2, 3):
         for row in structure_table(alpha).rows:
@@ -203,6 +209,8 @@ def test_canonical_json_matches_json_dumps(alpha, nu):
     assert json.loads(text) == expected
     # the layout and the key order
     assert text == json.dumps(expected, indent=2) + "\n"
+    # the header and basis, one piece per p, and the closing text
+    assert len(list(t.json_chunks(nu))) == t.dimension + 2
 
 
 def test_cli_table_json_same_bytes_to_file_and_stdout(tmp_path):
@@ -291,6 +299,12 @@ def test_csv_golden():
         "1,1,1,-1/1 1/1\n"
     )
     assert t.to_csv(3).splitlines()[4] == "1,1,0,3/1"
+    # the header, then one piece per p
+    assert list(t.csv_chunks()) == [
+        "p,q,r,poly\n",
+        "0,0,0,1/1\n0,1,1,1/1\n",
+        "1,0,1,1/1\n1,1,0,0/1 1/1\n1,1,1,-1/1 1/1\n",
+    ]
 
 
 def test_exports_at_a_point_evaluate_each_constant():
@@ -525,10 +539,12 @@ def test_clear_caches_empties_every_module_level_cache():
     assert structure_table(2) is table
     rookalg.element_from_word(2, [("hole", 1), ("hole", 1)])
     rookalg.coset_enumerate(rookalg.PartialInjection((1, 2)), rookalg.Context(2, 1))
+    assert default_normalizer()._cache and default_normalizer()._polys
     rookalg.clear_caches()
     fresh = structure_table(2)
     assert fresh is not table
     assert fresh == table
     assert not default_normalizer()._cache
+    assert not default_normalizer()._polys
     for cached in (rookalg.subgroup_elements, rookalg.canonical_completion, rookalg.coset_enumerate):
         assert cached.cache_info().currsize == 0
