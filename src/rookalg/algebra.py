@@ -293,9 +293,6 @@ class OElement(SparseVector):
     def from_monomial(cls, m: Monomial) -> "OElement":
         return cls(m.alpha, {m: _ONE})
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, NuPoly)):
             return self.scale(other)

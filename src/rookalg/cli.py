@@ -248,20 +248,20 @@ def _cmd_gram(args) -> int:
 
 def _cmd_limit(args) -> int:
     tbl = structure_table(args.alpha)
-    dim = tbl.dimension
-    # in (p, q) order: pair (p, q) is at p * dim + q
     limits = scaled_limit_table(tbl)
     if args.format == "json":
         entries = [
-            {"p": k // dim, "q": k % dim, "terms": [[ir, format_rational(c)] for ir, c in got]}
-            for k, got in enumerate(limits)
+            {"p": ip, "q": iq, "terms": [[ir, format_rational(c)] for ir, c in got]}
+            for ip, limits_of_p in enumerate(limits)
+            for iq, got in enumerate(limits_of_p)
         ]
         _emit(json.dumps({"alpha": tbl.alpha, "entries": entries}, indent=2) + "\n", args.out)
     else:
         lines = []
-        for k, got in enumerate(limits):
-            terms = " + ".join(f"{format_rational(c)} [{ir}]" for ir, c in got)
-            lines.append(f"[{k // dim}] [{k % dim}] -> {terms}")
+        for ip, limits_of_p in enumerate(limits):
+            for iq, got in enumerate(limits_of_p):
+                terms = " + ".join(f"{format_rational(c)} [{ir}]" for ir, c in got)
+                lines.append(f"[{ip}] [{iq}] -> {terms}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

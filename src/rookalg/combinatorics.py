@@ -176,9 +176,6 @@ class PartialInjection:
     def __call__(self, x: int) -> int | None:
         return self.target[x - 1]
 
-    def domain(self) -> tuple[int, ...]:
-        return tuple(x for x, v in enumerate(self.target, start=1) if v is not None)
-
     def image_set(self) -> frozenset[int]:
         return frozenset(v for v in self.target if v is not None)
 
@@ -200,17 +197,8 @@ class PartialInjection:
                 inv[y - 1] = x
         return PartialInjection(tuple(inv))
 
-    def to_permutation(self) -> Permutation:
-        if self.rank != self.alpha:
-            raise ValueError("only a full-rank partial injection is a permutation")
-        return Permutation(tuple(v for v in self.target if v is not None))
-
     def serialize(self) -> tuple[int, ...]:
         return tuple(0 if v is None else v for v in self.target)
-
-    @classmethod
-    def deserialize(cls, entries: Sequence[int]) -> "PartialInjection":
-        return cls(tuple(None if v == 0 else v for v in entries))
 
 
 def idempotent(alpha: int, holes: Sequence[int]) -> PartialInjection:

@@ -100,9 +100,6 @@ class SparseVector:
         sort_key = self._sort_key
         return sorted(self._coeffs.items(), key=lambda kv: sort_key(kv[0]))
 
-    def support_size(self) -> int:
-        return len(self._coeffs)
-
     def _check(self, other) -> None:
         mine, theirs = self._own_context(), other._own_context()
         if mine != theirs:
@@ -119,6 +116,9 @@ class SparseVector:
 
     def __sub__(self, other):
         return self._plus(other, -1)
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
 
     def scale(self, c):
         c = self._coerce(c)

@@ -12,11 +12,11 @@ value, so a loaded table has the same layout as the built one and equals
 it.  Every read that turns each pair's row into a result (the JSON and CSV
 exports, the trace form, the scaled limit and the oracle crosscheck's
 right-hand sides) goes through `StructureTable.map_rows`, which maps each
-row once and spreads the results over the pairs in (p, q) order.
+row once and returns the dimension x dimension matrix of results, out[p][q],
+so only `StructureTable` knows where a pair's row index sits in `row_of`.
 `StructureTable.json_chunks` holds the one JSON layout and yields the text
 in pieces, one per basis element p, so a writer never holds the whole
-export; `canonical_json` joins them.  `csv_chunks` and `to_csv` do the same
-for CSV.
+export; `canonical_json` joins them.  `csv_chunks` does the same for CSV.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
@@ -29,7 +29,6 @@ the nullities leave.
 """
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from array import array
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import Monomial, Normalizer, basis_enumerate, fuse, star_state
 from .capacity import table_limit
@@ -81,26 +80,25 @@ class StructureTable:
             raise IndexError(f"pair ({ip}, {iq}) is outside range({dim})")
         return self.rows[self.row_of[ip * dim + iq]]
 
-    def _pairs(self) -> Iterable[tuple[int, int]]:
-        """Every pair (p, q) in (p, q) order, the order of row_of and of map_rows."""
-        return itertools.product(range(self.dimension), repeat=2)
-
     @property
     def constants(self) -> dict[tuple[int, int], Row]:
         """{(p, q): row}, built on each read; kept because the benchmark tracer in bench/ reads it."""
-        return dict(zip(self._pairs(), map(self.rows.__getitem__, self.row_of)))
+        return {
+            (ip, iq): row for ip, rows in enumerate(self.map_rows(lambda row: row)) for iq, row in enumerate(rows)
+        }
 
     def max_degree(self) -> int:
         return max((int(c.degree) for row in self.rows for _, c in row if c), default=0)
 
-    def map_rows(self, fn) -> list:
-        """fn(self.product(p, q)) for every pair, in (p, q) order: pair (p, q) is at p * dimension + q.
+    def map_rows(self, fn) -> list[list]:
+        """The dimension x dimension matrix out with out[p][q] = fn(self.product(p, q)).
 
         fn is called once per row, and its results are spread over the pairs
         through row_of.
         """
         mapped = [fn(row) for row in self.rows]
-        return list(map(mapped.__getitem__, self.row_of))
+        dim = self.dimension
+        return [list(map(mapped.__getitem__, self.row_of[ip * dim : (ip + 1) * dim])) for ip in range(dim)]
 
     @staticmethod
     def _exported_terms(row, nu):
@@ -144,19 +142,17 @@ class StructureTable:
                 terms.append(f'{{\n          "r": {ir},\n          "poly": {poly_text}\n        }}')
             return _json_list(terms, 6)
 
-        dim = self.dimension
-        rendered = self.map_rows(render)
         sep = "[\n    "
-        for ip in range(dim):
+        for ip, texts_of_p in enumerate(self.map_rows(render)):
             chunk = []
-            for iq, terms_text in enumerate(rendered[ip * dim : (ip + 1) * dim]):
+            for iq, terms_text in enumerate(texts_of_p):
                 chunk += (f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": ', terms_text, "\n    }")
                 sep = ",\n    "
             yield "".join(chunk)
-        yield "\n  ]\n}\n" if dim else "[]\n}\n"
+        yield "\n  ]\n}\n" if self.dimension else "[]\n}\n"
 
     def canonical_json(self, nu=None) -> str:
-        """The table as JSON: the pieces of json_chunks, joined."""
+        """The table as JSON: the pieces of json_chunks, joined; kept because bench/ reads it."""
         return "".join(self.json_chunks(nu))
 
     @classmethod
@@ -228,15 +224,8 @@ class StructureTable:
             return [f"{ir},{' '.join(texts)}" for ir, texts in self._exported_terms(row, nu)]
 
         yield "p,q,r,poly\n"
-        dim = self.dimension
-        rendered = self.map_rows(render)
-        for ip in range(dim):
-            tails_of_p = rendered[ip * dim : (ip + 1) * dim]
+        for ip, tails_of_p in enumerate(self.map_rows(render)):
             yield "".join(f"{ip},{iq},{tail}\n" for iq, tails in enumerate(tails_of_p) for tail in tails)
-
-    def to_csv(self, nu=None) -> str:
-        """The table as CSV: the pieces of csv_chunks, joined."""
-        return "".join(self.csv_chunks(nu))
 
 
 def _json_list(items, indent: int) -> str:
@@ -353,9 +342,7 @@ def trace_form(table: StructureTable) -> tuple[tuple[NuPoly, ...], ...]:
     """B[p][q] = trace(e_p e_q), read straight off the structure table."""
     ident = table.index_of(Monomial.one(table.alpha))
     zero = NuPoly.zero()
-    traces = table.map_rows(lambda row: next((poly for ir, poly in row if ir == ident), zero))
-    n = table.dimension
-    return tuple(tuple(traces[ip * n : (ip + 1) * n]) for ip in range(n))
+    return tuple(map(tuple, table.map_rows(lambda row: next((poly for ir, poly in row if ir == ident), zero))))
 
 
 def _pivots(a: list[list[Fraction]]):
@@ -519,8 +506,8 @@ def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
     return _times_roots(*_det_factors(mat))
 
 
-def scaled_limit_table(table: StructureTable) -> list[tuple[tuple[int, Fraction], ...]]:
-    """((r, lim nu^(|I_r| - |I_p| - |I_q|) c^r_pq(nu)), ...) per pair, in map_rows's (p, q) order.
+def scaled_limit_table(table: StructureTable) -> list[list[tuple[tuple[int, Fraction], ...]]]:
+    """The matrix out[p][q] = ((r, lim nu^(|I_r| - |I_p| - |I_q|) c^r_pq(nu)), ...), one list per p.
 
     Each row is read once, for the largest deg c^r + |I_r| over
     its terms and the leading coefficients of the terms that reach it;
@@ -534,16 +521,17 @@ def scaled_limit_table(table: StructureTable) -> list[tuple[tuple[int, Fraction]
         most = max((e for e, _, _ in reach), default=-1)
         return most, tuple(sorted(((ir, poly.leading) for e, ir, poly in reach if e == most), key=lambda t: t[0]))
 
-    out = []
-    for (ip, iq), (most, leading) in zip(table._pairs(), table.map_rows(top)):
-        own = deg_of[ip] + deg_of[iq]
-        if most > own:
-            ir, poly = next(
-                (ir, poly) for ir, poly in table.product(ip, iq) if poly and int(poly.degree) + deg_of[ir] > own
-            )
-            raise ConsistencyError(
-                "structure constant outgrows the scaled limit",
-                {"p": ip, "q": iq, "r": ir, "degree": int(poly.degree)},
-            )
-        out.append(leading if most == own else ())
+    out = table.map_rows(top)
+    for ip, tops_of_p in enumerate(out):
+        for iq, (most, leading) in enumerate(tops_of_p):
+            own = deg_of[ip] + deg_of[iq]
+            if most > own:
+                ir, poly = next(
+                    (ir, poly) for ir, poly in table.product(ip, iq) if poly and int(poly.degree) + deg_of[ir] > own
+                )
+                raise ConsistencyError(
+                    "structure constant outgrows the scaled limit",
+                    {"p": ip, "q": iq, "r": ir, "degree": int(poly.degree)},
+                )
+            tops_of_p[iq] = leading if most == own else ()
     return out

@@ -45,6 +45,7 @@ from .nupoly import NuPoly, format_rational
 from .oracle import (
     BiinvariantElement,
     Context,
+    coset_corank,
     coset_enumerate,
     coset_size,
     dc_multiply,
@@ -153,6 +154,15 @@ def _default_points(alpha: int, count: int) -> tuple[int, ...]:
     return tuple(range(alpha, ORACLE_DEGREE_LIMIT - alpha + 1))[:count]
 
 
+def _require_default_points(alpha: int) -> None:
+    """Refuse a run whose default points would be none, before it builds anything."""
+    if not _default_points(alpha, 1):
+        raise CapacityError(
+            f"no point n >= alpha={alpha} keeps alpha + n within ORACLE_DEGREE_LIMIT="
+            f"{ORACLE_DEGREE_LIMIT}, so the default check would compare nothing; pass the points explicitly"
+        )
+
+
 def _pairs_obj(x: BiinvariantElement) -> list:
     return [[list(ser), val] for ser, val in x.to_pairs()]
 
@@ -195,7 +205,7 @@ def dimension_suite(
             sigma = corner_map(u, alpha)
             sizes[sigma] = sizes.get(sigma, 0) + 1
             total += 1
-        expected = sum(1 for s in rook_enumerate(alpha) if alpha - s.rank <= n)
+        expected = sum(1 for s in rook_enumerate(alpha) if coset_corank(s) <= n)
         if len(sizes) != expected:
             col.add("coset-count-mismatch", n=n, found=len(sizes), expected=expected)
         if total != factorial(ctx.degree):
@@ -263,7 +273,7 @@ def relation_suite(alpha: int, n: int, *, max_counterexamples: int = 5) -> Verif
     printed_disagrees = False
     nf = factorial(n)
     for sigma in rook_enumerate(alpha):
-        r = alpha - sigma.rank
+        r = coset_corank(sigma)
         if r > n:
             continue
         checks += 1
@@ -285,7 +295,7 @@ def relation_suite(alpha: int, n: int, *, max_counterexamples: int = 5) -> Verif
     biinvariance_checked = 0
     if ctx.degree <= 6:
         for sigma in rook_enumerate(alpha):
-            if alpha - sigma.rank > n:
+            if coset_corank(sigma) > n:
                 continue
             e = BiinvariantElement.basis(ctx, sigma).embed()
             biinvariance_checked += 1
@@ -325,7 +335,7 @@ def _check_point(col: _Collector, tbl: StructureTable, ctx: Context, **tag) -> t
                 dual_checked += 1
                 if dc_multiply(imgs[ip], imgs[iq], via="convolve") != lhs:
                     col.add("route-disagreement", p=ip, q=iq, **tag)
-            rhs = rhs_of[ip * dim + iq]
+            rhs = rhs_of[ip][iq]
             if lhs != rhs:
                 col.add(
                     "structure-mismatch",
@@ -374,9 +384,12 @@ def crosscheck_multi(
     full rank: below that, a wrong row plus a null vector of the images
     agrees with the oracle at n.  The default points are n = alpha, ...,
     ORACLE_DEGREE_LIMIT - alpha, at most max degree + 1 of them, since the
-    images are dependent below n = alpha.
+    images are dependent below n = alpha; when there is none, the run is
+    refused with CapacityError before the table is built.
     """
     col = _Collector(max_counterexamples)
+    if ns is None:
+        _require_default_points(alpha)
     tbl = structure_table(alpha)
     max_deg = tbl.max_degree()
     ns = _default_points(alpha, max_deg + 1) if ns is None else tuple(ns)
@@ -418,17 +431,17 @@ def limit_suite(alpha: int, *, max_counterexamples: int = 5) -> VerificationRepo
         return col.report("limit", {"alpha": alpha})
     rooks = [m.to_rook() for m in tbl.basis]
     index_of_rook = {sigma: i for i, sigma in enumerate(rooks)}
-    for k, got in enumerate(limits):
-        ip, iq = divmod(k, tbl.dimension)
-        expected_ir = index_of_rook[rooks[ip] * rooks[iq]]
-        if got != ((expected_ir, Fraction(1)),):
-            col.add(
-                "limit-mismatch",
-                p=ip,
-                q=iq,
-                expected_r=expected_ir,
-                got=[[ir, format_rational(c)] for ir, c in got],
-            )
+    for ip, limits_of_p in enumerate(limits):
+        for iq, got in enumerate(limits_of_p):
+            expected_ir = index_of_rook[rooks[ip] * rooks[iq]]
+            if got != ((expected_ir, Fraction(1)),):
+                col.add(
+                    "limit-mismatch",
+                    p=ip,
+                    q=iq,
+                    expected_r=expected_ir,
+                    got=[[ir, format_rational(c)] for ir, c in got],
+                )
     return col.report(
         "limit", {"alpha": alpha}, dimension=tbl.dimension, pairs=tbl.dimension**2
     )
@@ -440,8 +453,14 @@ def gram_suite(
     *,
     max_counterexamples: int = 5,
 ) -> VerificationReport:
-    """Symmetry, positive definiteness at integers, and agreement with convolution."""
+    """Symmetry, positive definiteness at integers, and agreement with convolution.
+
+    A run with no default point (alpha + alpha > ORACLE_DEGREE_LIMIT) is
+    refused with CapacityError before the Gram matrix is built.
+    """
     col = _Collector(max_counterexamples)
+    if ns is None:
+        _require_default_points(alpha)
     ns = _default_points(alpha, 2) if ns is None else tuple(ns)
     ctxs = [Context(alpha, n) for n in ns]
     for ctx in ctxs:

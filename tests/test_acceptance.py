@@ -115,14 +115,15 @@ def test_ac08_scaled_limits_reproduce_partial_injections(acceptance):
         for alpha in (1, 2, 3):
             table = structure_table(alpha)
             limit = scaled_limit_table(table)
-            assert len(limit) == table.dimension**2
-            for k, entries in enumerate(limit):
-                ip, iq = divmod(k, table.dimension)
-                assert len(entries) == 1
-                ir, coeff = entries[0]
-                assert coeff == Fraction(1)
-                want = table.basis[ip].to_rook() * table.basis[iq].to_rook()
-                assert table.basis[ir].to_rook() == want
+            # one list per p, holding one entry per q
+            assert [len(limits_of_p) for limits_of_p in limit] == [table.dimension] * table.dimension
+            for ip, limits_of_p in enumerate(limit):
+                for iq, entries in enumerate(limits_of_p):
+                    assert len(entries) == 1
+                    ir, coeff = entries[0]
+                    assert coeff == Fraction(1)
+                    want = table.basis[ip].to_rook() * table.basis[iq].to_rook()
+                    assert table.basis[ir].to_rook() == want
             report = limit_suite(alpha)
             assert report.passed, report.summary_line()
 

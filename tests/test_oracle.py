@@ -107,7 +107,7 @@ def test_k_average_is_idempotent():
     avg = k_average(ctx)
     assert avg * avg == avg
     assert avg.augmentation() == 1
-    assert avg.support_size() == 2
+    assert len(avg.items()) == 2
 
 
 def test_projection_spreads_over_the_double_coset():

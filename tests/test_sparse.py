@@ -46,12 +46,13 @@ IDS = [case[0].__name__ for case in CASES]
 @pytest.mark.parametrize("cls, x, context, elsewhere", CASES, ids=IDS)
 def test_shared_arithmetic(cls, x, context, elsewhere):
     assert 2 * x == x.scale(2)
-    assert (x - x).support_size() == 0
+    assert len((x - x).items()) == 0
     zero = cls.zero(context)
+    assert not zero and x
     assert x + zero == x
     assert zero + x == x
     assert (x + x) == x.scale(2)
-    assert x.support_size() == 2
+    assert len(x.items()) == 2
     with pytest.raises(ContextError):
         x + elsewhere
     with pytest.raises(ContextError):
@@ -92,7 +93,7 @@ def test_public_constructor_checks_every_key(cls, context, bad):
 
 
 SHARED = (
-    "__init__", "zero", "_trusted", "coefficient", "items", "sorted_items", "support_size", "_check",
+    "__init__", "zero", "_trusted", "coefficient", "items", "sorted_items", "_check", "__bool__",
     "__add__", "__sub__", "scale", "__rmul__", "__eq__", "__repr__",
 )
 

@@ -90,7 +90,7 @@ def test_alpha3_exports_are_byte_identical():
     t = structure_table(3, use_cache=False)
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     assert digest(t.canonical_json()) == "c16c0bdab61e3a3206422e9f80ffa23c4d29882bf467ac8e02dc1cb5eea69740"
-    assert digest(t.to_csv()) == "e1714074e7a221e9fda19c79a4f1076dd7e5992b17d2cddee183bda134c9af34"
+    assert digest("".join(t.csv_chunks())) == "e1714074e7a221e9fda19c79a4f1076dd7e5992b17d2cddee183bda134c9af34"
 
 
 def test_a_fresh_build_holds_one_object_per_distinct_polynomial():
@@ -142,14 +142,16 @@ def test_map_rows_maps_each_distinct_row_once():
     loaded = StructureTable.from_json_obj(json.loads(built.canonical_json()))
     reordered = StructureTable.from_pairs(3, built.basis, reversed(list(built.constants.items())))
     assert loaded == built == reordered
-    pairs = [(ip, iq) for ip in range(built.dimension) for iq in range(built.dimension)]
+    dim = built.dimension
     for table in (built, loaded, reordered):
         seen = []
         out = table.map_rows(lambda row: seen.append(row) or len(seen) - 1)
         assert seen == list(table.rows)
-        assert len(out) == len(pairs)
-        for (ip, iq), k in zip(pairs, out):
-            assert seen[k] is table.product(ip, iq)
+        # the dim x dim matrix: out[p][q] is the result for pair (p, q)
+        assert [len(out_of_p) for out_of_p in out] == [dim] * dim
+        for ip, out_of_p in enumerate(out):
+            for iq, k in enumerate(out_of_p):
+                assert seen[k] is table.product(ip, iq)
 
 
 def test_shared_rows_export_like_unshared_rows(monkeypatch):
@@ -173,7 +175,7 @@ def test_shared_rows_export_like_unshared_rows(monkeypatch):
     for table in (unshared, loaded):
         for nu in (None, 0, 1, 4, Fraction(5, 2), -1):
             assert shared.canonical_json(nu) == table.canonical_json(nu)
-            assert shared.to_csv(nu) == table.to_csv(nu)
+            assert "".join(shared.csv_chunks(nu)) == "".join(table.csv_chunks(nu))
         assert trace_form(shared) == trace_form(table)
         assert crosscheck(shared) == crosscheck(table)
 
@@ -290,7 +292,7 @@ def test_json_at_a_point():
 
 def test_csv_golden():
     t = structure_table(1)
-    assert t.to_csv() == (
+    assert "".join(t.csv_chunks()) == (
         "p,q,r,poly\n"
         "0,0,0,1/1\n"
         "0,1,1,1/1\n"
@@ -298,7 +300,7 @@ def test_csv_golden():
         "1,1,0,0/1 1/1\n"
         "1,1,1,-1/1 1/1\n"
     )
-    assert t.to_csv(3).splitlines()[4] == "1,1,0,3/1"
+    assert "".join(t.csv_chunks(3)).splitlines()[4] == "1,1,0,3/1"
     # the header, then one piece per p
     assert list(t.csv_chunks()) == [
         "p,q,r,poly\n",
@@ -313,7 +315,7 @@ def test_exports_at_a_point_evaluate_each_constant():
     # theta_1 * theta_1 at nu = 3: 3 over the unit, 2 over theta_1
     entry = json.loads(t.canonical_json(3))["constants"][2 * t.dimension + 2]
     assert entry == {"p": 2, "q": 2, "terms": [{"r": 0, "poly": ["3/1"]}, {"r": 2, "poly": ["2/1"]}]}
-    assert [line for line in t.to_csv(3).splitlines() if line.startswith("2,2,")] == ["2,2,0,3/1", "2,2,2,2/1"]
+    assert [line for line in "".join(t.csv_chunks(3)).splitlines() if line.startswith("2,2,")] == ["2,2,0,3/1", "2,2,2,2/1"]
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
@@ -510,17 +512,17 @@ def test_smallest_pd_nu_none_when_out_of_range():
 def test_scaled_limit_reproduces_rook_composition(alpha):
     t = structure_table(alpha)
     limits = scaled_limit_table(t)
-    # one entry per pair, in (p, q) order
+    # one list per p, holding one entry per q
     assert isinstance(limits, list)
+    assert [len(limits_of_p) for limits_of_p in limits] == [t.dimension] * t.dimension
     basis = t.basis
-    for k, entries in enumerate(limits):
-        ip, iq = divmod(k, t.dimension)
-        assert len(entries) == 1
-        ir, coeff = entries[0]
-        assert coeff == Fraction(1)
-        expected = basis[ip].to_rook() * basis[iq].to_rook()
-        assert basis[ir].to_rook() == expected
-    assert len(limits) == t.dimension**2
+    for ip, limits_of_p in enumerate(limits):
+        for iq, entries in enumerate(limits_of_p):
+            assert len(entries) == 1
+            ir, coeff = entries[0]
+            assert coeff == Fraction(1)
+            expected = basis[ip].to_rook() * basis[iq].to_rook()
+            assert basis[ir].to_rook() == expected
 
 
 def test_scaled_limit_reads_each_pairs_own_hole_count_on_a_shared_row():
@@ -530,8 +532,9 @@ def test_scaled_limit_reads_each_pairs_own_hole_count_on_a_shared_row():
     table = StructureTable.from_pairs(1, t.basis, {**t.constants, (0, 1): ((0, NU),), (1, 1): ((0, NU),)}.items())
     assert table.row_of[0 * 2 + 1] == table.row_of[1 * 2 + 1]
     limits = scaled_limit_table(table)
-    assert limits[0 * 2 + 1] == ((0, Fraction(1)),)
-    assert limits[1 * 2 + 1] == ()
+    assert [len(limits_of_p) for limits_of_p in limits] == [2, 2]
+    assert limits[0][1] == ((0, Fraction(1)),)
+    assert limits[1][1] == ()
 
 
 def test_clear_caches_empties_every_module_level_cache():

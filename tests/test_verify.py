@@ -14,7 +14,7 @@ from rookalg.combinatorics import PartialInjection, rook_enumerate
 from rookalg.errors import CapacityError
 from rookalg.nupoly import NuPoly, format_rational
 from rookalg.oracle import BiinvariantElement, Context, dc_multiply, gen_hole
-from rookalg import verify
+from rookalg import capacity, cli, verify
 from rookalg.tables import StructureTable, _det_factors, det_polynomial, structure_table, trace_form
 from rookalg.verify import (
     VerificationReport,
@@ -293,6 +293,23 @@ def test_gram_suite():
 def test_gram_suite_refuses_past_the_oracle_cap():
     with pytest.raises(CapacityError, match="degree 9"):
         gram_suite(2, ns=(7,))
+
+
+def test_default_runs_with_no_point_are_refused_before_any_build(monkeypatch, capsys):
+    # at alpha=5 no n >= alpha keeps alpha + n within the oracle limit, so a
+    # default run would compare nothing and report a pass
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built for a run that checks no point")
+
+    monkeypatch.setattr(verify, "structure_table", unreachable)
+    monkeypatch.setattr(verify, "gram_matrix", unreachable)
+    with capacity.override(5):
+        for suite in (crosscheck_multi, gram_suite):
+            with pytest.raises(CapacityError, match="ORACLE_DEGREE_LIMIT"):
+                suite(5)
+    for suite in ("crosscheck", "gram"):
+        assert cli.main(["verify", suite, "--alpha", "5", "--capacity", "5"]) == 3
+        assert "ORACLE_DEGREE_LIMIT" in capsys.readouterr().err
 
 
 def test_semisimplicity_probe_alpha1():
