@@ -23,6 +23,16 @@ not depend on the order is checked, not assumed: the tests fire every site
 state with at most four holes at alpha <= 4, and require each to leave the
 normal form unchanged.  With termination, that makes the normal form unique
 on those states (Newman's lemma).
+
+The engine works on plain tuples of ints.  A state A(g) T_{js} is
+(images, js), the one-line images of g and the hole indices; the memo is
+keyed by it, and the swap and erase rules form g (uv) by exchanging two
+entries of images.  The recursion makes no Permutation and no Monomial,
+except one Monomial for each admissible state the first time it reaches
+it: that Monomial's position in `Normalizer.monomials` is the leaf id that
+normal forms are keyed by.  Callers map ids back once, after summing
+(`Normalizer.to_monomials`), and the table build maps them to basis indices.
+Nothing enumerates the basis, so a word normalizes at any alpha.
 """
 from __future__ import annotations
 
@@ -106,59 +116,63 @@ def basis_enumerate(alpha: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-def _measure(g: Permutation, js: tuple[int, ...]) -> tuple[int, int, int]:
+State = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _measure(images: tuple[int, ...], js: tuple[int, ...]) -> tuple[int, int, int]:
     """Strictly decreasing along every rewrite: (length, weak inversions, image inversions)."""
     m = len(js)
     weak = sum(1 for s in range(m) for t in range(s + 1, m) if js[s] >= js[t])
     if weak:
         return (m, weak, m * m)
-    images = tuple(g(j) for j in js)
-    img_inv = sum(1 for s in range(m) for t in range(s + 1, m) if images[s] > images[t])
+    hit = [images[j - 1] for j in js]
+    img_inv = sum(1 for s in range(m) for t in range(s + 1, m) if hit[s] > hit[t])
     return (m, 0, img_inv)
 
 
-def fuse(p: Monomial, q: Monomial) -> tuple[Permutation, tuple[int, ...]]:
+def fuse(p: Monomial, q: Monomial) -> State:
     """The state A(g) T_{js} equal to the word p q, before normalization.
 
     A(g) T_I A(h) T_J = A(gh) T_{h^{-1}(I)} T_J, since each T_i slides
     through A(h) by T_i A(h) = A(h) T_{h^{-1}(i)}.
     """
+    g, h = p.perm.images, q.perm.images
     # h^{-1}(i) is the position of i in h's one-line images
-    images = q.perm.images
-    return p.perm * q.perm, tuple([images.index(i) + 1 for i in p.holes]) + q.holes
+    return tuple([g[y - 1] for y in h]), tuple([h.index(i) + 1 for i in p.holes]) + q.holes
 
 
-def star_state(m: Monomial) -> tuple[Permutation, tuple[int, ...]]:
+def star_state(m: Monomial) -> State:
     """The state equal to m* = T_{j_k} ... T_{j_1} A(g^{-1}), before normalization."""
-    return m.perm.inverse(), tuple(m.perm(i) for i in reversed(m.holes))
+    g = m.perm.images
+    return m.perm.inverse().images, tuple([g[i - 1] for i in reversed(m.holes)])
 
 
-def word_to_state(alpha: int, tokens: Sequence[tuple[str, object]]) -> tuple[Permutation, tuple[int, ...]]:
+def word_to_state(alpha: int, tokens: Sequence[tuple[str, object]]) -> State:
     """Collect all permutation letters on the left.
 
     Tokens are ("perm", Permutation) or ("hole", index).  Sliding a hole
     letter through A(h) from the left turns its index into h^{-1}(index),
     so a right-to-left sweep with the running right-hand product does it.
     """
-    h = Permutation.identity(alpha)
+    h = tuple(range(1, alpha + 1))
     js_rev: list[int] = []
     for kind, payload in reversed(list(tokens)):
         if kind == "perm":
             g = payload
             if not isinstance(g, Permutation) or g.degree != alpha:
                 raise ContextError(f"permutation token of wrong degree in alpha={alpha} word")
-            h = g * h
+            h = tuple([g.images[y - 1] for y in h])
         elif kind == "hole":
             i = int(payload)  # type: ignore[call-overload]
             if not 1 <= i <= alpha:
                 raise ValueError(f"hole index {i} outside 1..{alpha}")
-            js_rev.append(h.inverse()(i))
+            js_rev.append(h.index(i) + 1)
         else:
             raise ValueError(f"unknown token kind {kind!r}")
     return h, tuple(reversed(js_rev))
 
 
-def _sites(g: Permutation, js: tuple[int, ...]) -> list[tuple[str, int]]:
+def _sites(images: tuple[int, ...], js: tuple[int, ...]) -> list[tuple[str, int]]:
     """Every (rule, t) that may fire on A(g) T_{js}, in the order reduce tries them.
 
     Square and swap sites come first, left to right.  Erase sites are listed
@@ -168,90 +182,107 @@ def _sites(g: Permutation, js: tuple[int, ...]) -> list[tuple[str, int]]:
     """
     pairs = range(len(js) - 1)
     sites = [("square" if js[t] == js[t + 1] else "swap", t) for t in pairs if js[t] >= js[t + 1]]
-    return sites or [("erase", t) for t in pairs if g(js[t]) > g(js[t + 1])]
+    return sites or [("erase", t) for t in pairs if images[js[t] - 1] > images[js[t + 1] - 1]]
 
 
 class Normalizer:
     """Rewrites states A(g) T_{js} to admissible normal form, with memoization.
 
-    The first site `_sites` lists fires.  The tests check that every other
-    listed site gives the same normal form (see the module docstring).
+    A state is (images, js): the one-line images of g and the hole indices,
+    two tuples of ints.  The first site `_sites` lists fires.  The tests
+    check that every other listed site gives the same normal form (see the
+    module docstring).
 
-    Beside the memo `_cache` sits the intern table `_polys`, which maps each
-    coefficient value to the one NuPoly object that every normal form in the
-    memo uses for it: the memo of the alpha=4 table build holds 238,114
-    coefficients of only 377 distinct values.  `clear` empties both.
+    A normal form is a dict from leaf ids to coefficients.  The first time
+    the recursion reaches an admissible state it appends that state's
+    Monomial to `monomials`, and the state's leaf id is its position there;
+    `to_monomials` maps a normal form back.  The memo `_cache` is keyed by
+    the state.  Beside it sits the intern table `_polys`, keyed by each
+    coefficient's tuple of coefficients, which holds the one NuPoly object
+    that every normal form in the memo uses for that value: the memo of the
+    alpha=4 table build holds 238,114 coefficients of only 377 distinct
+    values.  `clear` empties all three.
     """
 
     def __init__(self):
-        self._cache: dict[tuple[Permutation, tuple[int, ...]], dict[Monomial, NuPoly]] = {}
-        self._polys: dict[NuPoly, NuPoly] = {}
+        self._cache: dict[State, dict[int, NuPoly]] = {}
+        self._polys: dict[tuple, NuPoly] = {}
+        self.monomials: list[Monomial] = []
         self.stats = {"square": 0, "swap": 0, "erase": 0, "states": 0, "cache_hits": 0}
 
     def clear(self) -> None:
-        """Empty the memo and the intern table; no result changes."""
+        """Empty the memo, the intern table and the leaves; no normal form changes."""
         self._cache.clear()
         self._polys.clear()
+        self.monomials.clear()
 
-    def reduce(self, g: Permutation, js: tuple[int, ...]) -> dict[Monomial, NuPoly]:
-        """Normal form of the single state A(g) T_{js}, as monomial -> coefficient."""
-        key = (g, js)
+    def to_monomials(self, nf: dict[int, NuPoly]) -> dict[Monomial, NuPoly]:
+        """A normal form, or a combination of them, keyed by Monomial instead of leaf id."""
+        leaves = self.monomials
+        return {leaves[i]: c for i, c in nf.items()}
+
+    def reduce(self, images: tuple[int, ...], js: tuple[int, ...]) -> dict[int, NuPoly]:
+        """Normal form of the single state A(g) T_{js}, as leaf id -> coefficient."""
+        key = (images, js)
         hit = self._cache.get(key)
         if hit is not None:
             self.stats["cache_hits"] += 1
             return hit
         self.stats["states"] += 1
         intern = self._polys.setdefault
-        sites = _sites(g, js)
+        sites = _sites(images, js)
         if not sites:
-            out = {Monomial(g, js): intern(_ONE, _ONE)}
+            self.monomials.append(Monomial(Permutation(images), js))
+            out = {len(self.monomials) - 1: intern(_ONE.coeffs, _ONE)}
         else:
             rule, t = sites[0]
             self.stats[rule] += 1
             parent = None
             terms = []
-            for w, g2, js2 in _emit(rule, t, g, js):
+            for w, images2, js2 in _emit(rule, t, images, js):
                 # a shorter child decreases the measure by its length alone
                 if len(js2) >= len(js):
                     if parent is None:
-                        parent = _measure(g, js)
-                    child = _measure(g2, js2)
+                        parent = _measure(images, js)
+                    child = _measure(images2, js2)
                     if not child < parent:
                         raise ConsistencyError(
                             "termination measure failed to decrease",
-                            {"rule": rule, "g": list(g.images), "parent": parent, "child": child, "js": js},
+                            {"rule": rule, "g": list(images), "parent": parent, "child": child, "js": js},
                         )
-                terms.append((w, self.reduce(g2, js2).items()))
-            out = {m: intern(c, c) for m, c in combine(terms).items()}
+                terms.append((w, self.reduce(images2, js2).items()))
+            out = {i: intern(c.coeffs, c) for i, c in combine(terms).items()}
         self._cache[key] = out
         return out
 
 
-def _emit(rule: str, t: int, g: Permutation, js: tuple[int, ...]):
-    """Replacement terms (weight, g, js) for one rule application at site t.
+def _emit(rule: str, t: int, images: tuple[int, ...], js: tuple[int, ...]):
+    """Replacement terms (weight, images, js) for one rule application at site t.
 
     The unit weights are plain 1 and -1, which `combine` applies as signs.
     """
     if rule == "square":
         one_copy = js[: t + 1] + js[t + 2 :]
         no_copy = js[:t] + js[t + 2 :]
-        return ((_NU_MINUS_ONE, g, one_copy), (_NU, g, no_copy))
+        return ((_NU_MINUS_ONE, images, one_copy), (_NU, images, no_copy))
     u, v = js[t], js[t + 1]
-    tau = Permutation.transposition(g.degree, u, v)
-    g2 = g * tau
+    # g (uv): the images of g with those of u and v exchanged
+    swapped = list(images)
+    swapped[u - 1], swapped[v - 1] = images[v - 1], images[u - 1]
+    swapped = tuple(swapped)
     tail = js[t + 2 :]
     if rule == "swap":
         # u > v here; prefix indices slide through A((uv))
-        mapped = tuple(tau(p) for p in js[:t])
+        mapped = tuple([v if p == u else u if p == v else p for p in js[:t]])
         return (
-            (1, g, js[:t] + (v, u) + tail),
-            (1, g2, mapped + (u,) + tail),
-            (-1, g2, mapped + (v,) + tail),
+            (1, images, js[:t] + (v, u) + tail),
+            (1, swapped, mapped + (u,) + tail),
+            (-1, swapped, mapped + (v,) + tail),
         )
     if rule == "erase":
         # u < v but g(u) > g(v); prefix and tail avoid u, v, so they pass through untouched
         shorter = js[: t + 1] + js[t + 2 :]
-        return ((1, g2, js), (1, g2, shorter), (-1, g, shorter))
+        return ((1, swapped, js), (1, swapped, shorter), (-1, images, shorter))
     raise ValueError(f"unknown rule {rule!r}")
 
 
@@ -315,7 +346,7 @@ class OElement(SparseVector):
         """Antiautomorphism with A(g)* = A(g^{-1}) and T_i* = T_i."""
         nz = default_normalizer()
         terms = ((c, nz.reduce(*star_state(m)).items()) for m, c in self._coeffs.items())
-        return OElement._trusted(self.alpha, combine(terms))
+        return OElement._trusted(self.alpha, nz.to_monomials(combine(terms)))
 
     def evaluate(self, value) -> dict[Monomial, Fraction]:
         """Specialize nu to an exact rational; zero coefficients are dropped."""
@@ -336,7 +367,8 @@ def gen_hole_element(i: int, alpha: int) -> OElement:
 
 
 def element_from_word(alpha: int, tokens: Sequence[tuple[str, object]]) -> OElement:
-    return OElement._trusted(alpha, default_normalizer().reduce(*word_to_state(alpha, tokens)))
+    nz = default_normalizer()
+    return OElement._trusted(alpha, nz.to_monomials(nz.reduce(*word_to_state(alpha, tokens))))
 
 
 def multiply(x: OElement, y: OElement) -> OElement:
@@ -344,7 +376,7 @@ def multiply(x: OElement, y: OElement) -> OElement:
     x._check(y)
     nz = default_normalizer()
     terms = ((c1 * c2, nz.reduce(*fuse(m1, m2)).items()) for m1, c1 in x.items() for m2, c2 in y.items())
-    return OElement._trusted(x.alpha, combine(terms))
+    return OElement._trusted(x.alpha, nz.to_monomials(combine(terms)))
 
 
 def format_monomial(m: Monomial) -> str:

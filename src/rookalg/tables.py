@@ -4,19 +4,24 @@ A structure table records, for every ordered pair of admissible basis
 monomials, the normal form of their product as polynomial-in-nu
 coefficients.  The 43,681 pairs at alpha=4 fuse to only 3,928 distinct
 states A(g) T_js, which give 3,928 distinct rows, so a table stores each
-distinct row once, in `rows`, and for each pair only the index of its
-row, in `row_of` (4 bytes a pair).  A build reduces, indexes and checks each
-distinct fused state once, with one rewriting engine.  A table read from
-outside goes through `StructureTable.from_pairs`, which interns its rows by
-value, so a loaded table has the same layout as the built one and equals
-it.  Every read that turns each pair's row into a result (the JSON and CSV
-exports, the trace form, the scaled limit and the oracle crosscheck's
-right-hand sides) goes through `StructureTable.map_rows`, which maps each
-row once and returns the dimension x dimension matrix of results, out[p][q],
-so only `StructureTable` knows where a pair's row index sits in `row_of`.
+distinct row once, in `rows`, and for each pair only the index of its row,
+in `row_of` (4 bytes a pair).  A build fuses each pair to a state (images,
+js) of plain int tuples and reduces, indexes and checks each distinct one
+once, with one rewriting engine; the engine keys a normal form by leaf ids,
+which a list that grows as new leaves appear turns into basis indices, so
+rows sort on int keys.  A table read from outside goes through
+`StructureTable.from_pairs`, which interns its rows by value, so a loaded
+table has the same layout as the built one and equals it.  Every read that
+turns each pair's row into a result (the JSON and CSV exports, the trace
+form, the scaled limit and the oracle crosscheck's right-hand sides) goes
+through `StructureTable.map_rows`, which maps each row once and returns the
+dimension x dimension matrix of results, out[p][q], so only `StructureTable`
+knows where a pair's row index sits in `row_of`.
 `StructureTable.json_chunks` holds the one JSON layout and yields the text
 in pieces, one per basis element p, so a writer never holds the whole
 export; `canonical_json` joins them.  `csv_chunks` does the same for CSV.
+Both render each distinct coefficient's text once per export: the 74,525
+terms of the alpha=4 rows carry 179 values.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
@@ -36,9 +41,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .algebra import Monomial, Normalizer, basis_enumerate, fuse, star_state
+from .algebra import Monomial, Normalizer, State, basis_enumerate, fuse, star_state
 from .capacity import table_limit
 from .combinatorics import Permutation
 from .errors import CapacityError, ConsistencyError
@@ -101,19 +107,32 @@ class StructureTable:
         return [list(map(mapped.__getitem__, self.row_of[ip * dim : (ip + 1) * dim])) for ip in range(dim)]
 
     @staticmethod
-    def _exported_terms(row, nu):
-        """(r, coefficient strings) of each exported term of a row.
+    def _exported_terms(nu, render):
+        """fn(row) -> [(r, text), ...]: each exported term of a row, with its coefficient's text.
 
-        Without nu a term carries its polynomial's "p/q" coefficients; at a
-        point it carries the one value there, and terms that vanish are dropped.
+        Without nu the text is render of its polynomial's "p/q" coefficients;
+        at a point it is render of the one value there, and terms that vanish
+        are dropped.  One fn renders each distinct polynomial once.
         """
-        for ir, poly in row:
+        texts: dict[tuple, str | None] = {}
+
+        def text(poly) -> str | None:
             if nu is None:
-                yield ir, poly.to_strings()
-            else:
-                v = poly.evaluate(nu)
-                if v:
-                    yield ir, [format_rational(v)]
+                return render(poly.to_strings())
+            v = poly.evaluate(nu)
+            return render([format_rational(v)]) if v else None
+
+        def terms(row) -> list[tuple[int, str]]:
+            out = []
+            for ir, poly in row:
+                key = poly.coeffs
+                if key not in texts:
+                    texts[key] = text(poly)
+                if texts[key] is not None:
+                    out.append((ir, texts[key]))
+            return out
+
+        return terms
 
     def json_chunks(self, nu=None) -> Iterator[str]:
         """The table as JSON in pieces, indented as json.dumps(indent=2) would, with a final newline.
@@ -122,7 +141,8 @@ class StructureTable:
         basis element p holds its dimension entries, and the last piece
         closes the text.  "constants" holds one {"p", "q", "terms"} entry per
         pair in (p, q) order.  Each row's terms are rendered once and shared
-        by every entry that points at that row.
+        by every entry that points at that row, and each distinct coefficient's
+        text is rendered once.
         """
         nu_text = "null" if nu is None else f'"{format_rational(Fraction(nu))}"'
         basis = [
@@ -135,12 +155,12 @@ class StructureTable:
             f'\n  "basis": {_json_list(basis, 2)},\n  "constants": '
         )
 
+        terms_of = self._exported_terms(nu, lambda texts: _json_list((f'"{t}"' for t in texts), 10))
+
         def render(row) -> str:
-            terms = []
-            for ir, texts in self._exported_terms(row, nu):
-                poly_text = _json_list((f'"{t}"' for t in texts), 10)
-                terms.append(f'{{\n          "r": {ir},\n          "poly": {poly_text}\n        }}')
-            return _json_list(terms, 6)
+            return _json_list(
+                (f'{{\n          "r": {ir},\n          "poly": {text}\n        }}' for ir, text in terms_of(row)), 6
+            )
 
         sep = "[\n    "
         for ip, texts_of_p in enumerate(self.map_rows(render)):
@@ -220,8 +240,10 @@ class StructureTable:
 
     def csv_chunks(self, nu=None) -> Iterator[str]:
         """The table as CSV lines, in pieces: the header, then one piece per basis element p."""
+        terms_of = self._exported_terms(nu, " ".join)
+
         def render(row) -> list[str]:
-            return [f"{ir},{' '.join(texts)}" for ir, texts in self._exported_terms(row, nu)]
+            return [f"{ir},{text}" for ir, text in terms_of(row)]
 
         yield "p,q,r,poly\n"
         for ip, tails_of_p in enumerate(self.map_rows(render)):
@@ -244,14 +266,14 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
 
     use_cache=False builds afresh, kept because bench/ counter tests read a fresh build's stats.
 
-    Each pair (p, q) is fused to its state A(g) T_js.  A state not yet seen
-    in this build is reduced by the build's one Normalizer, mapped to basis
-    indices, sorted and checked to have integer coefficients, once, and its
-    row is appended to rows; every pair records the index of its state's
-    row in row_of.  A row equal to an earlier one is not stored again, as
-    from_pairs interns rows.  A constant that is not in Z[nu] raises
-    ConsistencyError naming the first such pair in (p, q) order, which is
-    the pair that reached its row first.
+    Each pair (p, q) is fused to its state (images, js).  A state not yet
+    seen in this build is reduced by the build's one Normalizer, its leaf
+    ids mapped to basis indices, sorted and checked to have integer
+    coefficients, once, and its row is appended to rows; every pair records
+    the index of its state's row in row_of.  A row equal to an earlier one
+    is not stored again, as from_pairs interns rows.  A constant that is not
+    in Z[nu] raises ConsistencyError naming the first such pair in (p, q)
+    order, which is the pair that reached its row first.
 
     build_stats holds the rule counters of the Normalizer, plus the
     dimension and the build time.
@@ -269,8 +291,10 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
     basis = basis_enumerate(alpha)
     index = {m: i for i, m in enumerate(basis)}
     nz = Normalizer()
+    # the basis index of each leaf id of nz, extended as new leaves appear
+    basis_of: list[int] = []
     row_index: dict[Row, int] = {}
-    state_row: dict[tuple[Permutation, tuple[int, ...]], int] = {}
+    state_row: dict[State, int] = {}
     row_of = array("I")
     for ip, p in enumerate(basis):
         for iq, q in enumerate(basis):
@@ -278,7 +302,8 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
             i = state_row.get(state)
             if i is None:
                 nf = nz.reduce(*state)
-                row = tuple(sorted(((index[m], c) for m, c in nf.items()), key=lambda t: t[0]))
+                basis_of += map(index.__getitem__, nz.monomials[len(basis_of) :])
+                row = tuple(sorted([(basis_of[k], c) for k, c in nf.items()], key=itemgetter(0)))
                 # every rule coefficient lies in Z[nu], so every structure constant must too
                 for ir, poly in row:
                     for c in poly.coeffs:
@@ -330,7 +355,8 @@ def gram_matrix(alpha: int) -> tuple[tuple[NuPoly, ...], ...]:
     B = trace_form(table)
     nz = Normalizer()
     stars = [
-        [(table.index_of(m), c) for m, c in nz.reduce(*star_state(q)).items()] for q in table.basis
+        [(table.index_of(m), c) for m, c in nz.to_monomials(nz.reduce(*star_state(q))).items()]
+        for q in table.basis
     ]
     zero = NuPoly.zero()
     return tuple(

@@ -97,10 +97,13 @@ def test_format_monomial():
 
 def test_word_to_state():
     tau = Permutation((2, 1))
-    assert word_to_state(2, [("perm", tau)]) == (tau, ())
-    assert word_to_state(2, [("hole", 2)]) == (Permutation.identity(2), (2,))
+    assert word_to_state(2, [("perm", tau)]) == ((2, 1), ())
+    assert word_to_state(2, [("hole", 2)]) == ((1, 2), (2,))
     # a hole written left of a permutation letter is carried through it
-    assert word_to_state(2, [("hole", 1), ("perm", tau)]) == (tau, (2,))
+    assert word_to_state(2, [("hole", 1), ("perm", tau)]) == ((2, 1), (2,))
+    # a 3-cycle, unlike a transposition, tells h^{-1} from h
+    tau3 = Permutation((2, 3, 1))
+    assert word_to_state(3, [("perm", tau3), ("hole", 1), ("perm", tau3)]) == ((tau3 * tau3).images, (3,))
 
 
 @pytest.mark.parametrize(
@@ -128,7 +131,27 @@ def test_square_relation_exactly():
 def test_normalize_fixes_basis_monomials(alpha):
     nz = Normalizer()
     for m in basis_enumerate(alpha):
-        assert nz.reduce(m.perm, m.holes) == {m: NuPoly.one()}
+        assert nz.to_monomials(nz.reduce(m.perm.images, m.holes)) == {m: NuPoly.one()}
+
+
+def test_leaf_ids_are_positions_in_monomials():
+    nz = Normalizer()
+    basis = basis_enumerate(2)
+    for m in reversed(basis):
+        nz.reduce(m.perm.images, m.holes)
+    # each admissible state gets the next id the first time it is reached
+    assert nz.monomials == list(reversed(basis))
+    assert nz.reduce(basis[0].perm.images, basis[0].holes) == {len(basis) - 1: NuPoly.one()}
+
+
+def test_clear_empties_the_memo_the_intern_table_and_the_leaves():
+    nz = Normalizer()
+    state = word_to_state(3, parse_word(3, "A(123) T2 T1 T3"))
+    before = nz.to_monomials(nz.reduce(*state))
+    assert nz._cache and nz._polys and nz.monomials
+    nz.clear()
+    assert not nz._cache and not nz._polys and not nz.monomials
+    assert nz.to_monomials(nz.reduce(*state)) == before
 
 
 def test_normalizer_memo_holds_one_object_per_distinct_polynomial():
@@ -143,7 +166,7 @@ def test_normalizer_memo_holds_one_object_per_distinct_polynomial():
 
 
 def check_every_site(states) -> int:
-    """Fire every site of every state reachable from `states`; return how many states that is.
+    """Fire every site of every (images, js) state reachable from `states`; return how many states that is.
 
     Each site's children, normalized, must sum to the normal form of their
     parent.  The children are checked in turn, so the set checked is closed
@@ -153,15 +176,16 @@ def check_every_site(states) -> int:
     seen = set(states)
     work = list(seen)
     while work:
-        g, js = work.pop()
-        nf = nz.reduce(g, js)
-        for rule, t in algebra._sites(g, js):
-            children = algebra._emit(rule, t, g, js)
-            assert combine((w, nz.reduce(g2, js2).items()) for w, g2, js2 in children) == nf, (rule, t, g, js)
-            for _, g2, js2 in children:
-                if (g2, js2) not in seen:
-                    seen.add((g2, js2))
-                    work.append((g2, js2))
+        images, js = work.pop()
+        nf = nz.reduce(images, js)
+        for rule, t in algebra._sites(images, js):
+            children = algebra._emit(rule, t, images, js)
+            assert combine((w, nz.reduce(*child).items()) for w, *child in children) == nf, (rule, t, images, js)
+            for _, *child in children:
+                child = tuple(child)
+                if child not in seen:
+                    seen.add(child)
+                    work.append(child)
     return len(seen)
 
 
@@ -174,7 +198,7 @@ def test_every_site_agrees_on_every_state_of_the_table(alpha):
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
 def test_every_site_agrees_on_every_state_with_at_most_four_holes(alpha):
     holes = [js for k in range(5) for js in product(range(1, alpha + 1), repeat=k)]
-    states = [(g, js) for g in all_permutations(alpha) for js in holes]
+    states = [(g.images, js) for g in all_permutations(alpha) for js in holes]
     # no rule lengthens a state, so these states are closed under rewriting
     assert check_every_site(states) == len(states) == len(set(states))
 
@@ -192,17 +216,17 @@ def test_sites_are_empty_exactly_on_admissible_states(alpha):
             else:
                 constructs = True
             admissible += constructs
-            assert (algebra._sites(g, js) == []) == constructs, (g, js)
+            assert (algebra._sites(g.images, js) == []) == constructs, (g, js)
     # every admissible monomial has at most alpha <= 3 holes, so all were seen
     assert admissible == rook_count(alpha)
 
 
 def test_sites_list_erase_sites_only_once_holes_increase():
-    g = Permutation((3, 2, 1))
+    images = (3, 2, 1)
     # (3, 1) swaps; (1, 3) would erase but waits for the swap to clear
-    assert algebra._sites(g, (3, 1, 3)) == [("swap", 0)]
-    assert algebra._sites(g, (2, 2, 1)) == [("square", 0), ("swap", 1)]
-    assert algebra._sites(g, (1, 2, 3)) == [("erase", 0), ("erase", 1)]
+    assert algebra._sites(images, (3, 1, 3)) == [("swap", 0)]
+    assert algebra._sites(images, (2, 2, 1)) == [("square", 0), ("swap", 1)]
+    assert algebra._sites(images, (1, 2, 3)) == [("erase", 0), ("erase", 1)]
 
 
 def test_normalizer_stats_and_cache():
@@ -217,20 +241,20 @@ def test_normalizer_stats_and_cache():
 
 def test_a_same_length_child_that_does_not_decrease_is_refused(monkeypatch):
     # every rule emits the state it was given, so its measure stays (2, 1, 4)
-    monkeypatch.setattr(algebra, "_emit", lambda rule, t, g, js: ((1, g, js),))
+    monkeypatch.setattr(algebra, "_emit", lambda rule, t, images, js: ((1, images, js),))
     with pytest.raises(ConsistencyError, match="termination measure failed to decrease") as exc:
-        Normalizer().reduce(Permutation.identity(2), (2, 1))
+        Normalizer().reduce((1, 2), (2, 1))
     assert exc.value.payload == {"rule": "swap", "g": [1, 2], "parent": (2, 1, 4), "child": (2, 1, 4), "js": (2, 1)}
 
 
 def test_shorter_children_are_not_measured(monkeypatch):
     calls = []
     measure = algebra._measure
-    monkeypatch.setattr(algebra, "_measure", lambda g, js: calls.append(js) or measure(g, js))
-    out = Normalizer().reduce(Permutation.identity(2), (1,) * 30)
+    monkeypatch.setattr(algebra, "_measure", lambda images, js: calls.append(js) or measure(images, js))
+    out = Normalizer().reduce((1, 2), (1,) * 30)
     assert out and not calls
     # a swap's first child has the parent's length, so both are measured
-    Normalizer().reduce(Permutation.identity(2), (2, 1))
+    Normalizer().reduce((1, 2), (2, 1))
     assert calls == [(2, 1), (1, 2)]
 
 
@@ -393,7 +417,7 @@ def test_random_words_normalize_consistently(tokens):
     again = OElement.zero(2)
     nz = Normalizer()
     for m, c in x.items():
-        state = nz.reduce(m.perm, m.holes)
+        state = nz.to_monomials(nz.reduce(m.perm.images, m.holes))
         assert state == {m: NuPoly.one()}
         again = again + OElement(2, {m: c})
     assert again == x

@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from rookalg import algebra, cli
+from rookalg.capacity import rook_limit
 from rookalg.cli import main, parse_word
 from rookalg.combinatorics import Permutation
 from rookalg.tables import StructureTable, structure_table
@@ -263,6 +264,19 @@ def test_stdout_matches_its_golden_hash(command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[command]
 
 
+def test_normalize_runs_past_the_rook_limit(monkeypatch):
+    # the rewriting never enumerates the basis, so no capacity is needed above
+    # the rook limit of 6
+    monkeypatch.delenv("ROOKALG_CAPACITY", raising=False)
+    assert rook_limit() < 7
+    assert run_cli("normalize", "--alpha", "7", "--word", "A(17) T7 T1 T2") == (
+        0,
+        "-A(127) T1 + A(17) T1 - A(27) T2 + A(27) T7 - A(27) T1 T2 - A(127) T1 T2"
+        " + A(27) T1 T7 + T2 T7 + T1 T2 T7\n",
+        "",
+    )
+
+
 def test_verify_output_is_byte_stable():
     a = run_cli("verify", "dims", "--alpha", "2")
     b = run_cli("verify", "dims", "--alpha", "2")
@@ -349,7 +363,7 @@ def test_bad_values_exit_2(command, message, monkeypatch):
 def test_consistency_failure_prints_its_payload(monkeypatch):
     # every rule emits the state it was given, so the measure does not decrease;
     # a fresh default normalizer has no memoized normal form to return instead
-    monkeypatch.setattr(algebra, "_emit", lambda rule, t, g, js: ((1, g, js),))
+    monkeypatch.setattr(algebra, "_emit", lambda rule, t, images, js: ((1, images, js),))
     monkeypatch.setattr(algebra, "_DEFAULT_NORMALIZER", algebra.Normalizer())
     assert run_cli("normalize", "--alpha", "2", "--word", "T2 T1") == (
         1,

@@ -13,7 +13,6 @@ import rookalg
 from rookalg.algebra import Monomial, Normalizer, OElement, basis_enumerate, default_normalizer, fuse, multiply
 from rookalg.capacity import override
 from rookalg.cli import main
-from rookalg.combinatorics import Permutation
 from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly
 from rookalg import tables, verify
@@ -84,6 +83,15 @@ def test_rewrite_counters_alpha3():
     assert counters == {"square": 145, "swap": 243, "erase": 14, "states": 436}
 
 
+def test_rewrite_counters_alpha4():
+    # the alpha=4 build fires the same rules, in the same order, on the same
+    # states as every earlier engine did
+    t = structure_table(4, use_cache=False)
+    counters = {k: t.build_stats[k] for k in ("square", "swap", "erase", "states", "cache_hits")}
+    assert counters == {"square": 2814, "swap": 7097, "erase": 175, "states": 10295, "cache_hits": 21077}
+    assert len(t.rows) == 3928
+
+
 def test_alpha3_exports_are_byte_identical():
     # digests of the full alpha=3 table as first released; the normal form
     # must not depend on how the rewriting memo is shared or filled
@@ -109,10 +117,12 @@ def test_table_constants_are_integers():
 def test_non_integral_constant_raises(monkeypatch):
     original = Normalizer.reduce
 
-    def tampered(self, g, js):
+    def tampered(self, images, js):
         if js == (1, 1):  # the state of T1 T1
-            return {Monomial.one(g.degree): NuPoly((Fraction(1, 2),))}
-        return original(self, g, js)
+            # the leaf id of the identity monomial, with a non-integral coefficient
+            (one,) = original(self, tuple(range(1, len(images) + 1)), ())
+            return {one: NuPoly((Fraction(1, 2),))}
+        return original(self, images, js)
 
     monkeypatch.setattr(Normalizer, "reduce", tampered)
     with pytest.raises(ConsistencyError) as excinfo:
@@ -122,7 +132,7 @@ def test_non_integral_constant_raises(monkeypatch):
     # at alpha=2 several pairs fuse to the state T1 T1 and share its row;
     # the payload names the first of them in (p, q) order
     basis = basis_enumerate(2)
-    state = (Permutation.identity(2), (1, 1))
+    state = ((1, 2), (1, 1))
     pairs = [(ip, iq) for ip, p in enumerate(basis) for iq, q in enumerate(basis) if fuse(p, q) == state]
     assert len(pairs) > 1
     with pytest.raises(ConsistencyError) as excinfo:
@@ -542,12 +552,13 @@ def test_clear_caches_empties_every_module_level_cache():
     assert structure_table(2) is table
     rookalg.element_from_word(2, [("hole", 1), ("hole", 1)])
     rookalg.coset_enumerate(rookalg.PartialInjection((1, 2)), rookalg.Context(2, 1))
-    assert default_normalizer()._cache and default_normalizer()._polys
+    assert default_normalizer()._cache and default_normalizer()._polys and default_normalizer().monomials
     rookalg.clear_caches()
     fresh = structure_table(2)
     assert fresh is not table
     assert fresh == table
     assert not default_normalizer()._cache
     assert not default_normalizer()._polys
+    assert not default_normalizer().monomials
     for cached in (rookalg.subgroup_elements, rookalg.canonical_completion, rookalg.coset_enumerate):
         assert cached.cache_info().currsize == 0
