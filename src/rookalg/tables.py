@@ -28,9 +28,9 @@ coefficient of each product, and the Gram matrix is the trace form applied
 to the normal forms of the basis stars.  One rank-revealing Gaussian
 elimination over Fractions, `_pivots`, yields (column, pivot, exchanged) for
 each pivot of a matrix of any shape, and it has three readers: `rank`, the
-Sylvester test of `positive_definite`, and `det_polynomial`, which counts
+Sylvester test of `positive_definite`, and `_det_factors`, which counts
 the nullity at each integer point and interpolates only the cofactor that
-the nullities leave.
+the nullities leave; the semisimplicity probe checks those against a closed form.
 """
 from __future__ import annotations
 
@@ -219,24 +219,32 @@ class StructureTable:
     def from_json_obj(cls, obj) -> "StructureTable":
         """The table from json.loads of its canonical_json().
 
-        A malformed one raises ValueError naming the entry.
+        A malformed one raises ValueError naming the entry, or the field
+        that is missing or is not a list.
         """
         if obj.get("nu") is not None:
             raise ValueError(
                 f'field "nu" is "{obj["nu"]}": a table exported at a point does not load as polynomials'
             )
-        basis = [
-            Monomial(Permutation(tuple(int(x) for x in e["g"])), tuple(int(x) for x in e["I"]))
-            for e in obj["basis"]
-        ]
+        alpha = int(_field(obj, "alpha", "the table"))
+        basis = []
+        for i, e in enumerate(_field(obj, "basis", "the table")):
+            g, holes = (tuple(map(int, _field(e, k, f"basis[{i}]"))) for k in ("g", "I"))
+            basis.append(Monomial(Permutation(g), holes))
+
+        def terms(i, e):
+            for j, t in enumerate(_field(e, "terms", f"constants[{i}]")):
+                where = f"constants[{i}].terms[{j}]"
+                poly = _field(t, "poly", where)
+                if not isinstance(poly, list):
+                    raise ValueError(f"{where}.poly is not a list")
+                yield int(_field(t, "r", where)), NuPoly.from_strings(poly)
+
         pairs = (
-            (
-                (int(e["p"]), int(e["q"])),
-                tuple((int(t["r"]), NuPoly.from_strings(t["poly"])) for t in e["terms"]),
-            )
-            for e in obj["constants"]
+            ((int(_field(e, "p", f"constants[{i}]")), int(_field(e, "q", f"constants[{i}]"))), terms(i, e))
+            for i, e in enumerate(_field(obj, "constants", "the table"))
         )
-        return cls.from_pairs(int(obj["alpha"]), basis, pairs)
+        return cls.from_pairs(alpha, basis, pairs)
 
     def csv_chunks(self, nu=None) -> Iterator[str]:
         """The table as CSV lines, in pieces: the header, then one piece per basis element p."""
@@ -248,6 +256,14 @@ class StructureTable:
         yield "p,q,r,poly\n"
         for ip, tails_of_p in enumerate(self.map_rows(render)):
             yield "".join(f"{ip},{iq},{tail}\n" for iq, tails in enumerate(tails_of_p) for tail in tails)
+
+
+def _field(obj, name: str, where: str):
+    """obj[name], or a ValueError saying that `where` has no field `name`."""
+    try:
+        return obj[name]
+    except (KeyError, TypeError):
+        raise ValueError(f'{where} has no field "{name}"') from None
 
 
 def _json_list(items, indent: int) -> str:
@@ -519,17 +535,10 @@ def _det_factors(mat: Sequence[Sequence[NuPoly]]) -> tuple[dict[int, int], NuPol
     return nullities, cofactor
 
 
-def _times_roots(nullities: dict[int, int], cofactor: NuPoly) -> NuPoly:
-    """cofactor * prod_x (nu - x)^nullities[x], expanded."""
-    for x, k in nullities.items():
-        for _ in range(k):
-            cofactor = cofactor * NuPoly((-x, 1))
-    return cofactor
-
-
 def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
-    """Determinant of a square polynomial matrix, by the nullity certificate of _det_factors."""
-    return _times_roots(*_det_factors(mat))
+    """det M(nu), the factors of _det_factors expanded; no caller in src/, kept because bench/ wraps it by name."""
+    nullities, cofactor = _det_factors(mat)
+    return prod((NuPoly((-x, 1)) for x, k in nullities.items() for _ in range(k)), start=cofactor)
 
 
 def scaled_limit_table(table: StructureTable) -> list[list[tuple[tuple[int, Fraction], ...]]]:

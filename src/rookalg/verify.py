@@ -57,7 +57,6 @@ from .sparse import combine
 from .tables import (
     StructureTable,
     _det_factors,
-    _times_roots,
     evaluate_matrix,
     gram_matrix,
     positive_definite,
@@ -503,59 +502,48 @@ def gram_suite(
     )
 
 
-def _rational_roots(poly: NuPoly) -> dict[Fraction, int]:
-    """Rational roots in increasing order, with multiplicities, via exact factorization.
-
-    A constant (or zero) polynomial has none, and sympy is not imported for it.
-    """
-    if poly.degree < 1:
-        return {}
-    from sympy import Poly, Rational, Symbol, factor_list
-
-    x = Symbol("nu")
-    expr = sum(Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(poly.coeffs))
-    _, factors = factor_list(expr, x)
-    roots: dict[Fraction, int] = {}
-    for fac, mult in factors:
-        p = Poly(fac, x)
-        if p.degree() == 1:
-            a, b = p.all_coeffs()
-            root = -b / a
-            roots[Fraction(int(root.p), int(root.q))] = int(mult)
-    return dict(sorted(roots.items()))
-
-
 def semisimplicity_probe(alpha: int, *, max_counterexamples: int = 5) -> VerificationReport:
     """Determinant of the trace form: a nonzero polynomial certifies semisimplicity
     away from its finitely many roots.
 
-    The determinant comes factored: (nu - x)^k for each integer x where the
-    trace form has nullity k, times a cofactor.  Its rational roots are
-    those x, plus the cofactor's rational roots found by factoring it
-    (sympy), so a constant cofactor needs no factoring.  The reported roots
-    are candidates for degeneration; the probe makes no claim that each one
-    is genuinely degenerate.
+    B = Phi^T G Phi, with Phi the monomial images in the coset basis, which is
+    unitriangular, and G[sigma][sigma^-1] = (nu)_{r_sigma}, r_sigma holes, the
+    only nonzero entries of G.  So B has nullity #{sigma : r_sigma > j} at
+    nu = j, and det B = (-1)^s prod_sigma (nu)_{r_sigma}, s half the number of
+    sigma != sigma^-1.  The factors of _det_factors must be exactly these; any
+    other nonzero determinant fails as determinant-off-closed-form, and a
+    cofactor that is not constant is warned of, its roots unlisted.  The
+    reported roots, the singular points with their nullities, are candidates
+    for degeneration; the probe makes no claim that each one is degenerate.
     """
     col = _Collector(max_counterexamples)
     tbl = structure_table(alpha)
     nullities, cofactor = _det_factors(trace_form(tbl))
-    det = _times_roots(nullities, cofactor)
-    roots = _rational_roots(cofactor)
     probe_at = alpha + 1
-    if not det:
+    if not cofactor:
         col.add("degenerate-trace-form")
+        nullities = {}
     else:
-        for x, k in nullities.items():
-            roots[Fraction(x)] = roots.get(Fraction(x), 0) + k
-        if det.evaluate(probe_at) == 0:
+        if probe_at in nullities or cofactor.evaluate(probe_at) == 0:
             col.add("vanishing-just-past-alpha", at=probe_at)
-    roots = dict(sorted(roots.items()))
+        found = {str(x): k for x, k in nullities.items()}
+        expected = {str(j): sum(m.hole_degree > j for m in tbl.basis) for j in range(alpha)}
+        swapped = sum(s != s.inverse() for s in map(Monomial.to_rook, tbl.basis))
+        if found != expected or cofactor != NuPoly.constant((-1) ** (swapped // 2)):
+            col.add(
+                "determinant-off-closed-form",
+                nullities=found,
+                expected_nullities=expected,
+                cofactor=cofactor.to_strings(),
+            )
+        if cofactor.degree > 0:
+            col.warnings.append(f"the cofactor has degree {cofactor.degree}; its roots are not listed")
     return col.report(
         "semisimplicity",
         {"alpha": alpha},
         dimension=tbl.dimension,
-        det_degree=int(det.degree) if det else None,
-        det_leading=format_rational(det.leading) if det else None,
-        rational_roots=[format_rational(r) for r, m in roots.items() for _ in range(m)],
-        root_multiplicities={format_rational(r): m for r, m in roots.items()},
+        det_degree=sum(nullities.values()) + cofactor.degree if cofactor else None,
+        det_leading=format_rational(cofactor.leading) if cofactor else None,
+        rational_roots=[format_rational(x) for x, k in nullities.items() for _ in range(k)],
+        root_multiplicities={format_rational(x): k for x, k in nullities.items()},
     )

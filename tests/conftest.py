@@ -1,14 +1,19 @@
 """Shared fixtures.
 
-The acceptance tests record one line per criterion; the terminal summary
-hook replays them at the end of the run so the pass/fail ledger is visible
-even when output capture is on.
+`interpolated_det` is the reference determinant of the table and
+verification tests.  The acceptance tests record one line per criterion;
+the terminal summary hook replays them at the end of the run so the
+pass/fail ledger is visible even when output capture is on.
 """
 
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
+
+from rookalg.nupoly import NuPoly
+from rookalg.tables import _pivots, evaluate_matrix
 
 ACCEPTANCE_LINES = []
 
@@ -37,6 +42,35 @@ def acceptance():
         print(line)
 
     return criterion
+
+
+def _point_det(mat, x) -> Fraction:
+    """det M(x): the signed product of the pivots, 0 when a column has none."""
+    det, count = Fraction(1), 0
+    for _, piv, exchanged in _pivots(evaluate_matrix(mat, Fraction(x))):
+        det *= -piv if exchanged else piv
+        count += 1
+    return det if count == len(mat) else Fraction(0)
+
+
+def _interpolated_det(mat) -> NuPoly:
+    """det M(nu) by Newton interpolation through all bound + 1 points x = 0..bound."""
+    bound = sum(max((int(c.degree) for c in row if c), default=0) for row in mat)
+    xs = list(range(bound + 1))
+    coeffs = [_point_det(mat, x) for x in xs]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    poly = NuPoly.zero()
+    for i in reversed(range(len(xs))):
+        poly = poly * (NuPoly.nu() - NuPoly.constant(xs[i])) + NuPoly.constant(coeffs[i])
+    return poly
+
+
+@pytest.fixture
+def interpolated_det():
+    """det M(nu) interpolated through every point, with no nullity factored out first."""
+    return _interpolated_det
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -258,6 +258,18 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    """An edit of the alpha=1 table's JSON: the field at path is deleted."""
+
+    def edit(obj):
+        *keys, last = path
+        for k in keys:
+            obj = obj[k]
+        del obj[last]
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -271,10 +283,17 @@ def _set(path, value):
         (_set(["constants", 3, "terms", 1, "r"], 0),
          "constants entry (1, 1) has r values that do not increase strictly: [0, 0]"),
         (_set(["nu"], "3/1"), 'field "nu" is "3/1": a table exported at a point does not load as polynomials'),
+        (_drop(["alpha"]), 'the table has no field "alpha"'),
+        (_drop(["basis"]), 'the table has no field "basis"'),
+        (_drop(["basis", 1, "g"]), 'basis[1] has no field "g"'),
+        (_drop(["constants", 3, "terms"]), 'constants[3] has no field "terms"'),
+        (_set(["constants", 3, "terms", 1, "poly"], 1), "constants[3].terms[1].poly is not a list"),
+        # a string would otherwise read as one coefficient per character
+        (_set(["constants", 3, "terms", 1, "poly"], "12"), "constants[3].terms[1].poly is not a list"),
     ],
     ids=[
         "alpha", "basis-repeat", "p-range", "q-range", "r-range", "pair-repeat", "pair-missing", "r-order",
-        "at-a-point",
+        "at-a-point", "alpha-missing", "basis-missing", "g-missing", "terms-missing", "poly-int", "poly-string",
     ],
 )
 def test_malformed_json_tables_are_refused(edit, message):
@@ -443,29 +462,6 @@ def test_det_polynomial():
     assert det_polynomial([[ONE, NU, ONE], [ONE, NU, c(2)], [ONE, NU, c(3)]]) == NuPoly.zero()
 
 
-def _point_det(mat, x) -> Fraction:
-    """det M(x): the signed product of the pivots, 0 when a column has none."""
-    det, count = Fraction(1), 0
-    for _, piv, exchanged in _pivots(evaluate_matrix(mat, Fraction(x))):
-        det *= -piv if exchanged else piv
-        count += 1
-    return det if count == len(mat) else Fraction(0)
-
-
-def _interpolated_det(mat) -> NuPoly:
-    """det M(nu) by Newton interpolation through all bound + 1 points x = 0..bound."""
-    bound = sum(max((int(c.degree) for c in row if c), default=0) for row in mat)
-    xs = list(range(bound + 1))
-    coeffs = [_point_det(mat, x) for x in xs]
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = NuPoly.zero()
-    for i in reversed(range(len(xs))):
-        poly = poly * (NU - NuPoly.constant(xs[i])) + NuPoly.constant(coeffs[i])
-    return poly
-
-
 @pytest.mark.parametrize(
     "mat, expected",
     [
@@ -478,14 +474,14 @@ def _interpolated_det(mat) -> NuPoly:
     ],
     ids=["rational-root", "irreducible-quadratic", "multiplicity-above-nullity"],
 )
-def test_det_polynomial_interpolates_the_cofactor(mat, expected):
-    assert det_polynomial(mat) == expected == _interpolated_det(mat)
+def test_det_polynomial_interpolates_the_cofactor(mat, expected, interpolated_det):
+    assert det_polynomial(mat) == expected == interpolated_det(mat)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
-def test_trace_form_determinant_matches_full_interpolation(alpha):
+def test_trace_form_determinant_matches_full_interpolation(alpha, interpolated_det):
     B = trace_form(structure_table(alpha))
-    assert det_polynomial(B) == _interpolated_det(B)
+    assert det_polynomial(B) == interpolated_det(B)
 
 
 def test_det_polynomial_checks_the_cofactor_at_an_extra_point(monkeypatch):

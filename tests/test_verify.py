@@ -12,10 +12,10 @@ import pytest
 from rookalg.algebra import basis_enumerate
 from rookalg.combinatorics import PartialInjection, rook_enumerate
 from rookalg.errors import CapacityError
-from rookalg.nupoly import NuPoly, format_rational
+from rookalg.nupoly import NuPoly, parse_rational
 from rookalg.oracle import BiinvariantElement, Context, dc_multiply, gen_hole
 from rookalg import capacity, cli, verify
-from rookalg.tables import StructureTable, _det_factors, det_polynomial, structure_table, trace_form
+from rookalg.tables import StructureTable, _det_factors, structure_table, trace_form
 from rookalg.verify import (
     VerificationReport,
     crosscheck_multi,
@@ -336,40 +336,87 @@ def test_root_multiplicities_count_the_rational_roots(alpha):
     assert expanded == m["rational_roots"]
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 3])
-def test_probe_roots_match_factoring_the_whole_determinant(alpha):
-    # the reference route: sympy factors the expanded determinant
-    det = det_polynomial(trace_form(structure_table(alpha)))
-    expected = {format_rational(r): k for r, k in verify._rational_roots(det).items()}
-    assert semisimplicity_probe(alpha).metrics["root_multiplicities"] == expected
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_probe_roots_match_factoring_the_whole_determinant(alpha, interpolated_det):
+    # the closed form (-1)^s prod_sigma (nu)_{r_sigma}, s half the number of
+    # sigma != sigma^-1, against the determinant interpolated through every point
+    t = structure_table(alpha)
+    rooks = [m.to_rook() for m in t.basis]
+    closed = NuPoly.constant((-1) ** (sum(s != s.inverse() for s in rooks) // 2))
+    for m in t.basis:
+        for j in range(m.hole_degree):
+            closed = closed * NuPoly((-j, 1))
+    # the probe's roots and leading coefficient multiply back to it
+    m = semisimplicity_probe(alpha).metrics
+    from_probe = NuPoly.constant(parse_rational(m["det_leading"]))
+    for root in m["rational_roots"]:
+        from_probe = from_probe * (NuPoly.nu() - NuPoly.constant(parse_rational(root)))
+    assert from_probe == closed == interpolated_det(trace_form(t))
+    assert m["det_degree"] == closed.degree
 
 
-def test_probe_adds_the_cofactor_roots_to_the_nullities(monkeypatch):
-    # det = nu^2 (2 nu - 1): nullity 1 at 0, and a cofactor nu (2 nu - 1)
-    # whose roots sympy finds, 0 among them
-    z = NuPoly.zero()
-    monkeypatch.setattr(verify, "trace_form", lambda tbl: [[NuPoly((0, 0, 1)), z], [z, NuPoly((-1, 2))]])
-    m = semisimplicity_probe(1).metrics
-    assert m["root_multiplicities"] == {"0/1": 2, "1/2": 1}
-    assert m["det_degree"] == 3
-    assert m["det_leading"] == "2/1"
+_Z = NuPoly.zero()
 
 
-def test_probe_does_not_import_sympy_when_the_cofactor_is_constant():
-    # a fresh interpreter, so no earlier test has imported sympy already
+@pytest.mark.parametrize(
+    "form, nullities, cofactor",
+    [
+        # det = nu^2 (2 nu - 1): the right nullity, but a cofactor nu (2 nu - 1)
+        ([[NuPoly((0, 0, 1)), _Z], [_Z, NuPoly((-1, 2))]], {"0": 1}, ["0/1", "-1/1", "2/1"]),
+        # det = -nu: only the sign is wrong
+        ([[-NuPoly.one(), _Z], [_Z, NuPoly.nu()]], {"0": 1}, ["-1/1"]),
+        # det = nu - 1: only the nullity is wrong, at 1 instead of 0
+        ([[NuPoly.one(), _Z], [_Z, NuPoly((-1, 1))]], {"1": 1}, ["1/1"]),
+    ],
+    ids=["cofactor-roots", "sign", "nullity"],
+)
+def test_probe_fails_a_determinant_off_the_closed_form(monkeypatch, form, nullities, cofactor):
+    # alpha=1's trace form is diag(1, nu): nullity 1 at 0, and the cofactor 1
+    monkeypatch.setattr(verify, "trace_form", lambda tbl: form)
+    r = semisimplicity_probe(1)
+    assert r.status == "fail"
+    assert r.counterexamples == (
+        {
+            "kind": "determinant-off-closed-form",
+            "nullities": nullities,
+            "expected_nullities": {"0": 1},
+            "cofactor": cofactor,
+        },
+    )
+    # the roots are the nullities alone; a cofactor's own roots are not listed
+    assert r.metrics["root_multiplicities"] == {f"{x}/1": k for x, k in nullities.items()}
+    assert r.metrics["det_degree"] == sum(nullities.values()) + len(cofactor) - 1
+    assert r.metrics["det_leading"] == cofactor[-1]
+    assert r.warnings == (("the cofactor has degree 2; its roots are not listed",) if len(cofactor) > 1 else ())
+
+
+def test_every_suite_imports_only_the_standard_library():
+    # a fresh interpreter, so no earlier test has imported anything; modules
+    # loaded before rookalg (an editable install's finder among them) do not
+    # count.  The tampered probe is the one with a cofactor that is not constant.
     import rookalg
 
     src = str(Path(rookalg.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = (
         "import sys\n"
-        "from rookalg.verify import semisimplicity_probe\n"
-        "assert semisimplicity_probe(3).passed\n"
-        "print('sympy' in sys.modules)\n"
+        "before = set(sys.modules)\n"
+        "import io\n"
+        "from contextlib import redirect_stdout\n"
+        "from rookalg import cli, verify\n"
+        "from rookalg.nupoly import NuPoly\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    for suite in ('dims', 'relations', 'crosscheck', 'limit', 'semisimple', 'gram'):\n"
+        "        assert cli.main(['verify', suite, '--alpha', '2']) == 0, suite\n"
+        "z = NuPoly.zero()\n"
+        "verify.trace_form = lambda tbl: [[NuPoly((0, 0, 1)), z], [z, NuPoly((-1, 2))]]\n"
+        "verify.semisimplicity_probe(1)\n"
+        "top = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(top - {'rookalg'} - set(sys.stdlib_module_names)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_monomial_images():
