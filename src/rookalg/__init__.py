@@ -86,7 +86,7 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every module-level cache: the built structure tables, the
-    default normalizer's memo and intern table, and the oracle's three
+    default normalizer's memo and intern tables, and the oracle's three
     lookups.  No result changes; the next call that needs an entry computes
     it again."""
     _tables._TABLE_CACHE.clear()

@@ -33,6 +33,14 @@ it: that Monomial's position in `Normalizer.monomials` is the leaf id that
 normal forms are keyed by.  Callers map ids back once, after summing
 (`Normalizer.to_monomials`), and the table build maps them to basis indices.
 Nothing enumerates the basis, so a word normalizes at any alpha.
+
+Nor does the recursion make a NuPoly.  Every rule weight is 1, -1, nu or
+nu - 1, so every normal form lies in Z[nu], and the recursion holds each
+coefficient p as the packed int p(2^B) (Kronecker substitution; Harvey,
+J. Symb. Comp. 2009), with a bound on the size of its coefficients that
+tells when the digit width B must grow.  `Normalizer.reduce` decodes each
+distinct value once, into an interned NuPoly; the Normalizer docstring has
+the details.
 """
 from __future__ import annotations
 
@@ -49,6 +57,8 @@ _ONE = NuPoly.one()
 _MINUS_ONE = -_ONE
 _NU = NuPoly.nu()
 _NU_MINUS_ONE = _NU - _ONE
+# the digit width, in bits, of a new Normalizer's packed coefficients
+_FIRST_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -185,6 +195,34 @@ def _sites(images: tuple[int, ...], js: tuple[int, ...]) -> list[tuple[str, int]
     return sites or [("erase", t) for t in pairs if images[js[t] - 1] > images[js[t + 1] - 1]]
 
 
+class _Widen(Exception):
+    """A bound reached half the digit base; `Normalizer.reduce` widens the digits and runs again."""
+
+
+def _pack(coeffs, width: int) -> int:
+    """p(2^width) for the p in Z[nu] with these coefficients, constant term first."""
+    return sum(c << (width * k) for k, c in enumerate(coeffs))
+
+
+def _unpack(x: int, width: int) -> tuple[int, ...]:
+    """The coefficients, constant term first, of the p with p(2^width) = x.
+
+    They are the balanced base-2^width digits of x, each in
+    [-2^(width-1), 2^(width-1)), so this inverts `_pack` on every p whose
+    coefficients lie in that range.  The last digit is nonzero.
+    """
+    base, half = 1 << width, 1 << (width - 1)
+    mask = base - 1
+    out = []
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= base
+        out.append(d)
+        x = (x - d) >> width
+    return tuple(out)
+
+
 class Normalizer:
     """Rewrites states A(g) T_{js} to admissible normal form, with memoization.
 
@@ -193,27 +231,56 @@ class Normalizer:
     check that every other listed site gives the same normal form (see the
     module docstring).
 
-    A normal form is a dict from leaf ids to coefficients.  The first time
+    A normal form maps leaf ids to coefficients in Z[nu].  The first time
     the recursion reaches an admissible state it appends that state's
     Monomial to `monomials`, and the state's leaf id is its position there;
-    `to_monomials` maps a normal form back.  The memo `_cache` is keyed by
-    the state.  Beside it sits the intern table `_polys`, keyed by each
-    coefficient's tuple of coefficients, which holds the one NuPoly object
-    that every normal form in the memo uses for that value: the memo of the
-    alpha=4 table build holds 238,114 coefficients of only 377 distinct
-    values.  `clear` empties all three.
+    `to_monomials` maps a normal form back.
+
+    The recursion works on packed coefficients (Kronecker substitution): p
+    in Z[nu] is the int p(2^B), for the digit width B that the Normalizer
+    holds, 64 at first.  A sum is then one int addition, a product by a
+    rule weight w is one product by the cached int w(2^B), and a zero test
+    is `== 0`.  The memo `_cache`, keyed by the state, holds each normal
+    form as (leaf ids, packed coefficients, bound): two parallel tuples and
+    one int with |c| <= bound for every coefficient c of every polynomial in
+    it.  A leaf's bound is 1, and a parent's is the sum over its children of
+    |w|_1 * bound(child), where |w|_1 sums the absolute coefficients of the
+    weight.  While every bound is below 2^(B-1), the balanced base-2^B
+    digits of a packed value are its coefficients, so packing is exact and
+    invertible.  A state whose bound reaches 2^(B-1) is not stored: B
+    doubles, every memo entry is re-encoded at the new width (exactly, as
+    each is decodable at the old one), and the top-level call runs again.
+    Leaf ids, memo states and `monomials` stay as they were, so no input
+    is refused for the size of its coefficients and none is decoded wrong.
+    `stats["widenings"]` counts the doublings; the rerun repeats the state
+    and rule counts of the states that the aborted call had entered but not
+    finished, and finds the ones it finished in the memo.
+
+    `_ints` interns the packed values, so the memo holds one int object per
+    value (the memo of the alpha=4 table build holds 238,114 coefficients
+    of only 377 distinct values).  `reduce` decodes each distinct value
+    once, into the NuPoly that `_polys` keeps for it, so the normal forms it
+    returns share one NuPoly object per value.  `clear` empties all four
+    tables and returns to the first width.
     """
 
     def __init__(self):
-        self._cache: dict[State, dict[int, NuPoly]] = {}
-        self._polys: dict[tuple, NuPoly] = {}
+        self._cache: dict[State, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        self._ints: dict[int, int] = {}
+        self._polys: dict[int, NuPoly] = {}
+        # each rule weight w as (w(2^B), |w|_1), at the current width
+        self._weights: dict[object, tuple[int, int]] = {}
+        self._width = _FIRST_WIDTH
         self.monomials: list[Monomial] = []
-        self.stats = {"square": 0, "swap": 0, "erase": 0, "states": 0, "cache_hits": 0}
+        self.stats = {"square": 0, "swap": 0, "erase": 0, "states": 0, "cache_hits": 0, "widenings": 0}
 
     def clear(self) -> None:
-        """Empty the memo, the intern table and the leaves; no normal form changes."""
+        """Empty the memo, the intern tables and the leaves; no normal form changes."""
         self._cache.clear()
+        self._ints.clear()
         self._polys.clear()
+        self._weights.clear()
+        self._width = _FIRST_WIDTH
         self.monomials.clear()
 
     def to_monomials(self, nf: dict[int, NuPoly]) -> dict[Monomial, NuPoly]:
@@ -223,22 +290,37 @@ class Normalizer:
 
     def reduce(self, images: tuple[int, ...], js: tuple[int, ...]) -> dict[int, NuPoly]:
         """Normal form of the single state A(g) T_{js}, as leaf id -> coefficient."""
+        while True:
+            try:
+                ids, packed, _ = self._reduce(images, js)
+                break
+            except _Widen:
+                self._widen()
+        polys = self._polys
+        for c in set(packed).difference(polys):
+            polys[c] = NuPoly(_unpack(c, self._width))
+        return dict(zip(ids, map(polys.__getitem__, packed)))
+
+    def _reduce(self, images: tuple[int, ...], js: tuple[int, ...]):
+        """The memo entry (leaf ids, packed coefficients, bound) of the state; see the class docstring."""
         key = (images, js)
         hit = self._cache.get(key)
         if hit is not None:
             self.stats["cache_hits"] += 1
             return hit
         self.stats["states"] += 1
-        intern = self._polys.setdefault
         sites = _sites(images, js)
         if not sites:
             self.monomials.append(Monomial(Permutation(images), js))
-            out = {len(self.monomials) - 1: intern(_ONE.coeffs, _ONE)}
+            out = ((len(self.monomials) - 1,), (self._ints.setdefault(1, 1),), 1)
         else:
             rule, t = sites[0]
             self.stats[rule] += 1
             parent = None
-            terms = []
+            acc: dict[int, int] = {}
+            get = acc.get
+            weights = self._weights
+            bound = 0
             for w, images2, js2 in _emit(rule, t, images, js):
                 # a shorter child decreases the measure by its length alone
                 if len(js2) >= len(js):
@@ -250,16 +332,51 @@ class Normalizer:
                             "termination measure failed to decrease",
                             {"rule": rule, "g": list(images), "parent": parent, "child": child, "js": js},
                         )
-                terms.append((w, self.reduce(images2, js2).items()))
-            out = {i: intern(c.coeffs, c) for i, c in combine(terms).items()}
+                ids, packed, b = self._reduce(images2, js2)
+                pw, norm = weights.get(w) or self._weight(w)
+                bound += norm * b
+                if pw != 1:
+                    packed = map(pw.__mul__, packed)
+                if acc:
+                    for k, c in zip(ids, packed):
+                        acc[k] = get(k, 0) + c
+                else:
+                    acc.update(zip(ids, packed))
+            if bound >> (self._width - 1):
+                raise _Widen
+            if 0 in acc.values():
+                acc = {k: c for k, c in acc.items() if c}
+            cs = acc.values()
+            out = (tuple(acc), tuple(map(self._ints.setdefault, cs, cs)), bound)
         self._cache[key] = out
         return out
+
+    def _weight(self, w) -> tuple[int, int]:
+        """(w(2^B), |w|_1) for a rule weight w, an int or a NuPoly over Z, cached for this width."""
+        coeffs = w.coeffs if isinstance(w, NuPoly) else (w,)
+        out = self._weights[w] = (_pack(coeffs, self._width), sum(map(abs, coeffs)))
+        return out
+
+    def _widen(self) -> None:
+        """Double the digit width and re-encode the memo; every leaf id and state stays."""
+        old, new = self._width, 2 * self._width
+        recode = {c: _pack(_unpack(c, old), new) for c in self._ints}
+        self._ints = {c: c for c in recode.values()}
+        self._polys = {recode[c]: poly for c, poly in self._polys.items()}
+        cache = self._cache
+        for key, (ids, packed, bound) in cache.items():
+            cache[key] = (ids, tuple([recode[c] for c in packed]), bound)
+        self._weights.clear()
+        self._width = new
+        self.stats["widenings"] += 1
 
 
 def _emit(rule: str, t: int, images: tuple[int, ...], js: tuple[int, ...]):
     """Replacement terms (weight, images, js) for one rule application at site t.
 
-    The unit weights are plain 1 and -1, which `combine` applies as signs.
+    Each weight is 1, -1, nu or nu - 1, the units as plain ints; the
+    recursion adds a child of weight 1 as it is and multiplies any other by
+    the weight's packed value.
     """
     if rule == "square":
         one_copy = js[: t + 1] + js[t + 2 :]

@@ -8,11 +8,12 @@ checked against the context (`_check_key`) and how its keys sort
 (`_sort_key`).  The one constructor checks outside input, and each class's
 `__mul__` is its own.
 
-Linear combinations are summed by `combine` alone: element sums and
-products, the right-hand sides of the crosscheck, and every rewriting step
-of `Normalizer.reduce`, whose weights are mostly 1 and -1 and are applied
-as signs.  `integral` puts rational coefficients over one common
-denominator, for products that accumulate in integers.
+Linear combinations of elements are summed by `combine` alone: element
+sums and products, stars, and the right-hand sides of the crosscheck.  The
+rewriting steps inside `Normalizer.reduce` are not: they sum packed-integer
+coefficients in the engine's own loop (see `algebra.Normalizer`).
+`integral` puts rational coefficients over one common denominator, for
+products that accumulate in integers.
 """
 from __future__ import annotations
 

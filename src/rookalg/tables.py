@@ -220,30 +220,30 @@ class StructureTable:
         """The table from json.loads of its canonical_json().
 
         A malformed one raises ValueError naming the entry, or the field
-        that is missing or is not a list.
+        that is missing or holds the wrong type.
         """
         if obj.get("nu") is not None:
             raise ValueError(
                 f'field "nu" is "{obj["nu"]}": a table exported at a point does not load as polynomials'
             )
-        alpha = int(_field(obj, "alpha", "the table"))
+        alpha = _field(obj, "alpha", "the table", "an integer")
         basis = []
-        for i, e in enumerate(_field(obj, "basis", "the table")):
-            g, holes = (tuple(map(int, _field(e, k, f"basis[{i}]"))) for k in ("g", "I"))
+        for i, e in enumerate(_field(obj, "basis", "the table", "a list")):
+            g, holes = (tuple(_field(e, k, f"basis[{i}]", "a list of integers")) for k in ("g", "I"))
             basis.append(Monomial(Permutation(g), holes))
 
         def terms(i, e):
-            for j, t in enumerate(_field(e, "terms", f"constants[{i}]")):
+            for j, t in enumerate(_field(e, "terms", f"constants[{i}]", "a list")):
                 where = f"constants[{i}].terms[{j}]"
                 poly = _field(t, "poly", where)
                 if not isinstance(poly, list):
                     raise ValueError(f"{where}.poly is not a list")
-                yield int(_field(t, "r", where)), NuPoly.from_strings(poly)
+                yield _field(t, "r", where, "an integer"), NuPoly.from_strings(poly)
 
-        pairs = (
-            ((int(_field(e, "p", f"constants[{i}]")), int(_field(e, "q", f"constants[{i}]"))), terms(i, e))
-            for i, e in enumerate(_field(obj, "constants", "the table"))
-        )
+        def pair(i, e):
+            return tuple(_field(e, k, f"constants[{i}]", "an integer") for k in ("p", "q"))
+
+        pairs = ((pair(i, e), terms(i, e)) for i, e in enumerate(_field(obj, "constants", "the table", "a list")))
         return cls.from_pairs(alpha, basis, pairs)
 
     def csv_chunks(self, nu=None) -> Iterator[str]:
@@ -258,12 +258,24 @@ class StructureTable:
             yield "".join(f"{ip},{iq},{tail}\n" for iq, tails in enumerate(tails_of_p) for tail in tails)
 
 
-def _field(obj, name: str, where: str):
-    """obj[name], or a ValueError saying that `where` has no field `name`."""
+# what a loaded field may hold, under the name its ValueError gives it
+_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a list": lambda v: type(v) is list,
+    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+}
+
+
+def _field(obj, name: str, where: str, kind: str | None = None):
+    """obj[name], or a ValueError saying that `where` has no field `name`,
+    or one that its field `name` is not of `kind`, a key of _KINDS."""
     try:
-        return obj[name]
+        value = obj[name]
     except (KeyError, TypeError):
         raise ValueError(f'{where} has no field "{name}"') from None
+    if kind is not None and not _KINDS[kind](value):
+        raise ValueError(f'{where} has a field "{name}" that is not {kind}')
+    return value
 
 
 def _json_list(items, indent: int) -> str:
@@ -291,8 +303,8 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
     in Z[nu] raises ConsistencyError naming the first such pair in (p, q)
     order, which is the pair that reached its row first.
 
-    build_stats holds the rule counters of the Normalizer, plus the
-    dimension and the build time.
+    build_stats holds the Normalizer's counters (the rule firings, states,
+    memo hits and digit widenings), plus the dimension and the build time.
     """
     # the limit is checked before the cache, so a cached table is refused too
     limit = table_limit()

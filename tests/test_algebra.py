@@ -5,6 +5,7 @@ and double-checked against the exact coset oracle at integer parameter
 values (the crosscheck suites exercise that agreement systematically).
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -157,12 +158,66 @@ def test_clear_empties_the_memo_the_intern_table_and_the_leaves():
 def test_normalizer_memo_holds_one_object_per_distinct_polynomial():
     nz = Normalizer()
     basis = basis_enumerate(3)
-    for p in basis[-6:]:
-        for q in basis[-6:]:
-            nz.reduce(*fuse(p, q))
-    polys = [c for nf in nz._cache.values() for c in nf.values()]
+    nfs = [nz.reduce(*fuse(p, q)) for p in basis[-6:] for q in basis[-6:]]
+    # the memo holds packed coefficients, one int object per value ...
+    packed = [c for _, cs, _ in nz._cache.values() for c in cs]
+    assert len(set(packed)) > 1 and max(map(abs, packed)) >= 2**64
+    assert len({id(c) for c in packed}) == len(set(packed))
+    # ... and reduce decodes them to one NuPoly object per value
+    polys = [c for nf in nfs for c in nf.values()]
     assert len(set(polys)) > 1
     assert len({id(c) for c in polys}) == len(set(polys))
+
+
+def random_word_state(alpha: int, holes: int, seed: int):
+    """The state of a seeded random word: `holes` hole letters, each after a random permutation letter."""
+    rng = random.Random(seed)
+    perms = list(all_permutations(alpha))
+    tokens = []
+    for _ in range(holes):
+        tokens += [("perm", rng.choice(perms)), ("hole", rng.randint(1, alpha))]
+    return word_to_state(alpha, tokens)
+
+
+@pytest.mark.parametrize(
+    "alpha, holes, seed, width",
+    [(1, 80, 0, 128), (2, 80, 0, 256), (2, 80, 1, 256), (3, 30, 0, 64), (3, 50, 0, 128)],
+)
+def test_packed_engine_matches_the_reference_engine_on_random_words(alpha, holes, seed, width, reference_reduce):
+    # the coefficient bounds of long words pass 2^63 and 2^127, so the digits widen
+    state = random_word_state(alpha, holes, seed)
+    nz = Normalizer()
+    assert nz.to_monomials(nz.reduce(*state)) == reference_reduce(*state)
+    assert nz._width == width
+    assert nz.stats["widenings"] == {64: 0, 128: 1, 256: 2}[width]
+
+
+@pytest.mark.parametrize("k, widenings", [(30, 0), (60, 1), (200, 2)])
+def test_packed_engine_matches_the_reference_engine_on_powers_of_t1(k, widenings, reference_reduce):
+    # every true coefficient of T1^k at alpha=1 is 0, 1 or -1, but the bound grows like 2.4^k
+    nz = Normalizer()
+    out = nz.to_monomials(nz.reduce((1,), (1,) * k))
+    assert out == reference_reduce((1,), (1,) * k)
+    assert {abs(c) for poly in out.values() for c in poly.coeffs} == {0, 1}
+    assert nz.stats["widenings"] == widenings
+
+
+def test_a_normal_form_reduced_before_a_widening_is_the_same_after_it():
+    nz = Normalizer()
+    state = word_to_state(2, parse_word(2, "A(12) T2 T1 T1 T2 T2"))
+    before = nz.reduce(*state)
+    assert any(poly.degree >= 2 for poly in before.values())
+    leaves = list(nz.monomials)
+    nz.reduce((1, 2), (1,) * 200)
+    assert nz.stats["widenings"] == 2
+    # the memo entry was re-encoded: the same leaf ids and coefficient objects, from a memo hit
+    states = nz.stats["states"]
+    after = nz.reduce(*state)
+    assert nz.stats["states"] == states
+    assert after == before and all(after[i] is before[i] for i in before)
+    assert nz.monomials[: len(leaves)] == leaves
+    nz.clear()
+    assert nz._width == 64
 
 
 def check_every_site(states) -> int:

@@ -89,6 +89,8 @@ def test_rewrite_counters_alpha4():
     t = structure_table(4, use_cache=False)
     counters = {k: t.build_stats[k] for k in ("square", "swap", "erase", "states", "cache_hits")}
     assert counters == {"square": 2814, "swap": 7097, "erase": 175, "states": 10295, "cache_hits": 21077}
+    # every coefficient bound stays below 2^63, so the packed digits never widen
+    assert t.build_stats["widenings"] == 0
     assert len(t.rows) == 3928
 
 
@@ -290,10 +292,15 @@ def _drop(path):
         (_set(["constants", 3, "terms", 1, "poly"], 1), "constants[3].terms[1].poly is not a list"),
         # a string would otherwise read as one coefficient per character
         (_set(["constants", 3, "terms", 1, "poly"], "12"), "constants[3].terms[1].poly is not a list"),
+        # a present field of the wrong type names its entry too
+        (_set(["alpha"], None), 'the table has a field "alpha" that is not an integer'),
+        (_set(["basis", 1, "g"], 5), 'basis[1] has a field "g" that is not a list of integers'),
+        (_set(["constants", 2, "p"], "x"), 'constants[2] has a field "p" that is not an integer'),
     ],
     ids=[
         "alpha", "basis-repeat", "p-range", "q-range", "r-range", "pair-repeat", "pair-missing", "r-order",
         "at-a-point", "alpha-missing", "basis-missing", "g-missing", "terms-missing", "poly-int", "poly-string",
+        "alpha-null", "g-int", "p-string",
     ],
 )
 def test_malformed_json_tables_are_refused(edit, message):
