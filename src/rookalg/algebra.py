@@ -44,7 +44,7 @@ the details.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,7 +67,6 @@ class Monomial:
 
     perm: Permutation
     holes: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = self.perm.degree
@@ -79,11 +78,6 @@ class Monomial:
         images = tuple(self.perm(j) for j in self.holes)
         if any(a >= b for a, b in zip(images, images[1:])):
             raise ValueError(f"hole images must be strictly increasing: {self.holes} -> {images}")
-        # a dict key on every rewriting step; hashed once, as the dataclass would
-        object.__setattr__(self, "_hash", hash((self.perm, self.holes)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def one(cls, alpha: int) -> "Monomial":
@@ -260,8 +254,9 @@ class Normalizer:
     value (the memo of the alpha=4 table build holds 238,114 coefficients
     of only 377 distinct values).  `reduce` decodes each distinct value
     once, into the NuPoly that `_polys` keeps for it, so the normal forms it
-    returns share one NuPoly object per value.  `clear` empties all four
-    tables and returns to the first width.
+    returns share one NuPoly object per value.  `clear` empties all five
+    tables (the memo, `_ints`, `_polys`, `_weights` and `monomials`) and
+    returns to the first width.
     """
 
     def __init__(self):

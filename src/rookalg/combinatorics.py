@@ -11,16 +11,15 @@ Conventions used consistently across the package:
   writes 0 for None.
 
 `Permutation` and `PartialInjection` check their input in the public
-constructor and cache their hash there, since both are dict keys on every
-hot path.  Each also has one unchecked `_trusted` constructor, which sets
-the same fields and the same hash; only values valid by construction go
-through it (products and inverses of permutations, corners read off a
-permutation), and outside input always goes through the checked one.
+constructor.  Each also has one unchecked `_trusted` constructor, which
+sets the same field; only values valid by construction go through it
+(products and inverses of permutations, corners read off a permutation),
+and outside input always goes through the checked one.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations as _permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -33,22 +32,17 @@ class Permutation:
     """A permutation in one-line notation acting on {1, ..., degree}."""
 
     images: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not one-line notation for a permutation: {self.images!r}")
-        object.__setattr__(self, "_hash", hash((self.images,)))
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap images that are a permutation by construction; no check."""
         out = object.__new__(cls)
-        out.__dict__.update(images=images, _hash=hash((images,)))
+        out.__dict__["images"] = images
         return out
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -136,7 +130,6 @@ class PartialInjection:
     """A partial injection of {1, ..., alpha}, stored as its target row."""
 
     target: tuple[int | None, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = len(self.target)
@@ -145,17 +138,13 @@ class PartialInjection:
             raise ValueError(f"target values must lie in 1..{alpha}: {self.target!r}")
         if len(set(defined)) != len(defined):
             raise ValueError(f"target values must be distinct: {self.target!r}")
-        object.__setattr__(self, "_hash", hash((self.target,)))
 
     @classmethod
     def _trusted(cls, target: tuple[int | None, ...]) -> "PartialInjection":
         """Wrap a target row that is a partial injection by construction; no check."""
         out = object.__new__(cls)
-        out.__dict__.update(target=target, _hash=hash((target,)))
+        out.__dict__["target"] = target
         return out
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def identity(cls, alpha: int) -> "PartialInjection":

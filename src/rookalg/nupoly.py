@@ -2,13 +2,15 @@
 
 Coefficients are exact rationals kept in their smallest form: a plain
 int when the value is integral and a Fraction only otherwise.  Structure
-constants lie in Z[nu], so rewriting runs in int arithmetic; Fractions
-appear where interpolation, rational evaluation or parsed "p/q" text
-brings them in.
+constants lie in Z[nu], so theirs are ints; Fractions appear where
+interpolation, rational evaluation or parsed "p/q" text brings them in.
+The rewriting engine makes no NuPoly while it recurses: it sums packed
+ints and decodes each distinct value once (see `algebra.Normalizer`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -53,7 +55,7 @@ class NuPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [c if type(c) is int else _smallest(c) for c in coeffs]
+        cs = [_smallest(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -99,39 +101,18 @@ class NuPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    @classmethod
-    def _trusted(cls, coeffs: tuple) -> "NuPoly":
-        """Wrap coefficients already in smallest form with no trailing zero."""
-        out = object.__new__(cls)
-        out.coeffs = coeffs
-        return out
-
-    def _plus(self, other: "NuPoly", sign: int) -> "NuPoly":
-        """self + sign * other in one pass, each new coefficient in smallest form."""
-        a, b = self.coeffs, other.coeffs
-        out = list(a)
-        if len(a) < len(b):
-            out += [0] * (len(b) - len(a))
-        for k, c in enumerate(b):
-            s = out[k] + c if sign > 0 else out[k] - c
-            out[k] = s if type(s) is int else _smallest(s)
-        while out and not out[-1]:
-            out.pop()
-        return NuPoly._trusted(tuple(out))
-
     def __add__(self, other: "NuPoly") -> "NuPoly":
         if not isinstance(other, NuPoly):
             return NotImplemented
-        return self._plus(other, 1)
+        return NuPoly(map(sum, zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __sub__(self, other: "NuPoly") -> "NuPoly":
         if not isinstance(other, NuPoly):
             return NotImplemented
-        return self._plus(other, -1)
+        return self + -other
 
     def __neg__(self) -> "NuPoly":
-        # negation keeps each coefficient's form and the leading term nonzero
-        return NuPoly._trusted(tuple([-c for c in self.coeffs]))
+        return NuPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
