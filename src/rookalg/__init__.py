@@ -40,7 +40,7 @@ from .combinatorics import (
     rook_sort_key,
 )
 from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
-from .nupoly import NuPoly, format_rational, parse_rational
+from .nupoly import NuPoly
 from .oracle import (
     BiinvariantElement,
     Context,
@@ -55,6 +55,7 @@ from .oracle import (
     project_biinvariant,
     subgroup_elements,
 )
+from .rational import format_rational, parse_rational
 from .tables import (
     StructureTable,
     check_associativity,

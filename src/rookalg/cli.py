@@ -28,7 +28,8 @@ from .algebra import (
 )
 from .combinatorics import Permutation, rook_count, rook_enumerate, fixed_space_dimensions
 from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
-from .nupoly import NuPoly, format_rational, parse_rational
+from .nupoly import NuPoly
+from .rational import format_rational, parse_rational
 from .tables import (
     evaluate_matrix,
     gram_matrix,

@@ -11,25 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-Rational = Union[int, Fraction]
-
-
-def format_rational(x: Rational) -> str:
-    """Render a rational as "p/q" with q > 0 and gcd(p, q) = 1."""
-    if type(x) is int:
-        return f"{x}/1"
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a plain integer string; a zero denominator is a ValueError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+from .rational import Rational, format_rational, parse_rational
 
 
 def _smallest(c) -> Rational:

@@ -42,6 +42,7 @@ from .combinatorics import (
     rook_sort_key,
 )
 from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
+from .rational import format_rational
 from .sparse import SparseVector, integral
 
 
@@ -299,10 +300,7 @@ class BiinvariantElement(SparseVector):
 
     def to_pairs(self) -> list[tuple[tuple[int, ...], str]]:
         """Canonical dump: (serialized index, "p/q") sorted by canonical order."""
-        return [
-            (sigma.serialize(), f"{c.numerator}/{c.denominator}")
-            for sigma, c in self.sorted_items()
-        ]
+        return [(sigma.serialize(), format_rational(c)) for sigma, c in self.sorted_items()]
 
 
 def gen_perm(g: Permutation, ctx: Context) -> BiinvariantElement:

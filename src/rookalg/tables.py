@@ -48,7 +48,8 @@ from .algebra import Monomial, Normalizer, State, basis_enumerate, fuse, star_st
 from .capacity import table_limit
 from .combinatorics import Permutation
 from .errors import CapacityError, ConsistencyError
-from .nupoly import NuPoly, format_rational
+from .nupoly import NuPoly
+from .rational import format_rational
 from .sparse import combine
 
 Row = tuple[tuple[int, NuPoly], ...]
@@ -220,8 +221,12 @@ class StructureTable:
         """The table from json.loads of its canonical_json().
 
         A malformed one raises ValueError naming the entry, or the field
-        that is missing or holds the wrong type.
+        that is missing or holds the wrong type.  Each coefficient must be a
+        "p/q" string, so no float or other JSON value is read as a number,
+        and each term's polynomial must be nonzero, as every export writes it.
         """
+        if type(obj) is not dict:
+            raise ValueError("the table is not an object")
         if obj.get("nu") is not None:
             raise ValueError(
                 f'field "nu" is "{obj["nu"]}": a table exported at a point does not load as polynomials'
@@ -238,7 +243,16 @@ class StructureTable:
                 poly = _field(t, "poly", where)
                 if not isinstance(poly, list):
                     raise ValueError(f"{where}.poly is not a list")
-                yield _field(t, "r", where, "an integer"), NuPoly.from_strings(poly)
+                for k, c in enumerate(poly):
+                    if type(c) is not str:
+                        raise ValueError(f"{where}.poly[{k}] is not a string")
+                try:
+                    value = NuPoly.from_strings(poly)
+                except ValueError as e:
+                    raise ValueError(f"{where}.poly: {e}") from None
+                if not value:
+                    raise ValueError(f"{where}.poly is zero")
+                yield _field(t, "r", where, "an integer"), value
 
         def pair(i, e):
             return tuple(_field(e, k, f"constants[{i}]", "an integer") for k in ("p", "q"))

@@ -41,7 +41,7 @@ from .combinatorics import (
     rook_enumerate,
 )
 from .errors import CapacityError, ConsistencyError
-from .nupoly import NuPoly, format_rational
+from .nupoly import NuPoly
 from .oracle import (
     BiinvariantElement,
     Context,
@@ -53,6 +53,7 @@ from .oracle import (
     gen_perm,
     project_biinvariant,
 )
+from .rational import format_rational
 from .sparse import combine
 from .tables import (
     StructureTable,

@@ -282,6 +282,25 @@ def test_identity_coset_is_the_unit():
         assert dc_multiply(e, one) == e
 
 
+def test_identity_coefficient_is_the_trace_form_of_the_coset_basis():
+    # e_sigma e_tau has identity coefficient (n)_{r_sigma} when tau = sigma^-1 and 0
+    # otherwise; the closed-form determinant of verify.semisimplicity_probe rests on it
+    pairs = 0
+    for alpha in range(4):
+        one = PartialInjection.identity(alpha)
+        for n in range(7 - alpha):
+            ctx = Context(alpha, n)
+            keys = [s for s in rook_enumerate(alpha) if coset_corank(s) <= n]
+            for sigma in keys:
+                x = BiinvariantElement.basis(ctx, sigma)
+                for tau in keys:
+                    got = dc_multiply(x, BiinvariantElement.basis(ctx, tau), via="fast").coefficient(one)
+                    want = math.perm(n, coset_corank(sigma)) if tau == sigma.inverse() else 0
+                    assert got == want, (alpha, n, sigma, tau)
+                    pairs += 1
+    assert pairs == 3072
+
+
 def test_fast_product_matches_full_convolution():
     for alpha, n in [(1, 1), (1, 2), (2, 2), (2, 3)]:
         ctx = Context(alpha, n)

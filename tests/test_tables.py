@@ -249,13 +249,20 @@ def test_json_roundtrip():
 
 
 def _set(path, value):
-    """An edit of the alpha=1 table's JSON: the item at path becomes value."""
+    """An edit of the alpha=1 table's JSON: the item at path becomes value.
 
-    def edit(obj):
+    Each edit returns the JSON to load; an empty path replaces all of it.
+    """
+
+    def edit(table):
+        if not path:
+            return value
         *keys, last = path
+        obj = table
         for k in keys:
             obj = obj[k]
         obj[last] = value
+        return table
 
     return edit
 
@@ -263,11 +270,13 @@ def _set(path, value):
 def _drop(path):
     """An edit of the alpha=1 table's JSON: the field at path is deleted."""
 
-    def edit(obj):
+    def edit(table):
         *keys, last = path
+        obj = table
         for k in keys:
             obj = obj[k]
         del obj[last]
+        return table
 
     return edit
 
@@ -281,7 +290,7 @@ def _drop(path):
         (_set(["constants", 0, "q"], -1), "constants entry (0, -1) has index -1 outside range(2)"),
         (_set(["constants", 0, "terms", 0, "r"], 7), "constants entry (0, 0) has index 7 outside range(2)"),
         (_set(["constants", 1, "q"], 0), "constants entry (0, 0) repeats"),
-        (lambda obj: obj["constants"].pop(), "constants entry (1, 1) is missing"),
+        (_drop(["constants", -1]), "constants entry (1, 1) is missing"),
         (_set(["constants", 3, "terms", 1, "r"], 0),
          "constants entry (1, 1) has r values that do not increase strictly: [0, 0]"),
         (_set(["nu"], "3/1"), 'field "nu" is "3/1": a table exported at a point does not load as polynomials'),
@@ -296,18 +305,29 @@ def _drop(path):
         (_set(["alpha"], None), 'the table has a field "alpha" that is not an integer'),
         (_set(["basis", 1, "g"], 5), 'basis[1] has a field "g" that is not a list of integers'),
         (_set(["constants", 2, "p"], "x"), 'constants[2] has a field "p" that is not an integer'),
+        # each coefficient is "p/q" text: no float, bool or null reads as a number
+        (_set(["constants", 3, "terms", 1, "poly"], [0.1]), "constants[3].terms[1].poly[0] is not a string"),
+        (_set(["constants", 3, "terms", 1, "poly"], [True]), "constants[3].terms[1].poly[0] is not a string"),
+        (_set(["constants", 3, "terms", 1, "poly"], ["1/1", None]), "constants[3].terms[1].poly[1] is not a string"),
+        (_set(["constants", 3, "terms", 1, "poly"], ["x"]),
+         "constants[3].terms[1].poly: Invalid literal for Fraction: 'x'"),
+        # no export writes a zero term
+        (_set(["constants", 3, "terms", 1, "poly"], []), "constants[3].terms[1].poly is zero"),
+        (_set(["constants", 3, "terms", 1, "poly"], ["0/1"]), "constants[3].terms[1].poly is zero"),
+        (_set([], []), "the table is not an object"),
     ],
     ids=[
         "alpha", "basis-repeat", "p-range", "q-range", "r-range", "pair-repeat", "pair-missing", "r-order",
         "at-a-point", "alpha-missing", "basis-missing", "g-missing", "terms-missing", "poly-int", "poly-string",
         "alpha-null", "g-int", "p-string",
+        "poly-float", "poly-bool", "poly-null", "poly-text", "zero-term", "zero-coefficient", "top-level-list",
     ],
 )
 def test_malformed_json_tables_are_refused(edit, message):
     obj = json.loads(structure_table(1).canonical_json())
     # T1 T1 = nu + (nu - 1) T1 is the last entry, and the one with two terms
     assert [t["r"] for t in obj["constants"][3]["terms"]] == [0, 1]
-    edit(obj)
+    obj = edit(obj)
     with pytest.raises(ValueError) as exc:
         StructureTable.from_json_obj(obj)
     assert str(exc.value) == message
