@@ -1,9 +1,9 @@
-"""Exact rationals as "p/q" text: the one formatter and parser of the package.
+"""Exact rationals as "p/q" text.
 
-The oracle, the polynomials and every report and export write a rational
-through `format_rational`.  This module imports nothing from the package,
-so the oracle can use it and stay independent of the rewriting code and
-of `nupoly`.
+Every "p/q" the package writes goes through `format_rational`, and every
+one it reads through `parse_rational`.  This module imports nothing from
+the package, so the oracle uses it and still imports nothing from
+`nupoly` or the rewriting code.
 """
 from __future__ import annotations
 
