@@ -100,13 +100,11 @@ class Monomial:
     @classmethod
     def from_rook(cls, sigma: PartialInjection) -> "Monomial":
         """Inverse of to_rook: fill the holes order-preservingly."""
-        alpha = sigma.alpha
-        holes = tuple(x for x in range(1, alpha + 1) if sigma(x) is None)
         hit = sigma.image_set()
-        missing = [y for y in range(1, alpha + 1) if y not in hit]
-        fill = dict(zip(holes, missing))
-        images = tuple(fill[x] if x in fill else sigma(x) for x in range(1, alpha + 1))
-        return cls(Permutation(images), holes)  # type: ignore[arg-type]
+        missing = (y for y in range(1, sigma.alpha + 1) if y not in hit)
+        images = tuple(next(missing) if v is None else v for v in sigma.target)
+        holes = tuple(x for x, v in enumerate(sigma.target, start=1) if v is None)
+        return cls(Permutation(images), holes)
 
 
 def monomial_sort_key(m: Monomial) -> tuple:

@@ -28,7 +28,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _permutations
+from itertools import count, permutations as _permutations
 from math import factorial
 from operator import attrgetter
 
@@ -176,60 +176,41 @@ def _require_coset(ctx: Context, sigma: PartialInjection) -> None:
 def canonical_completion(sigma: PartialInjection, ctx: Context) -> Permutation:
     """Deterministic coset representative with the given corner.
 
-    Sources undefined in the corner are sent to the smallest unused tail
-    columns in increasing order; corner targets without a preimage receive
-    the smallest unused tail rows; the leftover tail block is completed by
-    the identity.
+    The head is sigma's target row with its undefined sources sent to
+    alpha+1, alpha+2, ... in order; the next tail points alpha+1 ..
+    alpha+r go to the corner targets without a preimage, in increasing
+    order; the rest of the tail, alpha+r+1 .. alpha+n, is fixed.
     """
     _require_coset(ctx, sigma)
     alpha = ctx.alpha
-    target: list[int | None] = [None] * ctx.degree
-    for x in range(1, alpha + 1):
-        target[x - 1] = sigma(x)
+    cols = count(alpha + 1)
+    head = tuple(next(cols) if v is None else v for v in sigma.target)
     hit = sigma.image_set()
-    next_col = alpha + 1
-    for x in range(1, alpha + 1):
-        if target[x - 1] is None:
-            target[x - 1] = next_col
-            next_col += 1
-    next_row = alpha + 1
-    for y in range(1, alpha + 1):
-        if y not in hit:
-            target[next_row - 1] = y
-            next_row += 1
-    for x in range(next_row, ctx.degree + 1):
-        target[x - 1] = x
-    return Permutation(tuple(target))  # type: ignore[arg-type]
+    missing = tuple(y for y in range(1, alpha + 1) if y not in hit)
+    return Permutation(head + missing + tuple(range(alpha + len(missing) + 1, ctx.degree + 1)))
 
 
 @lru_cache(maxsize=None)
 def coset_enumerate(sigma: PartialInjection, ctx: Context) -> tuple[Permutation, ...]:
-    """All permutations of S_{alpha+n} whose corner equals sigma."""
+    """All permutations of S_{alpha+n} whose corner equals sigma, in increasing order.
+
+    Each injection outs of the undefined sources into the tail gives a
+    prefix, sigma's target row with its holes filled from outs in order;
+    the tail then goes bijectively onto the missing corner targets and the
+    tail points outs left unused.  Both the injections and the bijections
+    come from sorted inputs, so the members come out in increasing order.
+    """
     _require_coset(ctx, sigma)
-    alpha, r = ctx.alpha, coset_corank(sigma)
-    undefined_sources = [x for x in range(1, alpha + 1) if sigma(x) is None]
+    alpha = ctx.alpha
     hit = sigma.image_set()
-    missing_targets = [y for y in range(1, alpha + 1) if y not in hit]
-    tails = list(range(alpha + 1, ctx.degree + 1))
+    missing = [y for y in range(1, alpha + 1) if y not in hit]
+    tails = range(alpha + 1, ctx.degree + 1)
     out: list[Permutation] = []
-    for outs in _permutations(tails, r):
-        for ins in _permutations(tails, r):
-            rem_sources = [t for t in tails if t not in ins]
-            rem_targets = [t for t in tails if t not in outs]
-            for fill in _permutations(rem_targets):
-                target: list[int] = [0] * ctx.degree
-                for x in range(1, alpha + 1):
-                    v = sigma(x)
-                    if v is not None:
-                        target[x - 1] = v
-                for x, v in zip(undefined_sources, outs):
-                    target[x - 1] = v
-                for x, v in zip(ins, missing_targets):
-                    target[x - 1] = v
-                for x, v in zip(rem_sources, fill):
-                    target[x - 1] = v
-                out.append(Permutation(tuple(target)))
-    out.sort(key=lambda p: p.images)
+    for outs in _permutations(tails, len(missing)):
+        fills = iter(outs)
+        prefix = tuple(next(fills) if v is None else v for v in sigma.target)
+        rest = [t for t in tails if t not in outs]
+        out.extend(Permutation(prefix + fill) for fill in _permutations(missing + rest))
     return tuple(out)
 
 

@@ -69,6 +69,8 @@ def test_rook_bijection(alpha):
     assert images == set(rook_enumerate(alpha))
     for m in basis:
         assert Monomial.from_rook(m.to_rook()) == m
+    for sigma in rook_enumerate(alpha):
+        assert Monomial.from_rook(sigma).to_rook() == sigma
 
 
 def test_basis_order_alpha2():

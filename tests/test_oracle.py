@@ -234,6 +234,25 @@ def test_canonical_completion():
         assert corner_map(u, 2) == sigma
 
 
+def test_cosets_and_completions_match_their_definition():
+    # every coset in increasing order, read straight off the whole group
+    for alpha in range(7):
+        for n in range(7 - alpha):
+            ctx = Context(alpha, n)
+            cosets = defaultdict(list)
+            for u in all_permutations(alpha + n):
+                cosets[corner_map(u, alpha)].append(u)
+            for sigma in rook_enumerate(alpha):
+                r = coset_corank(sigma)
+                if r > n:
+                    continue
+                members = tuple(cosets[sigma])
+                assert coset_enumerate(sigma, ctx) == members, (alpha, n, sigma)
+                fixed = range(alpha + r + 1, alpha + n + 1)
+                first = next(u for u in members if all(u(t) == t for t in fixed))
+                assert canonical_completion(sigma, ctx) == first, (alpha, n, sigma)
+
+
 # ------------------------------------------------------- biinvariant elements
 
 
