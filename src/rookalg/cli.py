@@ -7,12 +7,13 @@ mean the identity.  Identical invocations produce byte-identical output;
 verification reports printed here omit timing for that reason.
 
 Exit codes: 0 all requested checks pass, 1 a check fails, 2 usage error,
-3 capacity exceeded.
+3 capacity exceeded, 141 the reader closed the output pipe early.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -313,7 +314,16 @@ def main(argv=None) -> int:
         if args.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {args.alpha}")
         with capacity.override(args.capacity):
-            return _COMMANDS[args.command](args)
+            code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `head` does; point stdout at devnull so the
+        # flush at exit cannot fail again, and exit as a writer killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3

@@ -7,10 +7,13 @@ the package, so the oracle uses it and still imports nothing from
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def format_rational(x: Rational) -> str:
@@ -22,7 +25,13 @@ def format_rational(x: Rational) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a plain integer string; a zero denominator is a ValueError."""
+    """Parse "p/q" or a plain integer string: ASCII digits, a minus sign only in front.
+
+    Any other text (a decimal point, an exponent, an underscore, a space, a
+    plus sign) is a ValueError, and so is a zero denominator.
+    """
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -455,7 +455,9 @@ def gram_suite(
 ) -> VerificationReport:
     """Symmetry, positive definiteness at integers, and agreement with convolution.
 
-    A run with no default point (alpha + alpha > ORACLE_DEGREE_LIMIT) is
+    Positive definiteness is tested only on a symmetric G; an asymmetric
+    one fails as asymmetry, reports first_positive_definite_integer null,
+    and is still checked against convolution.  A run with no default point (alpha + alpha > ORACLE_DEGREE_LIMIT) is
     refused with CapacityError before the Gram matrix is built.
     """
     col = _Collector(max_counterexamples)
@@ -472,11 +474,13 @@ def gram_suite(
         for iq in range(ip):
             if G[ip][iq] != G[iq][ip]:
                 col.add("asymmetry", p=ip, q=iq)
+    # the Sylvester test reads only symmetric matrices
+    symmetric = col.total == 0
     agreement_pairs = 0
     for ctx in ctxs:
         n = ctx.n
         mat = evaluate_matrix(G, n)
-        if n >= alpha and not positive_definite(mat):
+        if symmetric and n >= alpha and not positive_definite(mat):
             col.add("not-positive-definite", n=n)
         imgs = monomial_images(basis, ctx)
         stars = [x.star() for x in imgs]
@@ -499,7 +503,7 @@ def gram_suite(
         {"alpha": alpha, "ns": list(ns)},
         dimension=dim,
         agreement_pairs=agreement_pairs,
-        first_positive_definite_integer=smallest_pd_nu(G, stop=4 * alpha),
+        first_positive_definite_integer=smallest_pd_nu(G, stop=4 * alpha) if symmetric else None,
     )
 
 

@@ -4,9 +4,12 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -350,6 +353,7 @@ def test_negative_counterexample_cap_exits_2():
         ("ROOKALG_CAPACITY=abc dims --alpha 2", "ROOKALG_CAPACITY must be an integer, got 'abc'"),
         *((f"{c} --nu 1/0", "zero denominator in '1/0'")
           for c in ("table --alpha 2", "gram --alpha 2", "normalize --alpha 2 --word T1")),
+        ("table --alpha 2 --nu 1e3", "Invalid literal for Fraction: '1e3'"),
     ],
 )
 def test_bad_values_exit_2(command, message, monkeypatch):
@@ -391,6 +395,28 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate", "--alpha", "2")
     assert exc.value.code == 2
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly():
+    # the alpha=3 table is 536 KB of JSON, more than the pipe holds, so the
+    # writer is still writing when the reader closes its end after one line
+    import rookalg
+
+    src = str(Path(rookalg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rookalg", "table", "--alpha", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # 141 = 128 + SIGPIPE, the status a shell reports for a writer the signal killed
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_emit_writes_the_bytes_of_one_plain_write(tmp_path):

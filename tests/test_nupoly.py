@@ -77,6 +77,14 @@ def test_rational_parsing():
     assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
+@pytest.mark.parametrize("text", ["1e3", "1_0.5", "0.5", "+3", " 3", "3 ", "1/-2", "-", "", "/2", "1/", "\uff13"])
+def test_rational_parsing_refuses_other_syntax(text):
+    # only "p/q" and plain integers, though Fraction() itself takes most of these
+    with pytest.raises(ValueError) as exc:
+        parse_rational(text)
+    assert str(exc.value) == f"Invalid literal for Fraction: {text!r}"
+
+
 def test_zero_denominator_is_a_value_error():
     # a ZeroDivisionError would escape the CLI's usage-error handling
     for parse in (parse_rational, lambda text: NuPoly.from_strings(["1", text])):

@@ -311,6 +311,8 @@ def _drop(path):
         (_set(["constants", 3, "terms", 1, "poly"], ["1/1", None]), "constants[3].terms[1].poly[1] is not a string"),
         (_set(["constants", 3, "terms", 1, "poly"], ["x"]),
          "constants[3].terms[1].poly: Invalid literal for Fraction: 'x'"),
+        (_set(["constants", 3, "terms", 1, "poly"], ["0.1"]),
+         "constants[3].terms[1].poly: Invalid literal for Fraction: '0.1'"),
         # no export writes a zero term
         (_set(["constants", 3, "terms", 1, "poly"], []), "constants[3].terms[1].poly is zero"),
         (_set(["constants", 3, "terms", 1, "poly"], ["0/1"]), "constants[3].terms[1].poly is zero"),
@@ -320,7 +322,7 @@ def _drop(path):
         "alpha", "basis-repeat", "p-range", "q-range", "r-range", "pair-repeat", "pair-missing", "r-order",
         "at-a-point", "alpha-missing", "basis-missing", "g-missing", "terms-missing", "poly-int", "poly-string",
         "alpha-null", "g-int", "p-string",
-        "poly-float", "poly-bool", "poly-null", "poly-text", "zero-term", "zero-coefficient", "top-level-list",
+        "poly-float", "poly-bool", "poly-null", "poly-text", "poly-decimal", "zero-term", "zero-coefficient", "top-level-list",
     ],
 )
 def test_malformed_json_tables_are_refused(edit, message):

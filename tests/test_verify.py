@@ -290,6 +290,55 @@ def test_gram_suite():
     assert r.metrics["agreement_pairs"] == 98
 
 
+def _tamper_gram(monkeypatch, p, q, entry):
+    """Make the suite read the alpha=2 Gram matrix with G[p][q] replaced by entry."""
+    G = [list(row) for row in verify.gram_matrix(2)]
+    G[p][q] = entry
+    monkeypatch.setattr(verify, "gram_matrix", lambda alpha: tuple(map(tuple, G)))
+
+
+def test_gram_suite_reports_an_asymmetric_matrix(monkeypatch, capsys):
+    _tamper_gram(monkeypatch, 0, 1, NuPoly.one())
+    r = gram_suite(2)
+    assert r.status == "fail"
+    # no Sylvester test on an asymmetric matrix, but the oracle still compares every pair
+    assert r.counterexamples == (
+        {"kind": "asymmetry", "p": 1, "q": 0},
+        {"kind": "gram-mismatch", "n": 2, "p": 0, "q": 1, "convolution": "0/1", "table": "1/1"},
+        {"kind": "gram-mismatch", "n": 3, "p": 0, "q": 1, "convolution": "0/1", "table": "1/1"},
+    )
+    assert r.metrics["first_positive_definite_integer"] is None
+    assert r.metrics["agreement_pairs"] == 98
+    assert cli.main(["verify", "gram", "--alpha", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == "fail"
+    assert err == "FAIL gram\n"
+
+
+def test_gram_suite_reports_a_matrix_that_is_not_positive_definite(monkeypatch):
+    _tamper_gram(monkeypatch, 0, 0, -NuPoly.one())
+    r = gram_suite(2)
+    assert r.status == "fail"
+    assert [(c["kind"], c["n"]) for c in r.counterexamples] == [
+        ("not-positive-definite", 2),
+        ("gram-mismatch", 2),
+        ("not-positive-definite", 3),
+        ("gram-mismatch", 3),
+    ]
+    assert r.metrics["first_positive_definite_integer"] is None
+
+
+def test_gram_suite_reports_a_disagreement_with_the_oracle(monkeypatch):
+    # still symmetric and positive definite from nu = 2 on
+    _tamper_gram(monkeypatch, 0, 0, NuPoly.constant(2))
+    r = gram_suite(2)
+    assert r.status == "fail"
+    assert r.counterexamples == tuple(
+        {"kind": "gram-mismatch", "n": n, "p": 0, "q": 0, "convolution": "1/1", "table": "2/1"} for n in (2, 3)
+    )
+    assert r.metrics["first_positive_definite_integer"] == 2
+
+
 def test_gram_suite_refuses_past_the_oracle_cap():
     with pytest.raises(CapacityError, match="degree 9"):
         gram_suite(2, ns=(7,))
