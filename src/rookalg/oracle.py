@@ -176,9 +176,9 @@ def _require_coset(ctx: Context, sigma: PartialInjection) -> None:
 def canonical_completion(sigma: PartialInjection, ctx: Context) -> Permutation:
     """Deterministic coset representative with the given corner.
 
-    The head is sigma's target row with its undefined sources sent to
-    alpha+1, alpha+2, ... in order; the next tail points alpha+1 ..
-    alpha+r go to the corner targets without a preimage, in increasing
+    The points 1 .. alpha go where sigma sends them, its r undefined
+    sources to alpha+1, alpha+2, ... in order; the tail points alpha+1 ..
+    alpha+r go to the r corner targets without a preimage, in increasing
     order; the rest of the tail, alpha+r+1 .. alpha+n, is fixed.
     """
     _require_coset(ctx, sigma)

@@ -457,8 +457,9 @@ def gram_suite(
 
     Positive definiteness is tested only on a symmetric G; an asymmetric
     one fails as asymmetry, reports first_positive_definite_integer null,
-    and is still checked against convolution.  A run with no default point (alpha + alpha > ORACLE_DEGREE_LIMIT) is
-    refused with CapacityError before the Gram matrix is built.
+    and is still checked against convolution.  A run with no default point
+    (alpha + alpha > ORACLE_DEGREE_LIMIT) is refused with CapacityError
+    before the Gram matrix is built.
     """
     col = _Collector(max_counterexamples)
     if ns is None:

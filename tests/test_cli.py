@@ -400,9 +400,7 @@ def test_unknown_command_exits_2():
 def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly():
     # the alpha=3 table is 536 KB of JSON, more than the pipe holds, so the
     # writer is still writing when the reader closes its end after one line
-    import rookalg
-
-    src = str(Path(rookalg.__file__).resolve().parent.parent)
+    src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "rookalg", "table", "--alpha", "3"],
