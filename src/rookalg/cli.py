@@ -79,6 +79,9 @@ def parse_word(alpha: int, text: str) -> list[tuple[str, object]]:
     return tokens
 
 
+# argparse reads "--nu -1/2" as a second option, though "--nu -1" is a negative number
+_NEGATIVE_NU = "write a negative fraction as --nu=-1/2"
+
 # characters per write: a text-mode write encodes its whole argument at once,
 # so one write of a large table would hold a second, encoded copy of it
 _EMIT_CHARS = 1 << 20
@@ -102,6 +105,25 @@ def _write_sliced(fh, pieces: Iterable[str]) -> None:
     for text in pieces:
         for start in range(0, len(text), _EMIT_CHARS):
             fh.write(text[start : start + _EMIT_CHARS])
+
+
+# suite -> (help, reads --n, call(alpha, n, max_counterexamples)); n is None
+# when --n is not given, and the suite then picks its own default points
+_SUITES = {
+    "crosscheck": ("structure constants against brute-force convolution", True,
+                   lambda a, n, k: crosscheck_multi(a, max_counterexamples=k) if n is None
+                   else crosscheck_structure(a, n, max_counterexamples=k)),
+    "relations": ("defining relations for the convolution generators", True,
+                  lambda a, n, k: relation_suite(a, a if n is None else n, max_counterexamples=k)),
+    "dims": ("dimension and coset counting", True,
+             lambda a, n, k: dimension_suite(a, None if n is None else (n,), max_counterexamples=k)),
+    "limit": ("scaled limit against the partial-injection monoid", False,
+              lambda a, n, k: limit_suite(a, max_counterexamples=k)),
+    "semisimple": ("trace-form determinant probe", False,
+                   lambda a, n, k: semisimplicity_probe(a, max_counterexamples=k)),
+    "gram": ("Gram matrix against convolution traces", True,
+             lambda a, n, k: gram_suite(a, None if n is None else (n,), max_counterexamples=k)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,17 +154,17 @@ def build_parser() -> argparse.ArgumentParser:
     norm = sub.add_parser("normalize", help="normal form of a generator word")
     common(norm)
     norm.add_argument("--word", required=True, help='e.g. "T2 T1" or "A(12) T1 T2"')
-    norm.add_argument("--nu", default=None, help="evaluate the coefficients at this rational")
+    norm.add_argument("--nu", default=None, help=f"evaluate the coefficients at this rational; {_NEGATIVE_NU}")
 
     table = sub.add_parser("table", help="build and export the structure table")
     common(table)
-    table.add_argument("--nu", default=None, help="evaluate all constants at this rational")
+    table.add_argument("--nu", default=None, help=f"evaluate all constants at this rational; {_NEGATIVE_NU}")
     table.add_argument("--format", choices=("json", "csv"), default="json")
     table.add_argument("--out", default=None)
 
     gram = sub.add_parser("gram", help="Gram matrix of the trace inner product")
     common(gram)
-    gram.add_argument("--nu", default=None, help="evaluate and test positive definiteness")
+    gram.add_argument("--nu", default=None, help=f"evaluate and test positive definiteness; {_NEGATIVE_NU}")
     gram.add_argument("--out", default=None)
 
     limit = sub.add_parser("limit", help="scaled large-nu limit of the structure table")
@@ -152,17 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
-    for name, helptext in (
-        ("crosscheck", "structure constants against brute-force convolution"),
-        ("relations", "defining relations for the convolution generators"),
-        ("dims", "dimension and coset counting"),
-        ("limit", "scaled limit against the partial-injection monoid"),
-        ("semisimple", "trace-form determinant probe"),
-        ("gram", "Gram matrix against convolution traces"),
-    ):
+    for name, (helptext, reads_n, _) in _SUITES.items():
         sp = vsub.add_parser(name, help=helptext)
         common(sp)
-        if name not in ("limit", "semisimple"):  # the suites that read no tail degree
+        if reads_n:
             sp.add_argument("--n", type=int, default=None, help="tail degree (suite-dependent default)")
         sp.add_argument("--out", default=None)
         sp.add_argument("--max-counterexamples", type=int, default=5)
@@ -182,8 +197,7 @@ def _cmd_dims(args) -> int:
         f"dimension (admissible basis): {basis_len}",
         f"dimension (sum of squared block dimensions): {squares}",
     ]
-    ns = (args.n,) if args.n is not None else None
-    rep = dimension_suite(alpha, ns)
+    rep = dimension_suite(alpha, None if args.n is None else (args.n,))
     for n, count in sorted(rep.metrics["cosets_by_n"].items(), key=lambda kv: int(kv[0])):
         lines.append(f"double cosets (n={n}): {count}")
     lines.append(f"status: {rep.status}")
@@ -269,26 +283,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    alpha, k = args.alpha, args.max_counterexamples
-    if args.suite == "crosscheck":
-        if args.n is not None:
-            rep = crosscheck_structure(alpha, args.n, max_counterexamples=k)
-        else:
-            rep = crosscheck_multi(alpha, max_counterexamples=k)
-    elif args.suite == "relations":
-        rep = relation_suite(alpha, args.n if args.n is not None else alpha, max_counterexamples=k)
-    elif args.suite == "dims":
-        ns = (args.n,) if args.n is not None else None
-        rep = dimension_suite(alpha, ns, max_counterexamples=k)
-    elif args.suite == "limit":
-        rep = limit_suite(alpha, max_counterexamples=k)
-    elif args.suite == "semisimple":
-        rep = semisimplicity_probe(alpha, max_counterexamples=k)
-    elif args.suite == "gram":
-        ns = (args.n,) if args.n is not None else None
-        rep = gram_suite(alpha, ns, max_counterexamples=k)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown suite {args.suite!r}")
+    _, _, call = _SUITES[args.suite]
+    rep = call(args.alpha, getattr(args, "n", None), args.max_counterexamples)
     _emit(rep.canonical_json(), args.out)
     if not rep.passed:
         print(f"FAIL {rep.suite}", file=sys.stderr)

@@ -10,7 +10,8 @@ Bi-invariant elements multiply by two routes that must agree.  The "fast"
 route sums over a quotient of K: the corner of U_sigma k U_tau depends on
 k only through its restriction to the r_tau = alpha - rank(tau) tail
 points that U_tau sends the corner into, so it sums over the injections
-of those points into the tail, each with weight (n - r_tau)!.  The
+of those points into the tail, each adding the falling-factorial weight
+(n)_{r_sigma} / (n)_{r_rho} to the corner rho it gives.  The
 "convolve" route is still the full double sum over both supports in the
 group algebra of S_{alpha+n}, accumulated in integers: every product g h
 is formed, one bytes.translate call each, and the products are tallied
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, permutations as _permutations
-from math import factorial
+from math import factorial, perm
 from operator import attrgetter
 
 from .combinatorics import (
@@ -152,16 +153,15 @@ def project_biinvariant(x: GroupAlgebraElement) -> GroupAlgebraElement:
 
 
 def coset_corank(sigma: PartialInjection) -> int:
-    return sigma.alpha - sigma.rank
+    return sigma.target.count(None)
 
 
 def coset_size(ctx: Context, sigma: PartialInjection) -> int:
-    """Number of permutations whose corner equals sigma: (n!)^2 / (n-r)!."""
+    """Number of permutations whose corner equals sigma: (n!)^2 / (n-r)! = n! (n)_r."""
     r = coset_corank(sigma)
     if r > ctx.n:
         raise EmptyCosetError(f"rank {sigma.rank} is too small for n={ctx.n} (need rank >= alpha-n)")
-    nf = factorial(ctx.n)
-    return nf * nf // factorial(ctx.n - r)
+    return factorial(ctx.n) * perm(ctx.n, r)
 
 
 def _require_coset(ctx: Context, sigma: PartialInjection) -> None:
@@ -269,11 +269,8 @@ class BiinvariantElement(SparseVector):
         return self.coefficient(ident) * Fraction(1, factorial(self.ctx.n))
 
     def augmentation(self) -> Fraction:
-        nf = factorial(self.ctx.n)
-        return sum(
-            (c * Fraction(coset_size(self.ctx, s), nf) for s, c in self._coeffs.items()),
-            Fraction(0),
-        )
+        """Sum of c (n)_{r_sigma}: e_sigma sums |c_sigma| / n! = (n)_{r_sigma} deltas."""
+        return sum((c * perm(self.ctx.n, coset_corank(s)) for s, c in self._coeffs.items()), Fraction(0))
 
     def star(self) -> "BiinvariantElement":
         """Coset-basis involution: invert every index."""
@@ -303,20 +300,17 @@ def gen_hole(i: int, ctx: Context) -> BiinvariantElement:
 def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> BiinvariantElement:
     """Single-sum product over a quotient of the tail subgroup.
 
-    e_sigma * e_tau expands as (|c_sigma| |c_tau| / (n!)^3) times the sum
-    over k in the tail subgroup of (n! / |c_rho(k)|) e_rho(k), where rho(k)
-    is the corner of U_sigma k U_tau.  U_tau sends r_tau = alpha - rank(tau)
-    corner points into a set L of tail points, and k fixes the corner, so
-    rho(k) depends on k only through its restriction to L.  The sum
-    therefore runs over the n!/(n - r_tau)! injections of L into the tail,
-    each standing for the (n - r_tau)! elements k that extend it, and
-    tallies an integer count per corner.  Each operand is scaled by the lcm
-    of its denominators, so the per-pair weights and the per-corner sums are
+    U_tau sends r_tau = alpha - rank(tau) corner points into a set L of tail
+    points, and k in the tail subgroup fixes the corner, so the corner rho of
+    U_sigma k U_tau depends on k only through its restriction to L.  Each k
+    adds |c_sigma| |c_tau| / ((n!)^2 |c_rho|) to e_rho, and an injection of L
+    into the tail stands for n! / (n)_{r_tau} of them; as |c_sigma| =
+    n! (n)_{r_sigma}, an injection adds (n)_{r_sigma} / (n)_{r_rho}.  Each
+    operand is scaled by the lcm of its denominators, so the tallies are
     integers; each corner's coefficient is one Fraction, built at the end.
     """
     ctx = x.ctx
     alpha, n = ctx.alpha, ctx.n
-    nf = factorial(n)
     tails = range(alpha + 1, ctx.degree + 1)
     dx, xs = integral(x.items())
     dy, y_ints = integral(y.items())
@@ -324,14 +318,14 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
     for tau, cy in y_ints:
         head = canonical_completion(tau, ctx).images[:alpha]
         slots = [i for i, p in enumerate(head) if p > alpha]  # the corner points sent into L
-        ys.append((head, slots, cy * coset_size(ctx, tau) * factorial(n - len(slots))))
+        ys.append((head, slots, cy))
     acc: dict[tuple[int | None, ...], int] = defaultdict(int)
     for sigma, cx in xs:
         u = canonical_completion(sigma, ctx)
         # the corner entry u sends each point p to, indexed by p
         u_corner = (None,) + tuple(p if p <= alpha else None for p in u.images)
-        weight_x = cx * coset_size(ctx, sigma)
-        for head, slots, weight_y in ys:
+        weight_x = cx * perm(n, coset_corank(sigma))
+        for head, slots, cy in ys:
             # k fixes the other corner points; the slots are overwritten per injection
             row = [u_corner[p] for p in head]
             counts: dict[tuple[int | None, ...], int] = defaultdict(int)
@@ -339,16 +333,12 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
                 for i, p in zip(slots, images):
                     row[i] = u_corner[p]
                 counts[tuple(row)] += 1
-            weight = weight_x * weight_y
+            weight = weight_x * cy
             for corner, count in counts.items():
                 acc[corner] += weight * count
-    # the (n!)^3 of the expansion over the n! of each corner's scale
-    d = dx * dy * nf * nf
-    out: dict[PartialInjection, Fraction] = {}
-    for corner, c in acc.items():
-        # distinct points of u's one-line images, read through its injective corner
-        rho = PartialInjection._trusted(corner)
-        out[rho] = Fraction(c, d * coset_size(ctx, rho))
+    d = dx * dy
+    # distinct points of u's one-line images, read through its injective corner
+    out = {PartialInjection._trusted(c): Fraction(t, d * perm(n, c.count(None))) for c, t in acc.items()}
     return BiinvariantElement._trusted(ctx, out)
 
 

@@ -183,10 +183,10 @@ class StructureTable:
         The one checking constructor: a malformed table raises ValueError
         naming the entry.  Every basis monomial has degree alpha and appears
         once; every pair of basis indices appears exactly once, with indices
-        in range and r values that increase strictly.  Equal rows are interned
-        by value in (p, q) order, so the layout does not depend on which row
-        objects the pairs share, and a table built by structure_table comes
-        back equal to itself.
+        in range, r values that increase strictly and coefficients that are
+        nonzero NuPoly values.  Equal rows are interned by value in (p, q)
+        order, so the layout does not depend on which row objects the pairs
+        share, and a table built by structure_table comes back equal to itself.
         """
         basis = tuple(basis)
         first: dict[Monomial, int] = {}
@@ -207,6 +207,9 @@ class StructureTable:
                 raise ValueError(f"constants entry {key} has index {bad[0]} outside range({dim})")
             if any(a >= b for a, b in zip(rs, rs[1:])):
                 raise ValueError(f"constants entry {key} has r values that do not increase strictly: {rs}")
+            for ir, c in terms:
+                if not isinstance(c, NuPoly) or not c:
+                    raise ValueError(f"constants entry {key} has coefficient {c!r} at r={ir}, not a nonzero NuPoly")
             if slots[ip * dim + iq] is not None:
                 raise ValueError(f"constants entry {key} repeats")
             slots[ip * dim + iq] = terms

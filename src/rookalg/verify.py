@@ -478,6 +478,8 @@ def gram_suite(
     # the Sylvester test reads only symmetric matrices
     symmetric = col.total == 0
     agreement_pairs = 0
+    # n! times the trace: the coefficient of the identity coset
+    one = PartialInjection.identity(alpha)
     for ctx in ctxs:
         n = ctx.n
         mat = evaluate_matrix(G, n)
@@ -485,11 +487,10 @@ def gram_suite(
             col.add("not-positive-definite", n=n)
         imgs = monomial_images(basis, ctx)
         stars = [x.star() for x in imgs]
-        nf = factorial(n)
         for ip in range(dim):
             for iq in range(dim):
                 agreement_pairs += 1
-                oracle_val = dc_multiply(imgs[ip], stars[iq], via="fast").trace() * nf
+                oracle_val = dc_multiply(imgs[ip], stars[iq], via="fast").coefficient(one)
                 if oracle_val != mat[ip][iq]:
                     col.add(
                         "gram-mismatch",

@@ -161,6 +161,20 @@ def test_table_csv_at_a_point():
     ]
 
 
+def test_a_negative_fraction_is_passed_with_an_equals_sign():
+    # T1 T1 = nu + (nu - 1) T1 at nu = -1/2
+    code, out, _ = run_cli("table", "--alpha", "1", "--nu=-1/2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["1,1,0,-1/2", "1,1,1,-3/2"]
+    # with a space, argparse reads -1/2 as an option; a negative integer still parses
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["normalize", "--alpha", "1", "--word", "T1 T1", "--nu", "-1/2"])
+    assert exc.value.code == 2
+    assert "argument --nu: expected one argument" in err.getvalue()
+    assert run_cli("normalize", "--alpha", "1", "--word", "T1 T1", "--nu", "-1") == (0, "-1 + (-2) T1\n", "")
+
+
 def test_table_out_file(tmp_path):
     target = tmp_path / "table.json"
     code, out, _ = run_cli(

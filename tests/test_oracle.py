@@ -378,6 +378,21 @@ def test_fast_product_matches_full_sum_on_the_coset_basis(alpha, n):
             assert dc_multiply(x, y, via="fast") == full_sum_product(x, y)
 
 
+def test_fast_product_matches_full_sum_at_every_small_tail_degree():
+    # the falling-factorial weights (n)_{r_sigma} / (n)_{r_rho} also where
+    # n < alpha, so some keys index no coset, and at n = 0
+    pairs = 0
+    for alpha in range(4):
+        for n in range(7 - alpha):
+            ctx = Context(alpha, n)
+            basis = [BiinvariantElement.basis(ctx, s) for s in rook_enumerate(alpha) if coset_corank(s) <= n]
+            for x in basis:
+                for y in basis:
+                    assert dc_multiply(x, y, via="fast") == full_sum_product(x, y), (alpha, n, x, y)
+                    pairs += 1
+    assert pairs == 3072
+
+
 @pytest.mark.parametrize("alpha,n", [(3, 5), (4, 4)])
 def test_fast_product_matches_full_sum_on_monomial_images(alpha, n):
     ctx = Context(alpha, n)

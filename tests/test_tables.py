@@ -335,6 +335,21 @@ def test_malformed_json_tables_are_refused(edit, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "coefficient, shown",
+    [(NuPoly.zero(), "NuPoly(0)"), (Fraction(1), "Fraction(1, 1)"), (1, "1"), ("1/1", "'1/1'")],
+    ids=["zero", "fraction", "int", "string"],
+)
+def test_from_pairs_refuses_a_coefficient_that_is_not_a_nonzero_polynomial(coefficient, shown):
+    # a zero term would export as the CSV line 0,0,1, and a JSON "poly": [] that
+    # from_json_obj refuses, so the constructor refuses it first
+    t = structure_table(1)
+    terms = ((0, NuPoly.one()), (1, coefficient))
+    with pytest.raises(ValueError) as exc:
+        StructureTable.from_pairs(1, t.basis, {**t.constants, (0, 0): terms}.items())
+    assert str(exc.value) == f"constants entry (0, 0) has coefficient {shown} at r=1, not a nonzero NuPoly"
+
+
 def test_json_at_a_point():
     t = structure_table(1)
     obj = json.loads(t.canonical_json(nu=3))
