@@ -244,6 +244,12 @@ def _cmd_table(args) -> int:
 
 def _cmd_gram(args) -> int:
     G = gram_matrix(args.alpha)
+    # an asymmetric G is a fault in the build, not in the arguments, and the
+    # Sylvester test would refuse it as a usage error
+    asymmetric = next(((p, q) for p in range(len(G)) for q in range(p) if G[p][q] != G[q][p]), None)
+    if asymmetric is not None:
+        p, q = asymmetric
+        raise ConsistencyError("the Gram matrix is not symmetric", {"p": p, "q": q})
     if args.nu is None:
         lines = ["[" + ", ".join(entry.pretty() for entry in row) + "]" for row in G]
         first = smallest_pd_nu(G, stop=4 * args.alpha)

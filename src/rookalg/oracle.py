@@ -127,10 +127,6 @@ class GroupAlgebraElement(SparseVector):
             self.ctx, {Permutation._trusted(tuple(gh)): Fraction(c, d) for gh, c in acc.items() if c}
         )
 
-    def trace(self) -> Fraction:
-        """Coefficient of the identity."""
-        return self.coefficient(Permutation.identity(self.ctx.degree))
-
     def augmentation(self) -> Fraction:
         """Sum of all coefficients; multiplicative under convolution."""
         return sum(self._coeffs.values(), Fraction(0))
@@ -263,10 +259,6 @@ class BiinvariantElement(SparseVector):
                 )
             acc[sigma] = values[0] * nf
         return cls._trusted(ctx, acc)
-
-    def trace(self) -> Fraction:
-        ident = PartialInjection.identity(self.ctx.alpha)
-        return self.coefficient(ident) * Fraction(1, factorial(self.ctx.n))
 
     def augmentation(self) -> Fraction:
         """Sum of c (n)_{r_sigma}: e_sigma sums |c_sigma| / n! = (n)_{r_sigma} deltas."""

@@ -28,9 +28,10 @@ coefficient of each product, and the Gram matrix is the trace form applied
 to the normal forms of the basis stars.  One rank-revealing Gaussian
 elimination over Fractions, `_pivots`, yields (column, pivot, exchanged) for
 each pivot of a matrix of any shape, and it has three readers: `rank`, the
-Sylvester test of `positive_definite`, and `_det_factors`, which counts
-the nullity at each integer point and interpolates only the cofactor that
-the nullities leave; the semisimplicity probe checks those against a closed form.
+Sylvester test of `positive_definite`, and `_point_det`, the determinant at
+one point.  The semisimplicity probe reads `rank` for the nullities of the
+trace form and `_point_det` for its values, and checks both against the
+closed form of its determinant; it never interpolates one.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -496,78 +496,37 @@ def smallest_pd_nu(mat: Sequence[Sequence[NuPoly]], *, stop: int) -> int | None:
     return None
 
 
-def _interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> NuPoly:
-    """Exact Newton interpolation through distinct rational points."""
-    xs = [p for p, _ in points]
-    coeffs = [v for _, v in points]
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = NuPoly.zero()
-    basis_poly = NuPoly.one()
-    for i, c in enumerate(coeffs):
-        if i:
-            basis_poly = basis_poly * (NuPoly.nu() - NuPoly.constant(xs[i - 1]))
-        poly = poly + c * basis_poly
-    return poly
-
-
-def _det_factors(mat: Sequence[Sequence[NuPoly]]) -> tuple[dict[int, int], NuPoly]:
-    """(nullities, cofactor) with det M(nu) = cofactor * prod_x (nu - x)^nullities[x].
-
-    If M(x) has nullity k over Q then (nu - x)^k divides det M(nu): M has a
-    Smith normal form over the principal ideal domain Q[nu], and k of its
-    invariant factors vanish at x.  So M is eliminated at x = 0, 1, 2, ...:
-    a singular point adds its nullity to the known factors, and a full-rank
-    point records det M(x), the product of its pivots with the sign of the
-    exchanges.  The degree bound is the sum over rows of the largest entry
-    degree; with D the sum of the nullities, the cofactor has degree at
-    most bound - D.  It is interpolated from the first bound - D + 1
-    full-rank points and checked at the next one, and the scan stops once
-    it has that many.  D > bound means the determinant is zero, and so is
-    the cofactor.  No more than bound + 2 points are ever eliminated.
-    """
+def _point_det(mat: Sequence[Sequence[NuPoly]], x) -> Fraction:
+    """det M(x): the product of the pivots, each exchange flipping its sign, and 0 when M(x) is singular."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
-    bound = 0
-    for row in mat:
-        degs = [int(c.degree) for c in row if c]
-        if not degs:
-            return {}, NuPoly.zero()
-        bound += max(degs)
-    nullities: dict[int, int] = {}
-    values: list[tuple[int, Fraction]] = []
-    known = 0
-    x = 0
-    while len(values) < bound - known + 2:
-        det, r = Fraction(1), 0
-        for _, piv, exchanged in _pivots(evaluate_matrix(mat, Fraction(x))):
-            det *= -piv if exchanged else piv
-            r += 1
-        if r < n:
-            nullities[x] = n - r
-            known += n - r
-            if known > bound:
-                return nullities, NuPoly.zero()
-        else:
-            values.append((x, det))
-        x += 1
-    points = [(Fraction(x), v / prod((x - y) ** k for y, k in nullities.items())) for x, v in values]
-    cofactor = _interpolate(points[: bound - known + 1])
-    extra_x, extra_v = points[bound - known + 1]
-    if cofactor.evaluate(extra_x) != extra_v:
-        raise ConsistencyError(
-            "interpolated determinant failed the extra-point check",
-            {"point": str(extra_x)},
-        )
-    return nullities, cofactor
+    det, count = Fraction(1), 0
+    for _, piv, exchanged in _pivots(evaluate_matrix(mat, x)):
+        det *= -piv if exchanged else piv
+        count += 1
+    return det if count == n else Fraction(0)
+
+
+def _degree_bound(mat: Sequence[Sequence[NuPoly]]) -> int:
+    """The sum over rows of the largest entry degree, a zero row counting 0: deg det M is at most this."""
+    return sum(max((int(c.degree) for c in row if c), default=0) for row in mat)
 
 
 def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
-    """det M(nu), the factors of _det_factors expanded; no caller in src/, kept because bench/ wraps it by name."""
-    nullities, cofactor = _det_factors(mat)
-    return prod((NuPoly((-x, 1)) for x, k in nullities.items() for _ in range(k)), start=cofactor)
+    """det M(nu), Newton-interpolated through x = 0, ..., _degree_bound(M).
+
+    No caller in src/; kept because bench/ wraps it by name.
+    """
+    coeffs = [_point_det(mat, x) for x in range(_degree_bound(mat) + 1)]
+    # divided differences at the points 0, 1, ...: x_i - x_(i-j) = j
+    for j in range(1, len(coeffs)):
+        for i in range(len(coeffs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / j
+    poly = NuPoly.zero()
+    for i in reversed(range(len(coeffs))):
+        poly = poly * NuPoly((-i, 1)) + NuPoly.constant(coeffs[i])
+    return poly
 
 
 def scaled_limit_table(table: StructureTable) -> list[list[tuple[tuple[int, Fraction], ...]]]:

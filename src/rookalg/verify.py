@@ -26,7 +26,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm, prod
 from typing import Iterable, Sequence
 
 from .algebra import Monomial, basis_enumerate
@@ -41,7 +41,6 @@ from .combinatorics import (
     rook_enumerate,
 )
 from .errors import CapacityError, ConsistencyError
-from .nupoly import NuPoly
 from .oracle import (
     BiinvariantElement,
     Context,
@@ -57,7 +56,8 @@ from .rational import format_rational
 from .sparse import combine
 from .tables import (
     StructureTable,
-    _det_factors,
+    _degree_bound,
+    _point_det,
     evaluate_matrix,
     gram_matrix,
     positive_definite,
@@ -453,11 +453,15 @@ def gram_suite(
     *,
     max_counterexamples: int = 5,
 ) -> VerificationReport:
-    """Symmetry, positive definiteness at integers, and agreement with convolution.
+    """Symmetry, positive definiteness at integers, and agreement with the oracle.
 
+    The oracle side of G[p][q] at nu = n is n! trace(phi_p phi_q*), read
+    straight off the monomial images in the coset basis as
+    sum_sigma phi_p[sigma] phi_q[sigma] (n)_{r_sigma}, with each image's
+    weighted coefficients formed once; no star or product is formed.
     Positive definiteness is tested only on a symmetric G; an asymmetric
     one fails as asymmetry, reports first_positive_definite_integer null,
-    and is still checked against convolution.  A run with no default point
+    and is still checked against the oracle.  A run with no default point
     (alpha + alpha > ORACLE_DEGREE_LIMIT) is refused with CapacityError
     before the Gram matrix is built.
     """
@@ -478,19 +482,21 @@ def gram_suite(
     # the Sylvester test reads only symmetric matrices
     symmetric = col.total == 0
     agreement_pairs = 0
-    # n! times the trace: the coefficient of the identity coset
-    one = PartialInjection.identity(alpha)
     for ctx in ctxs:
         n = ctx.n
         mat = evaluate_matrix(G, n)
         if symmetric and n >= alpha and not positive_definite(mat):
             col.add("not-positive-definite", n=n)
         imgs = monomial_images(basis, ctx)
-        stars = [x.star() for x in imgs]
+        # trace(e_sigma e_tau) = (n)_{r_sigma} / n! when tau = sigma^-1, else 0, and
+        # e_tau* = e_tau^-1: so n! trace(x y*) = sum_sigma x_sigma y_sigma (n)_{r_sigma}
+        weighted = [{s: c * perm(n, coset_corank(s)) for s, c in y.items()} for y in imgs]
         for ip in range(dim):
+            x = imgs[ip].items()
             for iq in range(dim):
                 agreement_pairs += 1
-                oracle_val = dc_multiply(imgs[ip], stars[iq], via="fast").coefficient(one)
+                y = weighted[iq]
+                oracle_val = sum((c * y[s] for s, c in x if s in y), Fraction(0))
                 if oracle_val != mat[ip][iq]:
                     col.add(
                         "gram-mismatch",
@@ -510,47 +516,54 @@ def gram_suite(
 
 
 def semisimplicity_probe(alpha: int, *, max_counterexamples: int = 5) -> VerificationReport:
-    """Determinant of the trace form: a nonzero polynomial certifies semisimplicity
-    away from its finitely many roots.
+    """The trace form B against the closed form of its determinant, which is never computed.
 
     B = Phi^T G Phi, with Phi the monomial images in the coset basis, which is
     unitriangular, and G[sigma][sigma^-1] = (nu)_{r_sigma}, r_sigma holes, the
-    only nonzero entries of G.  So B has nullity #{sigma : r_sigma > j} at
-    nu = j, and det B = (-1)^s prod_sigma (nu)_{r_sigma}, s half the number of
-    sigma != sigma^-1.  The factors of _det_factors must be exactly these; any
-    other nonzero determinant fails as determinant-off-closed-form, and a
-    cofactor that is not constant is warned of, its roots unlisted.  The
-    reported roots, the singular points with their nullities, are candidates
-    for degeneration; the probe makes no claim that each one is degenerate.
+    only nonzero entries of G.  So det B = (-1)^s prod_sigma (nu)_{r_sigma}
+    = (-1)^s prod_{j < alpha} (nu - j)^{k_j}, with s half the number of
+    sigma != sigma^-1 and k_j = #{sigma : r_sigma > j}.  The probe first
+    requires B(j) to have nullity k_j at each j < alpha; by the Smith normal
+    form of B over Q[nu], prod (nu - j)^{k_j} then divides det B.  With bound
+    the sum over rows of the largest entry degree and D = sum k_j, the
+    quotient has degree at most bound - D: if bound < D, det B is zero and
+    the run fails as degenerate-trace-form; otherwise det B(x) must equal the
+    closed form at the bound - D + 1 points x = alpha, alpha + 1, ..., where
+    the closed form does not vanish, and then the quotient is (-1)^s.  A
+    wrong nullity or value names its point; the values are checked only once
+    every nullity is right.  A pass proves det B is the closed form, so B is
+    nonsingular at every x >= alpha; a failure reports no determinant.
     """
     col = _Collector(max_counterexamples)
     tbl = structure_table(alpha)
-    nullities, cofactor = _det_factors(trace_form(tbl))
-    probe_at = alpha + 1
-    if not cofactor:
-        col.add("degenerate-trace-form")
-        nullities = {}
-    else:
-        if probe_at in nullities or cofactor.evaluate(probe_at) == 0:
-            col.add("vanishing-just-past-alpha", at=probe_at)
-        found = {str(x): k for x, k in nullities.items()}
-        expected = {str(j): sum(m.hole_degree > j for m in tbl.basis) for j in range(alpha)}
-        swapped = sum(s != s.inverse() for s in map(Monomial.to_rook, tbl.basis))
-        if found != expected or cofactor != NuPoly.constant((-1) ** (swapped // 2)):
-            col.add(
-                "determinant-off-closed-form",
-                nullities=found,
-                expected_nullities=expected,
-                cofactor=cofactor.to_strings(),
-            )
-        if cofactor.degree > 0:
-            col.warnings.append(f"the cofactor has degree {cofactor.degree}; its roots are not listed")
+    B = trace_form(tbl)
+    coranks = [m.hole_degree for m in tbl.basis]
+    nullities = {j: sum(r > j for r in coranks) for j in range(alpha)}
+    for j, k in nullities.items():
+        found = tbl.dimension - rank(evaluate_matrix(B, j))
+        if found != k:
+            col.add("nullity-off-closed-form", at=j, nullity=found, expected=k)
+    sign = (-1) ** (sum(s != s.inverse() for s in map(Monomial.to_rook, tbl.basis)) // 2)
+    bound, known = _degree_bound(B), sum(nullities.values())
+    if col.total == 0:
+        if bound < known:
+            col.add("degenerate-trace-form", degree_bound=bound, nullity_sum=known)
+        for x in range(alpha, alpha + bound - known + 1):
+            det, closed = _point_det(B, x), sign * prod(perm(x, r) for r in coranks)
+            if det != closed:
+                col.add(
+                    "determinant-off-closed-form",
+                    at=x,
+                    determinant=format_rational(det),
+                    closed_form=format_rational(closed),
+                )
+    proved = col.total == 0
     return col.report(
         "semisimplicity",
         {"alpha": alpha},
         dimension=tbl.dimension,
-        det_degree=sum(nullities.values()) + cofactor.degree if cofactor else None,
-        det_leading=format_rational(cofactor.leading) if cofactor else None,
-        rational_roots=[format_rational(x) for x, k in nullities.items() for _ in range(k)],
-        root_multiplicities={format_rational(x): k for x, k in nullities.items()},
+        det_degree=known if proved else None,
+        det_leading=format_rational(sign) if proved else None,
+        rational_roots=[format_rational(j) for j, k in nullities.items() for _ in range(k)] if proved else None,
+        root_multiplicities={format_rational(j): k for j, k in nullities.items()} if proved else None,
     )

@@ -17,6 +17,7 @@ from rookalg import algebra, cli
 from rookalg.capacity import rook_limit
 from rookalg.cli import main, parse_word
 from rookalg.combinatorics import Permutation
+from rookalg.nupoly import NuPoly
 from rookalg.tables import StructureTable, structure_table
 
 
@@ -119,6 +120,19 @@ def test_gram_at_a_positive_point():
     code, out, _ = run_cli("gram", "--alpha", "1", "--nu", "2")
     assert code == 0
     assert out == "1/1 0/1\n0/1 2/1\npositive_definite: true\n"
+
+
+@pytest.mark.parametrize("nu", [[], ["--nu", "2"]], ids=["polynomial", "at-a-point"])
+def test_gram_reports_an_asymmetric_matrix_as_a_consistency_failure(monkeypatch, nu):
+    # a build fault, so exit 1 with the first asymmetric pair, not a usage error
+    G = [list(row) for row in cli.gram_matrix(2)]
+    G[0][1] = G[2][3] = NuPoly.one()
+    monkeypatch.setattr(cli, "gram_matrix", lambda alpha: tuple(map(tuple, G)))
+    assert run_cli("gram", "--alpha", "2", *nu) == (
+        1,
+        "",
+        'FAIL consistency: the Gram matrix is not symmetric\n{"p": 1, "q": 0}\n',
+    )
 
 
 def test_limit_output():

@@ -15,7 +15,7 @@ from rookalg.capacity import override
 from rookalg.cli import main
 from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly
-from rookalg import tables, verify
+from rookalg import verify
 from rookalg.tables import (
     StructureTable,
     _pivots,
@@ -526,18 +526,6 @@ def test_det_polynomial_interpolates_the_cofactor(mat, expected, interpolated_de
 def test_trace_form_determinant_matches_full_interpolation(alpha, interpolated_det):
     B = trace_form(structure_table(alpha))
     assert det_polynomial(B) == interpolated_det(B)
-
-
-def test_det_polynomial_checks_the_cofactor_at_an_extra_point(monkeypatch):
-    # [[nu]] is singular at 0, so its cofactor is a constant read at 1 and
-    # checked at 2; a wrong value there is caught
-    def evaluate(mat, value):
-        return [[Fraction(5)]] if value == 2 else evaluate_matrix(mat, value)
-
-    monkeypatch.setattr(tables, "evaluate_matrix", evaluate)
-    with pytest.raises(ConsistencyError, match="extra-point check") as exc:
-        det_polynomial([[NU]])
-    assert exc.value.payload == {"point": "2"}
 
 
 @pytest.mark.parametrize(

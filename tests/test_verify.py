@@ -1,6 +1,7 @@
 """Cross-checking suites: reports, warnings, and failure collection."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,9 +14,9 @@ from rookalg.algebra import basis_enumerate
 from rookalg.combinatorics import PartialInjection, rook_enumerate
 from rookalg.errors import CapacityError
 from rookalg.nupoly import NuPoly, parse_rational
-from rookalg.oracle import BiinvariantElement, Context, dc_multiply, gen_hole
+from rookalg.oracle import BiinvariantElement, Context, coset_corank, dc_multiply, gen_hole
 from rookalg import capacity, cli, verify
-from rookalg.tables import StructureTable, _det_factors, structure_table, trace_form
+from rookalg.tables import StructureTable, evaluate_matrix, rank, structure_table, trace_form
 from rookalg.verify import (
     VerificationReport,
     crosscheck_multi,
@@ -256,13 +257,14 @@ def test_trace_form_nullity_is_the_rank_defect_of_the_images(alpha, expected):
     # two routes to one number: the nullity of the trace form at nu = x, and
     # dimension minus the oracle's rank of the monomial images at n = x
     t = structure_table(alpha)
-    nullities, _ = _det_factors(trace_form(t))
-    defects = {}
+    B = trace_form(t)
+    nullities, defects = {}, {}
     for x in range(1, alpha):
+        nullities[x] = t.dimension - rank(evaluate_matrix(B, x))
         defects[x] = t.dimension - verify._image_rank(monomial_images(t.basis, Context(alpha, x)))
-    assert {x: k for x, k in nullities.items() if x >= 1} == defects == expected
+    assert nullities == defects == expected
     # at x >= alpha the images are independent, and the trace form is not singular
-    assert all(x < alpha for x in nullities)
+    assert all(rank(evaluate_matrix(B, x)) == t.dimension for x in range(alpha, alpha + 3))
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
@@ -408,41 +410,46 @@ _Z = NuPoly.zero()
 
 
 @pytest.mark.parametrize(
-    "form, nullities, cofactor",
+    "form, counterexamples",
     [
-        # det = nu^2 (2 nu - 1): the right nullity, but a cofactor nu (2 nu - 1)
-        ([[NuPoly((0, 0, 1)), _Z], [_Z, NuPoly((-1, 2))]], {"0": 1}, ["0/1", "-1/1", "2/1"]),
+        # det = nu^2 (2 nu - 1): the right nullity, and the closed form nu at nu = 1,
+        # but not at the other two points that a degree bound of 3 asks for
+        (
+            [[NuPoly((0, 0, 1)), _Z], [_Z, NuPoly((-1, 2))]],
+            [("determinant-off-closed-form", 2, "12/1", "2/1"), ("determinant-off-closed-form", 3, "45/1", "3/1")],
+        ),
         # det = -nu: only the sign is wrong
-        ([[-NuPoly.one(), _Z], [_Z, NuPoly.nu()]], {"0": 1}, ["-1/1"]),
+        ([[-NuPoly.one(), _Z], [_Z, NuPoly.nu()]], [("determinant-off-closed-form", 1, "-1/1", "1/1")]),
         # det = nu - 1: only the nullity is wrong, at 1 instead of 0
-        ([[NuPoly.one(), _Z], [_Z, NuPoly((-1, 1))]], {"1": 1}, ["1/1"]),
+        ([[NuPoly.one(), _Z], [_Z, NuPoly((-1, 1))]], [("nullity-off-closed-form", 0, 0, 1)]),
+        # det = 0: the right nullity at 0, but a degree bound of 0 leaves no room
+        # for the root it forces, and no point is left to check
+        ([[_Z, _Z], [_Z, NuPoly.one()]], [("degenerate-trace-form", 0, 1)]),
     ],
-    ids=["cofactor-roots", "sign", "nullity"],
+    ids=["cofactor-roots", "sign", "nullity", "degenerate"],
 )
-def test_probe_fails_a_determinant_off_the_closed_form(monkeypatch, form, nullities, cofactor):
-    # alpha=1's trace form is diag(1, nu): nullity 1 at 0, and the cofactor 1
+def test_probe_fails_a_determinant_off_the_closed_form(monkeypatch, form, counterexamples):
+    # alpha=1's trace form is diag(1, nu), with det nu: nullity 1 at 0, and a
+    # degree bound of 1 leaves one point, nu = 1, to check
     monkeypatch.setattr(verify, "trace_form", lambda tbl: form)
     r = semisimplicity_probe(1)
     assert r.status == "fail"
-    assert r.counterexamples == (
-        {
-            "kind": "determinant-off-closed-form",
-            "nullities": nullities,
-            "expected_nullities": {"0": 1},
-            "cofactor": cofactor,
-        },
-    )
-    # the roots are the nullities alone; a cofactor's own roots are not listed
-    assert r.metrics["root_multiplicities"] == {f"{x}/1": k for x, k in nullities.items()}
-    assert r.metrics["det_degree"] == sum(nullities.values()) + len(cofactor) - 1
-    assert r.metrics["det_leading"] == cofactor[-1]
-    assert r.warnings == (("the cofactor has degree 2; its roots are not listed",) if len(cofactor) > 1 else ())
+    fields = {
+        "determinant-off-closed-form": ("at", "determinant", "closed_form"),
+        "nullity-off-closed-form": ("at", "nullity", "expected"),
+        "degenerate-trace-form": ("degree_bound", "nullity_sum"),
+    }
+    assert [(c["kind"], *map(c.get, fields[c["kind"]])) for c in r.counterexamples] == counterexamples
+    assert all(set(c) == {"kind", *fields[c["kind"]]} for c in r.counterexamples)
+    # a failed probe claims no determinant
+    assert [r.metrics[k] for k in ("det_degree", "det_leading", "rational_roots", "root_multiplicities")] == [None] * 4
+    assert r.warnings == ()
 
 
 def test_every_suite_imports_only_the_standard_library():
     # a fresh interpreter, so no earlier test has imported anything; modules
     # loaded before rookalg (an editable install's finder among them) do not
-    # count.  The tampered probe is the one with a cofactor that is not constant.
+    # count.  The tampered probe is the one whose determinant is off the closed form.
     import rookalg
 
     src = str(Path(rookalg.__file__).resolve().parent.parent)
@@ -475,3 +482,37 @@ def test_monomial_images():
     assert imgs[0] == BiinvariantElement.basis(ctx, PartialInjection.identity(2))
     assert imgs[2] == gen_hole(1, ctx)
     assert len(imgs) == 7
+
+
+def test_monomial_images_are_unitriangular():
+    # phi(m) has coefficient 1 at m's own rook and smaller corank at every other
+    # key, whenever m's corank fits in n; the closed forms of the trace form rest on it
+    images = checked = 0
+    for alpha in range(1, 5):
+        basis = basis_enumerate(alpha)
+        for n in range(1, 9 - alpha):
+            for m, img in zip(basis, monomial_images(basis, Context(alpha, n))):
+                images += 1
+                if m.hole_degree > n:
+                    continue
+                checked += 1
+                own = m.to_rook()
+                assert img.coefficient(own) == 1, (alpha, n, m)
+                assert all(coset_corank(s) < m.hole_degree for s, _ in img.items() if s != own), (alpha, n, m)
+    assert (images, checked) == (1062, 943)
+
+
+def test_gram_pairing_is_the_identity_coefficient_of_the_product_with_a_star():
+    # gram_suite's oracle side, sum_sigma x_sigma y_sigma (n)_{r_sigma}, against
+    # the product route it replaces: n! trace(x y*) read off the identity coset
+    pairs = 0
+    for alpha in range(1, 4):
+        one = PartialInjection.identity(alpha)
+        for n in range(1, 9 - alpha):
+            imgs = monomial_images(basis_enumerate(alpha), Context(alpha, n))
+            for x in imgs:
+                for y in imgs:
+                    pairing = sum(c * y.coefficient(s) * math.perm(n, coset_corank(s)) for s, c in x.items())
+                    assert pairing == dc_multiply(x, y.star()).coefficient(one), (alpha, n)
+                    pairs += 1
+    assert pairs == 4 * 7 + 49 * 6 + 34 * 34 * 5
