@@ -65,7 +65,6 @@ from .tables import (
     positive_definite,
     rank,
     scaled_limit_table,
-    smallest_pd_nu,
     structure_table,
     trace_form,
 )
@@ -157,7 +156,6 @@ __all__ = [
     "rook_sort_key",
     "scaled_limit_table",
     "semisimplicity_probe",
-    "smallest_pd_nu",
     "structure_table",
     "subgroup_elements",
     "table_limit",

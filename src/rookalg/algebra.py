@@ -441,10 +441,6 @@ class OElement(SparseVector):
             return NotImplemented
         return multiply(self, other)
 
-    def trace(self) -> NuPoly:
-        """Coefficient of the identity monomial."""
-        return self.coefficient(Monomial.one(self.alpha))
-
     def augmentation(self) -> NuPoly:
         """Algebra map with A(g) -> 1 and T_i -> nu."""
         acc = NuPoly.zero()

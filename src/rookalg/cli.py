@@ -31,20 +31,14 @@ from .combinatorics import Permutation, rook_count, rook_enumerate, fixed_space_
 from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
 from .nupoly import NuPoly
 from .rational import format_rational, parse_rational
-from .tables import (
-    evaluate_matrix,
-    gram_matrix,
-    positive_definite,
-    scaled_limit_table,
-    smallest_pd_nu,
-    structure_table,
-)
+from .tables import evaluate_matrix, gram_matrix, positive_definite, scaled_limit_table, structure_table
 from .verify import (
     crosscheck_multi,
     crosscheck_structure,
     dimension_suite,
     gram_suite,
     limit_suite,
+    off_closed_form,
     relation_suite,
     semisimplicity_probe,
 )
@@ -250,10 +244,15 @@ def _cmd_gram(args) -> int:
     if asymmetric is not None:
         p, q = asymmetric
         raise ConsistencyError("the Gram matrix is not symmetric", {"p": p, "q": q})
+    off = off_closed_form(G, basis_enumerate(args.alpha), lambda s: s)
+    if off:
+        p, q = off[0]
+        raise ConsistencyError("the Gram matrix is off its closed form", {"p": p, "q": q})
     if args.nu is None:
         lines = ["[" + ", ".join(entry.pretty() for entry in row) + "]" for row in G]
-        first = smallest_pd_nu(G, stop=4 * args.alpha)
-        lines.append(f"smallest positive definite integer in [0, {4 * args.alpha}]: {first}")
+        # G = Phi^T diag((nu)_{r_sigma}) Phi with Phi unitriangular: positive definite
+        # at an integer n exactly when n >= alpha, the largest r_sigma
+        lines.append(f"smallest positive definite integer in [0, {4 * args.alpha}]: {args.alpha}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     value = parse_rational(args.nu)

@@ -25,13 +25,13 @@ terms of the alpha=4 rows carry 179 values.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
-to the normal forms of the basis stars.  One rank-revealing Gaussian
-elimination over Fractions, `_pivots`, yields (column, pivot, exchanged) for
-each pivot of a matrix of any shape, and it has three readers: `rank`, the
-Sylvester test of `positive_definite`, and `_point_det`, the determinant at
-one point.  The semisimplicity probe reads `rank` for the nullities of the
-trace form and `_point_det` for its values, and checks both against the
-closed form of its determinant; it never interpolates one.
+to the normal forms of the basis stars.  The verification suites check both
+against closed forms entry by entry and eliminate nothing.  One
+rank-revealing Gaussian elimination over Fractions, `_pivots`, yields
+(column, pivot, exchanged) for each pivot of a matrix of any shape, and it
+has three readers: `rank`, the Sylvester test of `positive_definite`, which
+`rookalg gram --nu` runs at one point, and `_point_det`, the determinant at
+one point, which `det_polynomial` interpolates.
 """
 from __future__ import annotations
 
@@ -486,14 +486,6 @@ def positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:
 
 def evaluate_matrix(mat: Sequence[Sequence[NuPoly]], value) -> list[list[Fraction]]:
     return [[c.evaluate(value) for c in row] for row in mat]
-
-
-def smallest_pd_nu(mat: Sequence[Sequence[NuPoly]], *, stop: int) -> int | None:
-    """Smallest integer in [0, stop] where the evaluated matrix is positive definite."""
-    for n in range(stop + 1):
-        if positive_definite(evaluate_matrix(mat, n)):
-            return n
-    return None
 
 
 def _point_det(mat: Sequence[Sequence[NuPoly]], x) -> Fraction:

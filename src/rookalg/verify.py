@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, perm, prod
+from math import factorial
 from typing import Iterable, Sequence
 
 from .algebra import Monomial, basis_enumerate
@@ -41,6 +42,7 @@ from .combinatorics import (
     rook_enumerate,
 )
 from .errors import CapacityError, ConsistencyError
+from .nupoly import NuPoly
 from .oracle import (
     BiinvariantElement,
     Context,
@@ -54,19 +56,7 @@ from .oracle import (
 )
 from .rational import format_rational
 from .sparse import combine
-from .tables import (
-    StructureTable,
-    _degree_bound,
-    _point_det,
-    evaluate_matrix,
-    gram_matrix,
-    positive_definite,
-    rank,
-    scaled_limit_table,
-    smallest_pd_nu,
-    structure_table,
-    trace_form,
-)
+from .tables import StructureTable, gram_matrix, scaled_limit_table, structure_table, trace_form
 
 
 @dataclass(frozen=True)
@@ -176,6 +166,64 @@ def monomial_images(basis: Sequence[Monomial], ctx: Context) -> list[Biinvariant
             x = dc_multiply(x, gen_hole(i, ctx), via="fast")
         out.append(x)
     return out
+
+
+def _unitriangular(m: Monomial, x: dict) -> bool:
+    """Whether the image x, {key: coefficient}, has 1 at m's own rook and smaller corank at every other key."""
+    own, r = m.to_rook(), m.hole_degree
+    return x.get(own) == 1 and all(coset_corank(s) < r for s in x if s != own)
+
+
+def rook_images(basis: Sequence[Monomial]) -> list[dict[PartialInjection, int]]:
+    """Image of each basis monomial as {key: 1}, the same at every n once keys of corank > n are dropped.
+
+    phi(A(g) T_i1 ... T_ik) = e_g theta_i1 ... theta_ik, and each hole i
+    meets only keys sigma with sigma(i) defined, where counting partial
+    permutations (Ivanov and Kerov, J. Math. Sci. 107, 2001) gives
+    e_sigma theta_i = e_(sigma with i undefined) + sum_y e_(sigma with i -> y),
+    y over the corner targets that sigma misses.  An image that is not
+    unitriangular raises ConsistencyError naming its monomial.
+    """
+    out = []
+    for m in basis:
+        rows = [m.perm.images]
+        for i in m.holes:
+            rows = [
+                row[: i - 1] + (y,) + row[i:]
+                for row in rows
+                for y in (None, *(y for y in range(1, m.alpha + 1) if y not in row))
+            ]
+        img = {PartialInjection._trusted(row): 1 for row in rows}
+        if not _unitriangular(m, img):
+            raise ConsistencyError(
+                "monomial image is not unitriangular", {"g": list(m.perm.images), "I": list(m.holes)}
+            )
+        out.append(img)
+    return out
+
+
+def off_closed_form(M, basis: Sequence[Monomial], partner) -> list[tuple[int, int]]:
+    """The (p, q), in (p, q) order, where M[p][q] != sum_sigma Phi_p[sigma] Phi_q[partner(sigma)] (nu)_{r_sigma}.
+
+    Phi_p is rook_images(basis)[p].  With partner the inverse the sum is the
+    trace form's entry, with the identity the Gram matrix's.
+    """
+    imgs = rook_images(basis)
+    holders: dict[PartialInjection, list[int]] = defaultdict(list)
+    for iq, img in enumerate(imgs):
+        for s in img:
+            holders[s].append(iq)
+    falling = [NuPoly.one()]
+    for j in range(max((m.hole_degree for m in basis), default=0)):
+        falling.append(falling[-1] * NuPoly((-j, 1)))
+    off = []
+    for ip, img in enumerate(imgs):
+        closed = [NuPoly.zero()] * len(imgs)
+        for s in img:
+            for iq in holders.get(partner(s), ()):
+                closed[iq] += falling[coset_corank(s)]
+        off += [(ip, iq) for iq, c in enumerate(closed) if M[ip][iq] != c]
+    return off
 
 
 def dimension_suite(
@@ -365,12 +413,6 @@ def crosscheck_structure(alpha: int, n: int, *, max_counterexamples: int = 5) ->
     )
 
 
-def _image_rank(imgs: Sequence[BiinvariantElement]) -> int:
-    """Rank over Q of the elements, as coefficient vectors over the coset keys they use."""
-    keys = list(dict.fromkeys(k for x in imgs for k, _ in x.items()))
-    return rank([[x.coefficient(k) for k in keys] for x in imgs])
-
-
 def crosscheck_multi(
     alpha: int,
     ns: Iterable[int] | None = None,
@@ -380,12 +422,12 @@ def crosscheck_multi(
     """Crosscheck at several integer values; enough independent points pin the polynomials.
 
     Each point is checked once, its counterexamples tagged with n.  A point
-    n counts toward pinning only when the images the check used there have
-    full rank: below that, a wrong row plus a null vector of the images
-    agrees with the oracle at n.  The default points are n = alpha, ...,
-    ORACLE_DEGREE_LIMIT - alpha, at most max degree + 1 of them, since the
-    images are dependent below n = alpha; when there is none, the run is
-    refused with CapacityError before the table is built.
+    n counts toward pinning only when the images the check used there are
+    unitriangular, and so independent: below that, a wrong row plus a null
+    vector of the images agrees with the oracle at n.  The default points
+    are n = alpha, ..., ORACLE_DEGREE_LIMIT - alpha, at most max degree + 1
+    of them, since the images are dependent below n = alpha; when there is
+    none, the run is refused with CapacityError before the table is built.
     """
     col = _Collector(max_counterexamples)
     if ns is None:
@@ -398,7 +440,7 @@ def crosscheck_multi(
         ctx = Context(alpha, n)
         _require_oracle_degree(ctx)
         imgs, _ = _check_point(col, tbl, ctx, n=n)
-        if _image_rank(imgs) == tbl.dimension:
+        if all(_unitriangular(m, dict(x.items())) for m, x in zip(tbl.basis, imgs)):
             independent.add(n)
     points = len(set(ns))
     pinned = len(independent) >= max_deg + 1
@@ -453,17 +495,21 @@ def gram_suite(
     *,
     max_counterexamples: int = 5,
 ) -> VerificationReport:
-    """Symmetry, positive definiteness at integers, and agreement with the oracle.
+    """Symmetry, the closed form of the Gram matrix, and the images it rests on against the oracle.
 
-    The oracle side of G[p][q] at nu = n is n! trace(phi_p phi_q*), read
-    straight off the monomial images in the coset basis as
-    sum_sigma phi_p[sigma] phi_q[sigma] (n)_{r_sigma}, with each image's
-    weighted coefficients formed once; no star or product is formed.
-    Positive definiteness is tested only on a symmetric G; an asymmetric
-    one fails as asymmetry, reports first_positive_definite_integer null,
-    and is still checked against the oracle.  A run with no default point
-    (alpha + alpha > ORACLE_DEGREE_LIMIT) is refused with CapacityError
-    before the Gram matrix is built.
+    With e_tau* = e_tau^-1, n! trace(e_sigma e_tau*) is (n)_{r_sigma} when
+    tau = sigma and 0 otherwise, so G = Phi^T D Phi with D = diag((nu)_{r_sigma})
+    and Phi the images of rook_images.  An asymmetric pair fails as
+    asymmetry and every entry off that sum as gram-off-closed-form.  At each
+    point n, rook_images less its keys of corank > n must equal
+    monomial_images, the brute-force anchor, or the image fails as
+    image-mismatch; then G(n) is the oracle's n! trace(phi_p phi_q*) on all
+    agreement_pairs.  Phi is unitriangular, so with no entry off the closed
+    form G(n) is positive definite at an integer n exactly when every
+    (n)_{r_sigma} > 0, that is from n = alpha on, and
+    first_positive_definite_integer is alpha; otherwise it is null.  A run
+    with no default point (alpha + alpha > ORACLE_DEGREE_LIMIT) is refused
+    with CapacityError before the Gram matrix is built.
     """
     col = _Collector(max_counterexamples)
     if ns is None:
@@ -479,90 +525,49 @@ def gram_suite(
         for iq in range(ip):
             if G[ip][iq] != G[iq][ip]:
                 col.add("asymmetry", p=ip, q=iq)
-    # the Sylvester test reads only symmetric matrices
-    symmetric = col.total == 0
-    agreement_pairs = 0
+    off = off_closed_form(G, basis, lambda s: s)
+    for ip, iq in off:
+        col.add("gram-off-closed-form", p=ip, q=iq)
+    rooks = rook_images(basis)
     for ctx in ctxs:
-        n = ctx.n
-        mat = evaluate_matrix(G, n)
-        if symmetric and n >= alpha and not positive_definite(mat):
-            col.add("not-positive-definite", n=n)
-        imgs = monomial_images(basis, ctx)
-        # trace(e_sigma e_tau) = (n)_{r_sigma} / n! when tau = sigma^-1, else 0, and
-        # e_tau* = e_tau^-1: so n! trace(x y*) = sum_sigma x_sigma y_sigma (n)_{r_sigma}
-        weighted = [{s: c * perm(n, coset_corank(s)) for s, c in y.items()} for y in imgs]
-        for ip in range(dim):
-            x = imgs[ip].items()
-            for iq in range(dim):
-                agreement_pairs += 1
-                y = weighted[iq]
-                oracle_val = sum((c * y[s] for s, c in x if s in y), Fraction(0))
-                if oracle_val != mat[ip][iq]:
-                    col.add(
-                        "gram-mismatch",
-                        n=n,
-                        p=ip,
-                        q=iq,
-                        convolution=format_rational(oracle_val),
-                        table=format_rational(mat[ip][iq]),
-                    )
+        for ip, x in enumerate(monomial_images(basis, ctx)):
+            if dict(x.items()) != {s: 1 for s in rooks[ip] if coset_corank(s) <= ctx.n}:
+                col.add("image-mismatch", n=ctx.n, p=ip, convolution=_pairs_obj(x))
     return col.report(
         "gram",
         {"alpha": alpha, "ns": list(ns)},
         dimension=dim,
-        agreement_pairs=agreement_pairs,
-        first_positive_definite_integer=smallest_pd_nu(G, stop=4 * alpha) if symmetric else None,
+        agreement_pairs=len(ns) * dim * dim,
+        first_positive_definite_integer=None if off else alpha,
     )
 
 
 def semisimplicity_probe(alpha: int, *, max_counterexamples: int = 5) -> VerificationReport:
-    """The trace form B against the closed form of its determinant, which is never computed.
+    """The trace form B against its closed form, entry by entry, and so its determinant.
 
-    B = Phi^T G Phi, with Phi the monomial images in the coset basis, which is
-    unitriangular, and G[sigma][sigma^-1] = (nu)_{r_sigma}, r_sigma holes, the
-    only nonzero entries of G.  So det B = (-1)^s prod_sigma (nu)_{r_sigma}
+    trace(e_sigma e_tau) is (nu)_{r_sigma} when tau = sigma^-1 and 0
+    otherwise, r_sigma holes, so B = Phi^T G0 Phi, with Phi the images of
+    rook_images and G0 the permutation matrix of sigma -> sigma^-1 times
+    diag((nu)_{r_sigma}).  Every entry off that sum fails as
+    trace-form-off-closed-form.  Phi is unitriangular, so a pass proves
+    det B = det G0 = (-1)^s prod_sigma (nu)_{r_sigma}
     = (-1)^s prod_{j < alpha} (nu - j)^{k_j}, with s half the number of
-    sigma != sigma^-1 and k_j = #{sigma : r_sigma > j}.  The probe first
-    requires B(j) to have nullity k_j at each j < alpha; by the Smith normal
-    form of B over Q[nu], prod (nu - j)^{k_j} then divides det B.  With bound
-    the sum over rows of the largest entry degree and D = sum k_j, the
-    quotient has degree at most bound - D: if bound < D, det B is zero and
-    the run fails as degenerate-trace-form; otherwise det B(x) must equal the
-    closed form at the bound - D + 1 points x = alpha, alpha + 1, ..., where
-    the closed form does not vanish, and then the quotient is (-1)^s.  A
-    wrong nullity or value names its point; the values are checked only once
-    every nullity is right.  A pass proves det B is the closed form, so B is
-    nonsingular at every x >= alpha; a failure reports no determinant.
+    sigma != sigma^-1 and k_j = #{sigma : r_sigma > j}: B is nonsingular at
+    every x >= alpha.  A failed probe reports no determinant.
     """
     col = _Collector(max_counterexamples)
     tbl = structure_table(alpha)
-    B = trace_form(tbl)
+    for ip, iq in off_closed_form(trace_form(tbl), tbl.basis, PartialInjection.inverse):
+        col.add("trace-form-off-closed-form", p=ip, q=iq)
     coranks = [m.hole_degree for m in tbl.basis]
     nullities = {j: sum(r > j for r in coranks) for j in range(alpha)}
-    for j, k in nullities.items():
-        found = tbl.dimension - rank(evaluate_matrix(B, j))
-        if found != k:
-            col.add("nullity-off-closed-form", at=j, nullity=found, expected=k)
     sign = (-1) ** (sum(s != s.inverse() for s in map(Monomial.to_rook, tbl.basis)) // 2)
-    bound, known = _degree_bound(B), sum(nullities.values())
-    if col.total == 0:
-        if bound < known:
-            col.add("degenerate-trace-form", degree_bound=bound, nullity_sum=known)
-        for x in range(alpha, alpha + bound - known + 1):
-            det, closed = _point_det(B, x), sign * prod(perm(x, r) for r in coranks)
-            if det != closed:
-                col.add(
-                    "determinant-off-closed-form",
-                    at=x,
-                    determinant=format_rational(det),
-                    closed_form=format_rational(closed),
-                )
     proved = col.total == 0
     return col.report(
         "semisimplicity",
         {"alpha": alpha},
         dimension=tbl.dimension,
-        det_degree=known if proved else None,
+        det_degree=sum(coranks) if proved else None,
         det_leading=format_rational(sign) if proved else None,
         rational_roots=[format_rational(j) for j, k in nullities.items() for _ in range(k)] if proved else None,
         root_multiplicities={format_rational(j): k for j, k in nullities.items()} if proved else None,

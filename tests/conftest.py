@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-`interpolated_det` is the reference determinant of the table and
-verification tests, and `reference_reduce` the reference rewriting engine
+`leibniz_det` is the reference determinant of the small matrices in the
+table tests, and `reference_reduce` the reference rewriting engine
 of the algebra tests.  The acceptance tests record one line per criterion;
 the terminal summary hook replays them at the end of the run so the
 pass/fail ledger is visible even when output capture is on.
@@ -9,7 +9,7 @@ pass/fail ledger is visible even when output capture is on.
 
 import time
 from contextlib import contextmanager
-from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -18,7 +18,6 @@ from rookalg.combinatorics import Permutation
 from rookalg.errors import ConsistencyError
 from rookalg.nupoly import NuPoly
 from rookalg.sparse import combine
-from rookalg.tables import _pivots, evaluate_matrix
 
 ACCEPTANCE_LINES = []
 
@@ -49,33 +48,23 @@ def acceptance():
     return criterion
 
 
-def _point_det(mat, x) -> Fraction:
-    """det M(x): the signed product of the pivots, 0 when a column has none."""
-    det, count = Fraction(1), 0
-    for _, piv, exchanged in _pivots(evaluate_matrix(mat, Fraction(x))):
-        det *= -piv if exchanged else piv
-        count += 1
-    return det if count == len(mat) else Fraction(0)
-
-
-def _interpolated_det(mat) -> NuPoly:
-    """det M(nu) by Newton interpolation through all bound + 1 points x = 0..bound."""
-    bound = sum(max((int(c.degree) for c in row if c), default=0) for row in mat)
-    xs = list(range(bound + 1))
-    coeffs = [_point_det(mat, x) for x in xs]
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = NuPoly.zero()
-    for i in reversed(range(len(xs))):
-        poly = poly * (NuPoly.nu() - NuPoly.constant(xs[i])) + NuPoly.constant(coeffs[i])
-    return poly
+def _leibniz_det(mat) -> NuPoly:
+    """det M(nu) by the Leibniz expansion: the signed sum, over permutations, of products of entries."""
+    size = len(mat)
+    total = NuPoly.zero()
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = NuPoly.constant((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        total = total + term
+    return total
 
 
 @pytest.fixture
-def interpolated_det():
-    """det M(nu) interpolated through every point, with no nullity factored out first."""
-    return _interpolated_det
+def leibniz_det():
+    """det M(nu) straight from its definition, with no elimination; for small matrices."""
+    return _leibniz_det
 
 
 class _ReferenceNormalizer:

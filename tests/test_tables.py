@@ -26,7 +26,6 @@ from rookalg.tables import (
     positive_definite,
     rank,
     scaled_limit_table,
-    smallest_pd_nu,
     structure_table,
     trace_form,
 )
@@ -417,10 +416,23 @@ def test_trace_form_is_symmetric():
                 assert B[i][j] == B[j][i]
 
 
+def _first_positive_definite(mat, stop):
+    """The smallest integer n in [0, stop] where the Sylvester test passes mat(n), or None."""
+    return next((n for n in range(stop + 1) if positive_definite(evaluate_matrix(mat, n))), None)
+
+
 def test_gram_alpha1_golden():
     G = gram_matrix(1)
     assert G == ((ONE, NuPoly.zero()), (NuPoly.zero(), NU))
-    assert smallest_pd_nu(G, stop=4) == 1
+    assert _first_positive_definite(G, 4) == 1
+    assert _first_positive_definite(G, 0) is None
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_gram_is_positive_definite_first_at_alpha(alpha):
+    # what the closed form G = Phi^T diag((nu)_{r_sigma}) Phi gives the Gram
+    # suite and `rookalg gram` without a scan, found by one
+    assert _first_positive_definite(gram_matrix(alpha), 4 * alpha) == alpha
 
 
 def test_gram_alpha2_entries():
@@ -439,7 +451,8 @@ def test_gram_matrix_is_the_trace_of_products_with_stars(alpha):
     basis = basis_enumerate(alpha)
     elems = [OElement.from_monomial(m) for m in basis]
     stars = [e.star() for e in elems]
-    expected = tuple(tuple(multiply(ep, sq).trace() for sq in stars) for ep in elems)
+    ident = Monomial.one(alpha)
+    expected = tuple(tuple(multiply(ep, sq).coefficient(ident) for sq in stars) for ep in elems)
     assert gram_matrix(alpha) == expected
 
 
@@ -518,14 +531,21 @@ def test_det_polynomial():
     ],
     ids=["rational-root", "irreducible-quadratic", "multiplicity-above-nullity"],
 )
-def test_det_polynomial_interpolates_the_cofactor(mat, expected, interpolated_det):
-    assert det_polynomial(mat) == expected == interpolated_det(mat)
+def test_det_polynomial_interpolates_the_cofactor(mat, expected, leibniz_det):
+    assert det_polynomial(mat) == expected == leibniz_det(mat)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
-def test_trace_form_determinant_matches_full_interpolation(alpha, interpolated_det):
-    B = trace_form(structure_table(alpha))
-    assert det_polynomial(B) == interpolated_det(B)
+def test_trace_form_determinant_matches_full_interpolation(alpha):
+    # the closed form (-1)^s prod_sigma (nu)_{r_sigma}, s half the number of
+    # sigma != sigma^-1, against the determinant interpolated through every point
+    t = structure_table(alpha)
+    rooks = [m.to_rook() for m in t.basis]
+    closed = NuPoly.constant((-1) ** (sum(s != s.inverse() for s in rooks) // 2))
+    for m in t.basis:
+        for j in range(m.hole_degree):
+            closed = closed * NuPoly((-j, 1))
+    assert det_polynomial(trace_form(t)) == closed
 
 
 @pytest.mark.parametrize(
@@ -536,11 +556,6 @@ def test_trace_form_determinant_matches_full_interpolation(alpha, interpolated_d
 def test_det_polynomial_refuses_a_non_square_matrix(mat):
     with pytest.raises(ValueError, match="matrix must be square"):
         det_polynomial(mat)
-
-
-def test_smallest_pd_nu_none_when_out_of_range():
-    G = gram_matrix(1)
-    assert smallest_pd_nu(G, stop=0) is None
 
 
 # -------------------------------------------------------------------- limits

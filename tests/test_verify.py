@@ -1,10 +1,12 @@
 """Cross-checking suites: reports, warnings, and failure collection."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +14,11 @@ import pytest
 
 from rookalg.algebra import basis_enumerate
 from rookalg.combinatorics import PartialInjection, rook_enumerate
-from rookalg.errors import CapacityError
+from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly, parse_rational
 from rookalg.oracle import BiinvariantElement, Context, coset_corank, dc_multiply, gen_hole
 from rookalg import capacity, cli, verify
-from rookalg.tables import StructureTable, evaluate_matrix, rank, structure_table, trace_form
+from rookalg.tables import StructureTable, det_polynomial, evaluate_matrix, rank, structure_table, trace_form
 from rookalg.verify import (
     VerificationReport,
     crosscheck_multi,
@@ -26,6 +28,7 @@ from rookalg.verify import (
     limit_suite,
     monomial_images,
     relation_suite,
+    rook_images,
     semisimplicity_probe,
 )
 
@@ -243,13 +246,19 @@ def test_crosscheck_multi_catches_a_tamper_in_the_null_space_of_dependent_images
     assert [(c["n"], c["p"], c["q"]) for c in r.counterexamples] == [(5, 5, 7)]
 
 
+def _image_rank(imgs) -> int:
+    """Rank over Q of the images, as coefficient vectors over the coset keys they use."""
+    keys = list(dict.fromkeys(k for x in imgs for k, _ in x.items()))
+    return rank([[x.coefficient(k) for k in keys] for x in imgs])
+
+
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_image_rank_counts_the_rooks_of_corank_at_most_n(alpha):
     # measured: 6, 7, 7 at alpha = 2 and 24, 33, 34, 34, 34 at alpha = 3, n = 1..5
     t = structure_table(alpha)
     for n in range(1, 6):
         expected = sum(1 for s in rook_enumerate(alpha) if alpha - s.rank <= n)
-        assert verify._image_rank(monomial_images(t.basis, Context(alpha, n))) == expected
+        assert _image_rank(monomial_images(t.basis, Context(alpha, n))) == expected
 
 
 @pytest.mark.parametrize("alpha, expected", [(1, {}), (2, {1: 1}), (3, {1: 10, 2: 1})])
@@ -261,7 +270,7 @@ def test_trace_form_nullity_is_the_rank_defect_of_the_images(alpha, expected):
     nullities, defects = {}, {}
     for x in range(1, alpha):
         nullities[x] = t.dimension - rank(evaluate_matrix(B, x))
-        defects[x] = t.dimension - verify._image_rank(monomial_images(t.basis, Context(alpha, x)))
+        defects[x] = t.dimension - _image_rank(monomial_images(t.basis, Context(alpha, x)))
     assert nullities == defects == expected
     # at x >= alpha the images are independent, and the trace form is not singular
     assert all(rank(evaluate_matrix(B, x)) == t.dimension for x in range(alpha, alpha + 3))
@@ -303,11 +312,10 @@ def test_gram_suite_reports_an_asymmetric_matrix(monkeypatch, capsys):
     _tamper_gram(monkeypatch, 0, 1, NuPoly.one())
     r = gram_suite(2)
     assert r.status == "fail"
-    # no Sylvester test on an asymmetric matrix, but the oracle still compares every pair
+    # the closed form is symmetric, so it names the tampered entry and not its mirror
     assert r.counterexamples == (
         {"kind": "asymmetry", "p": 1, "q": 0},
-        {"kind": "gram-mismatch", "n": 2, "p": 0, "q": 1, "convolution": "0/1", "table": "1/1"},
-        {"kind": "gram-mismatch", "n": 3, "p": 0, "q": 1, "convolution": "0/1", "table": "1/1"},
+        {"kind": "gram-off-closed-form", "p": 0, "q": 1},
     )
     assert r.metrics["first_positive_definite_integer"] is None
     assert r.metrics["agreement_pairs"] == 98
@@ -321,24 +329,18 @@ def test_gram_suite_reports_a_matrix_that_is_not_positive_definite(monkeypatch):
     _tamper_gram(monkeypatch, 0, 0, -NuPoly.one())
     r = gram_suite(2)
     assert r.status == "fail"
-    assert [(c["kind"], c["n"]) for c in r.counterexamples] == [
-        ("not-positive-definite", 2),
-        ("gram-mismatch", 2),
-        ("not-positive-definite", 3),
-        ("gram-mismatch", 3),
-    ]
+    assert r.counterexamples == ({"kind": "gram-off-closed-form", "p": 0, "q": 0},)
     assert r.metrics["first_positive_definite_integer"] is None
 
 
 def test_gram_suite_reports_a_disagreement_with_the_oracle(monkeypatch):
-    # still symmetric and positive definite from nu = 2 on
+    # still symmetric and positive definite from nu = 2 on, but off the closed form,
+    # so the suite claims no first positive definite integer
     _tamper_gram(monkeypatch, 0, 0, NuPoly.constant(2))
     r = gram_suite(2)
     assert r.status == "fail"
-    assert r.counterexamples == tuple(
-        {"kind": "gram-mismatch", "n": n, "p": 0, "q": 0, "convolution": "1/1", "table": "2/1"} for n in (2, 3)
-    )
-    assert r.metrics["first_positive_definite_integer"] == 2
+    assert r.counterexamples == ({"kind": "gram-off-closed-form", "p": 0, "q": 0},)
+    assert r.metrics["first_positive_definite_integer"] is None
 
 
 def test_gram_suite_refuses_past_the_oracle_cap():
@@ -388,7 +390,7 @@ def test_root_multiplicities_count_the_rational_roots(alpha):
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
-def test_probe_roots_match_factoring_the_whole_determinant(alpha, interpolated_det):
+def test_probe_roots_match_factoring_the_whole_determinant(alpha):
     # the closed form (-1)^s prod_sigma (nu)_{r_sigma}, s half the number of
     # sigma != sigma^-1, against the determinant interpolated through every point
     t = structure_table(alpha)
@@ -402,7 +404,7 @@ def test_probe_roots_match_factoring_the_whole_determinant(alpha, interpolated_d
     from_probe = NuPoly.constant(parse_rational(m["det_leading"]))
     for root in m["rational_roots"]:
         from_probe = from_probe * (NuPoly.nu() - NuPoly.constant(parse_rational(root)))
-    assert from_probe == closed == interpolated_det(trace_form(t))
+    assert from_probe == closed == det_polynomial(trace_form(t))
     assert m["det_degree"] == closed.degree
 
 
@@ -412,35 +414,26 @@ _Z = NuPoly.zero()
 @pytest.mark.parametrize(
     "form, counterexamples",
     [
-        # det = nu^2 (2 nu - 1): the right nullity, and the closed form nu at nu = 1,
-        # but not at the other two points that a degree bound of 3 asks for
-        (
-            [[NuPoly((0, 0, 1)), _Z], [_Z, NuPoly((-1, 2))]],
-            [("determinant-off-closed-form", 2, "12/1", "2/1"), ("determinant-off-closed-form", 3, "45/1", "3/1")],
-        ),
+        # det = nu^2 (2 nu - 1): the right nullity, and the closed form nu at nu = 1
+        ([[NuPoly((0, 0, 1)), _Z], [_Z, NuPoly((-1, 2))]], [(0, 0), (1, 1)]),
         # det = -nu: only the sign is wrong
-        ([[-NuPoly.one(), _Z], [_Z, NuPoly.nu()]], [("determinant-off-closed-form", 1, "-1/1", "1/1")]),
+        ([[-NuPoly.one(), _Z], [_Z, NuPoly.nu()]], [(0, 0)]),
         # det = nu - 1: only the nullity is wrong, at 1 instead of 0
-        ([[NuPoly.one(), _Z], [_Z, NuPoly((-1, 1))]], [("nullity-off-closed-form", 0, 0, 1)]),
-        # det = 0: the right nullity at 0, but a degree bound of 0 leaves no room
-        # for the root it forces, and no point is left to check
-        ([[_Z, _Z], [_Z, NuPoly.one()]], [("degenerate-trace-form", 0, 1)]),
+        ([[NuPoly.one(), _Z], [_Z, NuPoly((-1, 1))]], [(1, 1)]),
+        # det = 0: the right nullity at 0, but singular at every nu
+        ([[_Z, _Z], [_Z, NuPoly.one()]], [(0, 0), (1, 1)]),
     ],
     ids=["cofactor-roots", "sign", "nullity", "degenerate"],
 )
 def test_probe_fails_a_determinant_off_the_closed_form(monkeypatch, form, counterexamples):
-    # alpha=1's trace form is diag(1, nu), with det nu: nullity 1 at 0, and a
-    # degree bound of 1 leaves one point, nu = 1, to check
+    # alpha=1's trace form is diag(1, nu), with det nu; each form fails at
+    # exactly the entries where it differs from that
     monkeypatch.setattr(verify, "trace_form", lambda tbl: form)
     r = semisimplicity_probe(1)
     assert r.status == "fail"
-    fields = {
-        "determinant-off-closed-form": ("at", "determinant", "closed_form"),
-        "nullity-off-closed-form": ("at", "nullity", "expected"),
-        "degenerate-trace-form": ("degree_bound", "nullity_sum"),
-    }
-    assert [(c["kind"], *map(c.get, fields[c["kind"]])) for c in r.counterexamples] == counterexamples
-    assert all(set(c) == {"kind", *fields[c["kind"]]} for c in r.counterexamples)
+    assert r.counterexamples == tuple(
+        {"kind": "trace-form-off-closed-form", "p": p, "q": q} for p, q in counterexamples
+    )
     # a failed probe claims no determinant
     assert [r.metrics[k] for k in ("det_degree", "det_leading", "rational_roots", "root_multiplicities")] == [None] * 4
     assert r.warnings == ()
@@ -516,3 +509,58 @@ def test_gram_pairing_is_the_identity_coefficient_of_the_product_with_a_star():
                     assert pairing == dc_multiply(x, y.star()).coefficient(one), (alpha, n)
                     pairs += 1
     assert pairs == 4 * 7 + 49 * 6 + 34 * 34 * 5
+
+
+def test_rook_images_are_the_monomial_images_at_every_n():
+    # the hole rule's 0/1 vectors, less the keys of corank > n, against the oracle
+    compared = 0
+    for alpha in range(1, 5):
+        basis = basis_enumerate(alpha)
+        rooks = rook_images(basis)
+        for n in range(1, 9 - alpha):
+            for m, x, y in zip(basis, monomial_images(basis, Context(alpha, n)), rooks):
+                assert dict(x.items()) == {s: 1 for s in y if coset_corank(s) <= n}, (alpha, n, m)
+                compared += 1
+    assert compared == 1062
+
+
+def test_unitriangular_wants_one_at_the_own_rook_and_smaller_corank_elsewhere():
+    basis = basis_enumerate(2)
+    t1, t1t2 = basis[2], basis[6]
+    low = PartialInjection((None, 1))  # corank 1, as T1's own rook
+    assert verify._unitriangular(t1t2, {t1t2.to_rook(): 1, low: 5})
+    assert not verify._unitriangular(t1t2, {t1t2.to_rook(): 2})
+    assert not verify._unitriangular(t1t2, {low: 1})
+    assert not verify._unitriangular(t1, {t1.to_rook(): 1, low: 1})
+
+
+def test_rook_images_refuse_an_image_that_is_not_unitriangular(monkeypatch):
+    monkeypatch.setattr(verify, "_unitriangular", lambda m, x: m.holes != (2,))
+    with pytest.raises(ConsistencyError, match="not unitriangular") as exc:
+        rook_images(basis_enumerate(2))
+    assert exc.value.payload == {"g": [1, 2], "I": [2]}
+
+
+def test_images_without_the_fill_values_fail_every_closed_form(monkeypatch):
+    # rook_images with the sum over the missed targets dropped: each hole only
+    # undefines its point, so each image is its own rook alone
+    monkeypatch.setattr(verify, "rook_images", lambda basis: [{m.to_rook(): 1} for m in basis])
+    probe = semisimplicity_probe(2)
+    assert probe.status == "fail"
+    assert {c["kind"] for c in probe.counterexamples} == {"trace-form-off-closed-form"}
+    gram = gram_suite(2)
+    assert gram.status == "fail"
+    assert {c["kind"] for c in gram.counterexamples} >= {"gram-off-closed-form", "image-mismatch"}
+    assert gram.metrics["first_positive_definite_integer"] is None
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert cli.main(["gram", "--alpha", "2"]) == 1
+    assert (out.getvalue(), err.getvalue()) == (
+        "",
+        'FAIL consistency: the Gram matrix is off its closed form\n{"p": 3, "q": 6}\n',
+    )
+
+
+def test_verification_runs_no_elimination():
+    for name in ("rank", "positive_definite", "_point_det", "_degree_bound", "evaluate_matrix"):
+        assert not hasattr(verify, name), name
