@@ -425,7 +425,6 @@ def test_gram_alpha1_golden():
     G = gram_matrix(1)
     assert G == ((ONE, NuPoly.zero()), (NuPoly.zero(), NU))
     assert _first_positive_definite(G, 4) == 1
-    assert _first_positive_definite(G, 0) is None
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
@@ -556,6 +555,12 @@ def test_trace_form_determinant_matches_full_interpolation(alpha):
 def test_det_polynomial_refuses_a_non_square_matrix(mat):
     with pytest.raises(ValueError, match="matrix must be square"):
         det_polynomial(mat)
+
+
+def test_smallest_pd_nu_none_when_out_of_range():
+    # the scan that replaced `smallest_pd_nu` finds nothing below alpha
+    G = gram_matrix(1)
+    assert _first_positive_definite(G, 0) is None
 
 
 # -------------------------------------------------------------------- limits
