@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
-from . import capacity
+from . import capacity, verify
 from .algebra import (
     OElement,
     basis_enumerate,
@@ -36,9 +36,9 @@ from .verify import (
     crosscheck_multi,
     crosscheck_structure,
     dimension_suite,
+    gram_faults,
     gram_suite,
     limit_suite,
-    off_closed_form,
     relation_suite,
     semisimplicity_probe,
 )
@@ -166,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     limit.add_argument("--format", choices=("text", "json"), default="text")
     limit.add_argument("--out", default=None)
 
-    verify = sub.add_parser("verify", help="run a verification suite")
-    vsub = verify.add_subparsers(dest="suite", required=True)
+    ver = sub.add_parser("verify", help="run a verification suite")
+    vsub = ver.add_subparsers(dest="suite", required=True)
     for name, (helptext, reads_n, _) in _SUITES.items():
         sp = vsub.add_parser(name, help=helptext)
         common(sp)
@@ -238,16 +238,13 @@ def _cmd_table(args) -> int:
 
 def _cmd_gram(args) -> int:
     G = gram_matrix(args.alpha)
-    # an asymmetric G is a fault in the build, not in the arguments, and the
-    # Sylvester test would refuse it as a usage error
-    asymmetric = next(((p, q) for p in range(len(G)) for q in range(p) if G[p][q] != G[q][p]), None)
-    if asymmetric is not None:
-        p, q = asymmetric
-        raise ConsistencyError("the Gram matrix is not symmetric", {"p": p, "q": q})
-    off = off_closed_form(G, basis_enumerate(args.alpha), lambda s: s)
-    if off:
-        p, q = off[0]
-        raise ConsistencyError("the Gram matrix is off its closed form", {"p": p, "q": q})
+    # a fault is in the build, not in the arguments, so the first one gram_faults
+    # lists fails the run; the Sylvester test would refuse an asymmetric G as a usage error
+    faults = gram_faults(G, verify.rook_images(basis_enumerate(args.alpha)))
+    if faults:
+        kind, p, q = faults[0]
+        what = "not symmetric" if kind == "asymmetry" else "off its closed form"
+        raise ConsistencyError(f"the Gram matrix is {what}", {"p": p, "q": q})
     if args.nu is None:
         lines = ["[" + ", ".join(entry.pretty() for entry in row) + "]" for row in G]
         # G = Phi^T diag((nu)_{r_sigma}) Phi with Phi unitriangular: positive definite

@@ -320,14 +320,11 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
         for head, slots, cy in ys:
             # k fixes the other corner points; the slots are overwritten per injection
             row = [u_corner[p] for p in head]
-            counts: dict[tuple[int | None, ...], int] = defaultdict(int)
+            weight = weight_x * cy
             for images in _permutations(tails, len(slots)):
                 for i, p in zip(slots, images):
                     row[i] = u_corner[p]
-                counts[tuple(row)] += 1
-            weight = weight_x * cy
-            for corner, count in counts.items():
-                acc[corner] += weight * count
+                acc[tuple(row)] += weight
     d = dx * dy
     # distinct points of u's one-line images, read through its injective corner
     out = {PartialInjection._trusted(c): Fraction(t, d * perm(n, c.count(None))) for c, t in acc.items()}

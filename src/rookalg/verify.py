@@ -16,9 +16,9 @@ says so.
 Suites do not stop at the first failure: they keep checking and collect up
 to max_counterexamples of them (default 5) for diagnosis, with the full
 failure count in the metrics.  One collector per run times it and builds
-its report; a suite that checks several points adds every point's failures
-to that one collector.  The report's canonical JSON leaves the timing out,
-so equal runs print equal bytes.
+its report; a suite that checks several points checks each distinct one
+once and adds every point's failures to that one collector.  The report's
+canonical JSON leaves the timing out, so equal runs print equal bytes.
 """
 from __future__ import annotations
 
@@ -202,19 +202,19 @@ def rook_images(basis: Sequence[Monomial]) -> list[dict[PartialInjection, int]]:
     return out
 
 
-def off_closed_form(M, basis: Sequence[Monomial], partner) -> list[tuple[int, int]]:
+def off_closed_form(M, imgs: Sequence[dict[PartialInjection, int]], partner) -> list[tuple[int, int]]:
     """The (p, q), in (p, q) order, where M[p][q] != sum_sigma Phi_p[sigma] Phi_q[partner(sigma)] (nu)_{r_sigma}.
 
-    Phi_p is rook_images(basis)[p].  With partner the inverse the sum is the
-    trace form's entry, with the identity the Gram matrix's.
+    Phi is imgs, the images as rook_images returns them; the caller builds
+    it once.  With partner the inverse the sum is the trace form's entry,
+    with the identity the Gram matrix's.
     """
-    imgs = rook_images(basis)
     holders: dict[PartialInjection, list[int]] = defaultdict(list)
     for iq, img in enumerate(imgs):
         for s in img:
             holders[s].append(iq)
     falling = [NuPoly.one()]
-    for j in range(max((m.hole_degree for m in basis), default=0)):
+    for j in range(max(map(coset_corank, holders), default=0)):
         falling.append(falling[-1] * NuPoly((-j, 1)))
     off = []
     for ip, img in enumerate(imgs):
@@ -224,6 +224,15 @@ def off_closed_form(M, basis: Sequence[Monomial], partner) -> list[tuple[int, in
                 closed[iq] += falling[coset_corank(s)]
         off += [(ip, iq) for iq, c in enumerate(closed) if M[ip][iq] != c]
     return off
+
+
+def gram_faults(G, imgs: Sequence[dict[PartialInjection, int]]) -> list[tuple[str, int, int]]:
+    """Each fault of G as (kind, p, q): every asymmetry pair, p > q, then every gram-off-closed-form entry.
+
+    The closed form Phi^T D Phi, Phi = imgs, is symmetric, so an asymmetric pair is off it too.
+    """
+    asymmetric = [("asymmetry", p, q) for p in range(len(G)) for q in range(p) if G[p][q] != G[q][p]]
+    return asymmetric + [("gram-off-closed-form", p, q) for p, q in off_closed_form(G, imgs, lambda s: s)]
 
 
 def dimension_suite(
@@ -244,7 +253,7 @@ def dimension_suite(
     if sum(d * d for d in fsd) != counted:
         col.add("square-sum-mismatch", dims=list(fsd), expected=counted)
     coset_counts: dict[str, int] = {}
-    for n in ns:
+    for n in dict.fromkeys(ns):
         ctx = Context(alpha, n)
         _require_oracle_degree(ctx)
         sizes: dict[PartialInjection, int] = {}
@@ -421,8 +430,9 @@ def crosscheck_multi(
 ) -> VerificationReport:
     """Crosscheck at several integer values; enough independent points pin the polynomials.
 
-    Each point is checked once, its counterexamples tagged with n.  A point
-    n counts toward pinning only when the images the check used there are
+    Each distinct point is checked once, in first-seen order, its
+    counterexamples tagged with n; params keeps ns as given.  A point n
+    counts toward pinning only when the images the check used there are
     unitriangular, and so independent: below that, a wrong row plus a null
     vector of the images agrees with the oracle at n.  The default points
     are n = alpha, ..., ORACLE_DEGREE_LIMIT - alpha, at most max degree + 1
@@ -436,17 +446,17 @@ def crosscheck_multi(
     max_deg = tbl.max_degree()
     ns = _default_points(alpha, max_deg + 1) if ns is None else tuple(ns)
     independent = set()
-    for n in ns:
+    points = tuple(dict.fromkeys(ns))
+    for n in points:
         ctx = Context(alpha, n)
         _require_oracle_degree(ctx)
         imgs, _ = _check_point(col, tbl, ctx, n=n)
         if all(_unitriangular(m, dict(x.items())) for m, x in zip(tbl.basis, imgs)):
             independent.add(n)
-    points = len(set(ns))
     pinned = len(independent) >= max_deg + 1
     if not pinned:
         col.warnings.append(
-            f"only {len(independent)} of the {points} distinct points checked have independent "
+            f"only {len(independent)} of the {len(points)} distinct points checked have independent "
             f"monomial images, against polynomial degree {max_deg}; equality is verified at the "
             "points checked but the polynomials are not pinned by them"
         )
@@ -454,7 +464,7 @@ def crosscheck_multi(
         "crosscheck",
         {"alpha": alpha, "ns": list(ns)},
         dimension=tbl.dimension,
-        points=points,
+        points=len(points),
         independent_points=sorted(independent),
         max_nu_degree=max_deg,
         degree_pinned=pinned,
@@ -499,36 +509,32 @@ def gram_suite(
 
     With e_tau* = e_tau^-1, n! trace(e_sigma e_tau*) is (n)_{r_sigma} when
     tau = sigma and 0 otherwise, so G = Phi^T D Phi with D = diag((nu)_{r_sigma})
-    and Phi the images of rook_images.  An asymmetric pair fails as
-    asymmetry and every entry off that sum as gram-off-closed-form.  At each
+    and Phi the images of rook_images, built once per run.  Each fault
+    gram_faults lists is a counterexample of its kind.  At each distinct
     point n, rook_images less its keys of corank > n must equal
     monomial_images, the brute-force anchor, or the image fails as
     image-mismatch; then G(n) is the oracle's n! trace(phi_p phi_q*) on all
-    agreement_pairs.  Phi is unitriangular, so with no entry off the closed
-    form G(n) is positive definite at an integer n exactly when every
-    (n)_{r_sigma} > 0, that is from n = alpha on, and
-    first_positive_definite_integer is alpha; otherwise it is null.  A run
-    with no default point (alpha + alpha > ORACLE_DEGREE_LIMIT) is refused
-    with CapacityError before the Gram matrix is built.
+    agreement_pairs.  Phi is unitriangular, so with no fault G(n) is
+    positive definite at an integer n exactly when every (n)_{r_sigma} > 0,
+    that is from n = alpha on, and first_positive_definite_integer is
+    alpha; otherwise it is null.  A run with no default point (alpha +
+    alpha > ORACLE_DEGREE_LIMIT) is refused with CapacityError before the
+    Gram matrix is built.
     """
     col = _Collector(max_counterexamples)
     if ns is None:
         _require_default_points(alpha)
     ns = _default_points(alpha, 2) if ns is None else tuple(ns)
-    ctxs = [Context(alpha, n) for n in ns]
+    ctxs = [Context(alpha, n) for n in dict.fromkeys(ns)]
     for ctx in ctxs:
         _require_oracle_degree(ctx)
     G = gram_matrix(alpha)
     dim = len(G)
     basis = basis_enumerate(alpha)
-    for ip in range(dim):
-        for iq in range(ip):
-            if G[ip][iq] != G[iq][ip]:
-                col.add("asymmetry", p=ip, q=iq)
-    off = off_closed_form(G, basis, lambda s: s)
-    for ip, iq in off:
-        col.add("gram-off-closed-form", p=ip, q=iq)
     rooks = rook_images(basis)
+    faults = gram_faults(G, rooks)
+    for kind, ip, iq in faults:
+        col.add(kind, p=ip, q=iq)
     for ctx in ctxs:
         for ip, x in enumerate(monomial_images(basis, ctx)):
             if dict(x.items()) != {s: 1 for s in rooks[ip] if coset_corank(s) <= ctx.n}:
@@ -537,8 +543,8 @@ def gram_suite(
         "gram",
         {"alpha": alpha, "ns": list(ns)},
         dimension=dim,
-        agreement_pairs=len(ns) * dim * dim,
-        first_positive_definite_integer=None if off else alpha,
+        agreement_pairs=len(ctxs) * dim * dim,
+        first_positive_definite_integer=None if faults else alpha,
     )
 
 
@@ -557,7 +563,7 @@ def semisimplicity_probe(alpha: int, *, max_counterexamples: int = 5) -> Verific
     """
     col = _Collector(max_counterexamples)
     tbl = structure_table(alpha)
-    for ip, iq in off_closed_form(trace_form(tbl), tbl.basis, PartialInjection.inverse):
+    for ip, iq in off_closed_form(trace_form(tbl), rook_images(tbl.basis), PartialInjection.inverse):
         col.add("trace-form-off-closed-form", p=ip, q=iq)
     coranks = [m.hole_degree for m in tbl.basis]
     nullities = {j: sum(r > j for r in coranks) for j in range(alpha)}

@@ -286,6 +286,28 @@ def test_sites_list_erase_sites_only_once_holes_increase():
     assert algebra._sites(images, (1, 2, 3)) == [("erase", 0), ("erase", 1)]
 
 
+def test_normal_forms_commute_with_relabelling_the_hole_images():
+    # the rules read g only at the hole positions, where they compare and exchange
+    # its values, so an h increasing on g(set(js)) carries the normal form of
+    # (g, js) to that of (h g, js), monomial by monomial
+    rng = random.Random(28)
+    nz = Normalizer()
+    for _ in range(300):
+        alpha = rng.randint(1, 5)
+        g = tuple(rng.sample(range(1, alpha + 1), alpha))
+        js = tuple(rng.randint(1, alpha) for _ in range(rng.randint(0, 6)))
+        hit = sorted({g[j - 1] for j in js})
+        h = rng.sample(range(1, alpha + 1), alpha)
+        for y, v in zip(hit, sorted(h[y - 1] for y in hit)):
+            h[y - 1] = v
+        def relabel(images):
+            return tuple(h[y - 1] for y in images)
+
+        nf = nz.to_monomials(nz.reduce(g, js))
+        relabelled = {Monomial(Permutation(relabel(m.perm.images)), m.holes): c for m, c in nf.items()}
+        assert nz.to_monomials(nz.reduce(relabel(g), js)) == relabelled, (g, js, h)
+
+
 def test_normalizer_stats_and_cache():
     nz = Normalizer()
     state = word_to_state(2, parse_word(2, "T1 T1"))

@@ -561,6 +561,63 @@ def test_images_without_the_fill_values_fail_every_closed_form(monkeypatch):
     )
 
 
+def test_each_run_builds_the_images_once(monkeypatch):
+    # the Gram suite, the probe and `rookalg gram` each hand one Phi to every check that reads it
+    calls = []
+    real = verify.rook_images
+    monkeypatch.setattr(verify, "rook_images", lambda basis: calls.append(len(basis)) or real(basis))
+    assert gram_suite(2).passed and calls == [7]
+    assert semisimplicity_probe(2).passed and calls == [7, 7]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["gram", "--alpha", "2"]) == 0
+    assert calls == [7, 7, 7]
+
+
+def test_gram_faults_lists_the_asymmetric_pairs_then_the_entries_off_the_closed_form():
+    basis = basis_enumerate(2)
+    G = [list(row) for row in verify.gram_matrix(2)]
+    assert verify.gram_faults(G, rook_images(basis)) == []
+    G[0][1] = G[2][3] = NuPoly.one()
+    assert verify.gram_faults(G, rook_images(basis)) == [
+        ("asymmetry", 1, 0),
+        ("asymmetry", 3, 2),
+        ("gram-off-closed-form", 0, 1),
+        ("gram-off-closed-form", 2, 3),
+    ]
+
+
+def test_rook_images_are_unitriangular_at_alpha_5():
+    # what the symbolic checks past the oracle's degree limit rest on
+    basis = basis_enumerate(5)
+    imgs = rook_images(basis)
+    assert len(imgs) == 1546
+    assert all(verify._unitriangular(m, x) for m, x in zip(basis, imgs))
+
+
+def _double_the_images(monkeypatch):
+    images = verify.monomial_images
+    monkeypatch.setattr(verify, "monomial_images", lambda basis, ctx: [x * 2 for x in images(basis, ctx)])
+
+
+@pytest.mark.parametrize(
+    "suite, tamper",
+    [
+        (crosscheck_multi, _double_the_images),
+        (gram_suite, _double_the_images),
+        (dimension_suite, lambda mp: mp.setattr(verify, "coset_size", lambda ctx, sigma: 0)),
+    ],
+    ids=["crosscheck", "gram", "dims"],
+)
+def test_a_repeated_point_is_checked_once(monkeypatch, suite, tamper):
+    # tampered, so each check of the point adds failures to the count
+    tamper(monkeypatch)
+    once, twice = (json.loads(suite(1, ns).canonical_json()) for ns in ((2,), (2, 2)))
+    assert once["metrics"]["failure_count"] > 0
+    assert twice.pop("params")["ns"] == [2, 2]
+    assert once.pop("params")["ns"] == [2]
+    assert twice == once
+
+
 def test_verification_runs_no_elimination():
     for name in ("rank", "positive_definite", "_point_det", "_degree_bound", "evaluate_matrix"):
         assert not hasattr(verify, name), name
