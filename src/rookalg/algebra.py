@@ -144,9 +144,8 @@ def fuse(p: Monomial, q: Monomial) -> State:
 
 
 def star_state(m: Monomial) -> State:
-    """The state equal to m* = T_{j_k} ... T_{j_1} A(g^{-1}), before normalization."""
-    g = m.perm.images
-    return m.perm.inverse().images, tuple([g[i - 1] for i in reversed(m.holes)])
+    """The state of the word m* = T_{j_k} ... T_{j_1} A(g^{-1}), before normalization."""
+    return word_to_state(m.alpha, [*(("hole", j) for j in reversed(m.holes)), ("perm", m.perm.inverse())])
 
 
 def word_to_state(alpha: int, tokens: Sequence[tuple[str, object]]) -> State:

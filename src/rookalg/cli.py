@@ -107,7 +107,7 @@ _SUITES = {
     "crosscheck": ("structure constants against brute-force convolution", True,
                    lambda a, n, k: crosscheck_multi(a, max_counterexamples=k) if n is None
                    else crosscheck_structure(a, n, max_counterexamples=k)),
-    "relations": ("defining relations for the convolution generators", True,
+    "relations": ("defining relations, read off the rewriting rules, against convolution", True,
                   lambda a, n, k: relation_suite(a, a if n is None else n, max_counterexamples=k)),
     "dims": ("dimension and coset counting", True,
              lambda a, n, k: dimension_suite(a, None if n is None else (n,), max_counterexamples=k)),
@@ -115,7 +115,7 @@ _SUITES = {
               lambda a, n, k: limit_suite(a, max_counterexamples=k)),
     "semisimple": ("trace-form determinant probe", False,
                    lambda a, n, k: semisimplicity_probe(a, max_counterexamples=k)),
-    "gram": ("Gram matrix against convolution traces", True,
+    "gram": ("Gram matrix against its closed form, and its images against convolution", True,
              lambda a, n, k: gram_suite(a, None if n is None else (n,), max_counterexamples=k)),
 }
 

@@ -144,11 +144,12 @@ class NuPoly:
             c = self.coeffs[k]
             if not c:
                 continue
+            coeff = format_rational(abs(c)).removesuffix("/1")
             if k == 0:
-                body = _frac_str(abs(c))
+                body = coeff
             else:
                 power = "nu" if k == 1 else f"nu^{k}"
-                body = power if abs(c) == 1 else f"{_frac_str(abs(c))}*{power}"
+                body = power if abs(c) == 1 else f"{coeff}*{power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -157,7 +158,3 @@ class NuPoly:
 
     def __repr__(self) -> str:
         return f"NuPoly({self.pretty()})"
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

@@ -13,11 +13,15 @@ exceeds the maximum polynomial degree, the table is the unique polynomial
 family of that degree agreeing with the ground truth there, and the report
 says so.
 
+The relation suite reads each defining relation's right-hand side off the
+rewriting engine's own first step, so the relations are stated once.
+
 Suites do not stop at the first failure: they keep checking and collect up
 to max_counterexamples of them (default 5) for diagnosis, with the full
 failure count in the metrics.  One collector per run times it and builds
-its report; a suite that checks several points checks each distinct one
-once and adds every point's failures to that one collector.  The report's
+its report; a suite that checks several points refuses any past the
+oracle's limit before other work, then checks each distinct one once and
+adds every point's failures to that one collector.  The report's
 canonical JSON leaves the timing out, so equal runs print equal bytes.
 """
 from __future__ import annotations
@@ -27,10 +31,12 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .algebra import Monomial, basis_enumerate
+from .algebra import Monomial, _as_poly, _emit, _sites, basis_enumerate, word_to_state
 from .capacity import ORACLE_DEGREE_LIMIT
 from .combinatorics import (
     PartialInjection,
@@ -129,11 +135,15 @@ class _Collector:
         )
 
 
-def _require_oracle_degree(ctx: Context) -> None:
-    if ctx.degree > ORACLE_DEGREE_LIMIT:
-        raise CapacityError(
-            f"brute-force check at degree {ctx.degree} exceeds the limit {ORACLE_DEGREE_LIMIT}"
-        )
+def _contexts(alpha: int, ns: Sequence[int]) -> list[Context]:
+    """One Context per distinct point of ns, in first-seen order; a point past ORACLE_DEGREE_LIMIT is refused."""
+    ctxs = [Context(alpha, n) for n in dict.fromkeys(ns)]
+    for ctx in ctxs:
+        if ctx.degree > ORACLE_DEGREE_LIMIT:
+            raise CapacityError(
+                f"brute-force check at degree {ctx.degree} exceeds the limit {ORACLE_DEGREE_LIMIT}"
+            )
+    return ctxs
 
 
 def _default_points(alpha: int, count: int) -> tuple[int, ...]:
@@ -159,13 +169,7 @@ def _pairs_obj(x: BiinvariantElement) -> list:
 
 def monomial_images(basis: Sequence[Monomial], ctx: Context) -> list[BiinvariantElement]:
     """Image of each basis monomial under the generator assignment."""
-    out = []
-    for m in basis:
-        x = gen_perm(m.perm, ctx)
-        for i in m.holes:
-            x = dc_multiply(x, gen_hole(i, ctx), via="fast")
-        out.append(x)
-    return out
+    return [reduce(dc_multiply, [gen_perm(m.perm, ctx)] + [gen_hole(i, ctx) for i in m.holes]) for m in basis]
 
 
 def _unitriangular(m: Monomial, x: dict) -> bool:
@@ -244,6 +248,7 @@ def dimension_suite(
     """Count everything three ways: closed form, enumeration, representation theory."""
     col = _Collector(max_counterexamples)
     ns = _default_points(alpha, 1) if ns is None else tuple(ns)
+    ctxs = _contexts(alpha, ns)
     counted = rook_count(alpha)
     enumerated = len(rook_enumerate(alpha))
     basis_len = len(basis_enumerate(alpha))
@@ -253,9 +258,8 @@ def dimension_suite(
     if sum(d * d for d in fsd) != counted:
         col.add("square-sum-mismatch", dims=list(fsd), expected=counted)
     coset_counts: dict[str, int] = {}
-    for n in dict.fromkeys(ns):
-        ctx = Context(alpha, n)
-        _require_oracle_degree(ctx)
+    for ctx in ctxs:
+        n = ctx.n
         sizes: dict[PartialInjection, int] = {}
         total = 0
         for u in all_permutations(ctx.degree):
@@ -281,44 +285,45 @@ def dimension_suite(
 
 
 def relation_suite(alpha: int, n: int, *, max_counterexamples: int = 5) -> VerificationReport:
-    """Check that convolution of generator images satisfies the defining relations."""
+    """The engine's defining relations, and the cosets they rest on, against convolution at nu = n.
+
+    Each relation is a word in word_to_state's tokens: A(g) A(h), T_i A(g), T_i T_i, T_u T_v (u > v)
+    and A((uv)) T_v T_u (v < u).  The oracle product along the word must equal sum w(n) phi(child)
+    over the engine's first rewriting step (_sites, _emit), or phi of the word's state when that is
+    admissible, so a rule with a term changed fails as its relation.  Then the augmentation, the
+    coset sizes and partition, and (at degree <= 6) biinvariance are checked.
+    """
     col = _Collector(max_counterexamples)
-    ctx = Context(alpha, n)
-    _require_oracle_degree(ctx)
+    (ctx,) = _contexts(alpha, (n,))
     if n < 1:
         raise ValueError("relation checks need n >= 1 so hole generators exist")
     perms = tuple(all_permutations(alpha))
+    holes = range(1, alpha + 1)
     a = {g: gen_perm(g, ctx) for g in perms}
-    th = {i: gen_hole(i, ctx) for i in range(1, alpha + 1)}
-    one = gen_perm(Permutation.identity(alpha), ctx)
+    th = {i: gen_hole(i, ctx) for i in holes}
 
-    checks = 0
-    for g in perms:
-        for h in perms:
-            checks += 1
-            if dc_multiply(a[g], a[h]) != a[g * h]:
-                col.add("perm-product", g=list(g.images), h=list(h.images))
-    for g in perms:
-        for i in range(1, alpha + 1):
-            checks += 1
-            if dc_multiply(th[i], a[g]) != dc_multiply(a[g], th[g.inverse()(i)]):
-                col.add("hole-slide", g=list(g.images), i=i)
-    for i in range(1, alpha + 1):
-        checks += 1
-        if dc_multiply(th[i], th[i]) != th[i].scale(n - 1) + one.scale(n):
-            col.add("hole-square", i=i)
-    for v in range(1, alpha + 1):
-        for u in range(v + 1, alpha + 1):
-            tau = Permutation.transposition(alpha, u, v)
-            checks += 1
-            lhs = dc_multiply(th[u], th[v])
-            rhs = dc_multiply(th[v], th[u]) + dc_multiply(a[tau], th[u]) - dc_multiply(a[tau], th[v])
-            if lhs != rhs:
-                col.add("hole-exchange", u=u, v=v)
-            checks += 1
-            ascending = dc_multiply(th[v], th[u])
-            if dc_multiply(a[tau], ascending) != ascending + th[v] - dc_multiply(a[tau], th[v]):
-                col.add("hole-erase", u=v, v=u)
+    def image(word) -> BiinvariantElement:
+        return reduce(dc_multiply, [a[p] if kind == "perm" else th[p] for kind, p in word])
+
+    words = [("perm-product", [("perm", g), ("perm", h)], {"g": list(g.images), "h": list(h.images)})
+             for g in perms for h in perms]
+    words += [("hole-slide", [("hole", i), ("perm", g)], {"g": list(g.images), "i": i})
+              for g in perms for i in holes]
+    words += [("hole-square", [("hole", i), ("hole", i)], {"i": i}) for i in holes]
+    for v, u in combinations(holes, 2):
+        tau = Permutation.transposition(alpha, u, v)
+        words.append(("hole-exchange", [("hole", u), ("hole", v)], {"u": u, "v": v}))
+        words.append(("hole-erase", [("perm", tau), ("hole", v), ("hole", u)], {"u": v, "v": u}))
+    checks = len(words)
+    for kind, word, info in words:
+        state = word_to_state(alpha, word)
+        sites = _sites(*state)
+        # the engine's first rewriting step, or the state itself when it is admissible
+        children = _emit(*sites[0], *state) if sites else [(1, *state)]
+        rhs = [(_as_poly(w).evaluate(n), image([("perm", Permutation(g))] + [("hole", j) for j in js]).items())
+               for w, g, js in children]
+        if image(word) != BiinvariantElement._trusted(ctx, combine(rhs)):
+            col.add(kind, **info)
     for g in perms:
         for i in range(1, alpha + 1):
             checks += 1
@@ -408,8 +413,7 @@ def _check_point(col: _Collector, tbl: StructureTable, ctx: Context, **tag) -> t
 def crosscheck_structure(alpha: int, n: int, *, max_counterexamples: int = 5) -> VerificationReport:
     """Structure constants at nu = n against brute-force convolution, all pairs."""
     col = _Collector(max_counterexamples)
-    ctx = Context(alpha, n)
-    _require_oracle_degree(ctx)
+    (ctx,) = _contexts(alpha, (n,))
     tbl = structure_table(alpha)
     _, dual_checked = _check_point(col, tbl, ctx)
     return col.report(
@@ -442,21 +446,23 @@ def crosscheck_multi(
     col = _Collector(max_counterexamples)
     if ns is None:
         _require_default_points(alpha)
+    else:
+        ns = tuple(ns)
+        ctxs = _contexts(alpha, ns)
     tbl = structure_table(alpha)
     max_deg = tbl.max_degree()
-    ns = _default_points(alpha, max_deg + 1) if ns is None else tuple(ns)
+    if ns is None:
+        ns = _default_points(alpha, max_deg + 1)
+        ctxs = _contexts(alpha, ns)
     independent = set()
-    points = tuple(dict.fromkeys(ns))
-    for n in points:
-        ctx = Context(alpha, n)
-        _require_oracle_degree(ctx)
-        imgs, _ = _check_point(col, tbl, ctx, n=n)
+    for ctx in ctxs:
+        imgs, _ = _check_point(col, tbl, ctx, n=ctx.n)
         if all(_unitriangular(m, dict(x.items())) for m, x in zip(tbl.basis, imgs)):
-            independent.add(n)
+            independent.add(ctx.n)
     pinned = len(independent) >= max_deg + 1
     if not pinned:
         col.warnings.append(
-            f"only {len(independent)} of the {len(points)} distinct points checked have independent "
+            f"only {len(independent)} of the {len(ctxs)} distinct points checked have independent "
             f"monomial images, against polynomial degree {max_deg}; equality is verified at the "
             "points checked but the polynomials are not pinned by them"
         )
@@ -464,7 +470,7 @@ def crosscheck_multi(
         "crosscheck",
         {"alpha": alpha, "ns": list(ns)},
         dimension=tbl.dimension,
-        points=len(points),
+        points=len(ctxs),
         independent_points=sorted(independent),
         max_nu_degree=max_deg,
         degree_pinned=pinned,
@@ -525,9 +531,7 @@ def gram_suite(
     if ns is None:
         _require_default_points(alpha)
     ns = _default_points(alpha, 2) if ns is None else tuple(ns)
-    ctxs = [Context(alpha, n) for n in dict.fromkeys(ns)]
-    for ctx in ctxs:
-        _require_oracle_degree(ctx)
+    ctxs = _contexts(alpha, ns)
     G = gram_matrix(alpha)
     dim = len(G)
     basis = basis_enumerate(alpha)

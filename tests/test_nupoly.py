@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from rookalg import nupoly
 from rookalg.nupoly import NuPoly, format_rational, parse_rational
 
 
@@ -62,6 +63,12 @@ def test_evaluate_exact():
 )
 def test_pretty(coeffs, text):
     assert NuPoly(coeffs).pretty() == text
+
+
+def test_pretty_writes_each_coefficient_as_format_rational_does_less_a_trailing_one():
+    assert NuPoly((Fraction(-3, 7), Fraction(5, 2), -12)).pretty() == "-12*nu^2 + 5/2*nu - 3/7"
+    assert NuPoly((Fraction(6, 3), -1)).pretty() == "-nu + 2"
+    assert not hasattr(nupoly, "_frac_str")
 
 
 def test_string_roundtrip():

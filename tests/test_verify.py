@@ -1,5 +1,6 @@
 """Cross-checking suites: reports, warnings, and failure collection."""
 
+import hashlib
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from rookalg.combinatorics import PartialInjection, rook_enumerate
 from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly, parse_rational
 from rookalg.oracle import BiinvariantElement, Context, coset_corank, dc_multiply, gen_hole
-from rookalg import capacity, cli, verify
+from rookalg import algebra, capacity, cli, verify
 from rookalg.tables import StructureTable, det_polynomial, evaluate_matrix, rank, structure_table, trace_form
 from rookalg.verify import (
     VerificationReport,
@@ -621,3 +622,64 @@ def test_a_repeated_point_is_checked_once(monkeypatch, suite, tamper):
 def test_verification_runs_no_elimination():
     for name in ("rank", "positive_definite", "_point_det", "_degree_bound", "evaluate_matrix"):
         assert not hasattr(verify, name), name
+
+
+def _tamper(rule, change):
+    """A copy of the engine's `_emit` whose `rule` emits change(terms) in place of its terms."""
+
+    def tampered(r, *args):
+        terms = algebra._emit(r, *args)
+        return change(terms) if r == rule else terms
+
+    return tampered
+
+
+@pytest.mark.parametrize(
+    "tampered, expected",
+    [
+        (_tamper("erase", lambda ts: ts[:2]), [("hole-erase", {"u": 1, "v": 2}), ("hole-erase", {"u": 1, "v": 3}),
+                                                ("hole-erase", {"u": 2, "v": 3})]),
+        (_tamper("square", lambda ts: ((NuPoly.nu(), *ts[0][1:]), ts[1])),
+         [("hole-square", {"i": i}) for i in (1, 2, 3)]),
+        (_tamper("swap", lambda ts: ts[:2]), [("hole-exchange", {"u": 2, "v": 1}), ("hole-exchange", {"u": 3, "v": 1}),
+                                               ("hole-exchange", {"u": 3, "v": 2})]),
+    ],
+    ids=["erase-without-its-minus-one-term", "square-weighted-nu", "swap-without-its-minus-term"],
+)
+def test_a_tampered_rewriting_rule_fails_as_its_relation(monkeypatch, tampered, expected):
+    # the suite reads each relation's right-hand side off the engine's rules, so it names the broken one
+    monkeypatch.setattr(verify, "_emit", tampered)
+    r = relation_suite(3, 3, max_counterexamples=10)
+    assert r.metrics["failure_count"] == len(expected)
+    assert [(c["kind"], {k: v for k, v in c.items() if k != "kind"}) for c in r.counterexamples] == expected
+
+
+@pytest.mark.parametrize(
+    "alpha, n, digest",
+    [
+        (1, 1, "f2bae5387602bc4dc9c69a89aa0c7c65be8e33200f6ceebb904d62790a7ab092"),
+        (2, 3, "00acdfcc4db5ad9e0e762008bbc7bec5ec53177be8f7f65d2788819f344749ce"),
+        (3, 3, "17296a585ed94886490bbc9b466257e793924d0712d5099d1f91f415a15c0cbb"),
+        (3, 5, "d3a8f118babad1b756133627890ec5fee90a0c903470618b1cb901c6c221aa05"),
+        (4, 4, "bee11c7b437e4cfadccd91252475d4aa08bf73519d89b7ae7a462c5708f646fa"),
+    ],
+)
+def test_relation_report_bytes(alpha, n, digest):
+    # recorded when each relation's right-hand side was still typed out in the suite
+    assert hashlib.sha256(relation_suite(alpha, n).canonical_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "suite, ns",
+    [(crosscheck_multi, (2, 7)), (dimension_suite, (2, 7)), (gram_suite, (2, 7))],
+    ids=["crosscheck", "dims", "gram"],
+)
+def test_an_out_of_limit_point_is_refused_before_any_work(monkeypatch, suite, ns):
+    calls = []
+    for name in ("structure_table", "gram_matrix", "_check_point", "monomial_images",
+                 "rook_count", "rook_enumerate", "all_permutations"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+    with pytest.raises(CapacityError, match="brute-force check at degree 9 exceeds the limit 8"):
+        suite(2, ns)
+    assert calls == []
