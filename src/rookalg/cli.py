@@ -27,7 +27,7 @@ from .algebra import (
     format_element,
     format_monomial,
 )
-from .combinatorics import Permutation, rook_count, rook_enumerate, fixed_space_dimensions
+from .combinatorics import Permutation
 from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
 from .nupoly import NuPoly
 from .rational import format_rational, parse_rational
@@ -180,18 +180,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_dims(args) -> int:
     alpha = args.alpha
-    closed = rook_count(alpha)
-    enumerated = len(rook_enumerate(alpha))
-    basis_len = len(basis_enumerate(alpha))
-    squares = sum(d * d for d in fixed_space_dimensions(alpha))
+    rep = dimension_suite(alpha, None if args.n is None else (args.n,))
+    closed = rep.metrics["dimension"]
+    # the suite records the enumerated counts only when they differ from the
+    # closed form, and as its first check that failure is always kept
+    counts = next(
+        (c for c in rep.counterexamples if c["kind"] == "dimension-mismatch"),
+        {"enumerated": closed, "basis": closed},
+    )
+    squares = sum(d * d for d in rep.metrics["fixed_space_dimensions"])
     lines = [
         f"alpha: {alpha}",
         f"dimension (closed form): {closed}",
-        f"dimension (enumeration): {enumerated}",
-        f"dimension (admissible basis): {basis_len}",
+        f"dimension (enumeration): {counts['enumerated']}",
+        f"dimension (admissible basis): {counts['basis']}",
         f"dimension (sum of squared block dimensions): {squares}",
     ]
-    rep = dimension_suite(alpha, None if args.n is None else (args.n,))
     for n, count in sorted(rep.metrics["cosets_by_n"].items(), key=lambda kv: int(kv[0])):
         lines.append(f"double cosets (n={n}): {count}")
     lines.append(f"status: {rep.status}")

@@ -5,23 +5,27 @@ monomials, the normal form of their product as polynomial-in-nu
 coefficients.  The 43,681 pairs at alpha=4 fuse to only 3,928 distinct
 states A(g) T_js, which give 3,928 distinct rows, so a table stores each
 distinct row once, in `rows`, and for each pair only the index of its row,
-in `row_of` (4 bytes a pair).  A build fuses each pair to a state (images,
-js) of plain int tuples and reduces, indexes and checks each distinct one
-once, with one rewriting engine; the engine keys a normal form by leaf ids,
-which a list that grows as new leaves appear turns into basis indices, so
-rows sort on int keys.  A table read from outside goes through
-`StructureTable.from_pairs`, which interns its rows by value, so a loaded
-table has the same layout as the built one and equals it.  Every read that
-turns each pair's row into a result (the JSON and CSV exports, the trace
-form, the scaled limit and the oracle crosscheck's right-hand sides) goes
-through `StructureTable.map_rows`, which maps each row once and returns the
-dimension x dimension matrix of results, out[p][q], so only `StructureTable`
-knows where a pair's row index sits in `row_of`.
+in `row_of` (4 bytes a pair).  The rows share their terms too: the 74,525
+(r, poly) terms of the alpha=4 rows are 3,838 distinct values, and each is
+one tuple, which every row that holds it points at (`_shared_terms`).  A
+build fuses each pair to a state (images, js) of plain int tuples and
+reduces, indexes and checks each distinct one once, with one rewriting
+engine; the engine keys a normal form by leaf ids, which a list that grows
+as new leaves appear turns into basis indices, so rows sort on int keys.  A
+table read from outside goes through `StructureTable.from_pairs`, which
+interns its terms and rows by value, so a loaded table has the same layout
+as the built one and equals it.  Every read that turns each pair's row into
+a result (the JSON and CSV exports, the trace form, the scaled limit and the
+oracle crosscheck's right-hand sides) goes through `StructureTable.map_rows`,
+which maps each row once and returns the dimension x dimension matrix of
+results, out[p][q], so only `StructureTable` knows where a pair's row index
+sits in `row_of`.
 `StructureTable.json_chunks` holds the one JSON layout and yields the text
 in pieces, one per basis element p, so a writer never holds the whole
 export; `canonical_json` joins them.  `csv_chunks` does the same for CSV.
-Both render each distinct coefficient's text once per export: the 74,525
-terms of the alpha=4 rows carry 179 values.
+Both render each distinct term's text once per export, and a row's export is
+a tuple of those shared texts (with JSON's separators), so at alpha=4 an
+export holds 3,838 term texts, not one text per row.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
@@ -52,7 +56,8 @@ from .nupoly import NuPoly
 from .rational import format_rational
 from .sparse import combine
 
-Row = tuple[tuple[int, NuPoly], ...]
+Term = tuple[int, NuPoly]
+Row = tuple[Term, ...]
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,8 @@ class StructureTable:
 
     rows holds each distinct row ((r, poly), ...) once, with r increasing, in
     the order of the first pair (p, q) that reaches it; row_of holds one row
-    index per pair, in (p, q) order.
+    index per pair, in (p, q) order.  Equal terms (r, poly) are one tuple,
+    shared by every row that holds them.
     """
 
     alpha: int
@@ -109,29 +115,31 @@ class StructureTable:
 
     @staticmethod
     def _exported_terms(nu, render):
-        """fn(row) -> [(r, text), ...]: each exported term of a row, with its coefficient's text.
+        """fn(row) -> (text, ...): the text of each exported term of a row.
 
-        Without nu the text is render of its polynomial's "p/q" coefficients;
-        at a point it is render of the one value there, and terms that vanish
-        are dropped.  One fn renders each distinct polynomial once.
+        The text of a term (r, poly) is render(r, coefficients): without nu
+        the coefficients are its polynomial's "p/q" strings; at a point they
+        are the one value there, and a term that vanishes is dropped.  One fn
+        renders each distinct term once, keyed by (r, poly.coeffs), and every
+        row that holds the term shares that one text.
         """
         texts: dict[tuple, str | None] = {}
 
-        def text(poly) -> str | None:
+        def text(ir, poly) -> str | None:
             if nu is None:
-                return render(poly.to_strings())
+                return render(ir, poly.to_strings())
             v = poly.evaluate(nu)
-            return render([format_rational(v)]) if v else None
+            return render(ir, [format_rational(v)]) if v else None
 
-        def terms(row) -> list[tuple[int, str]]:
+        def terms(row) -> tuple[str, ...]:
             out = []
             for ir, poly in row:
-                key = poly.coeffs
+                key = (ir, poly.coeffs)
                 if key not in texts:
-                    texts[key] = text(poly)
-                if texts[key] is not None:
-                    out.append((ir, texts[key]))
-            return out
+                    texts[key] = text(ir, poly)
+                if (t := texts[key]) is not None:
+                    out.append(t)
+            return tuple(out)
 
         return terms
 
@@ -141,9 +149,10 @@ class StructureTable:
         The first piece holds the header and the basis, then one piece per
         basis element p holds its dimension entries, and the last piece
         closes the text.  "constants" holds one {"p", "q", "terms"} entry per
-        pair in (p, q) order.  Each row's terms are rendered once and shared
-        by every entry that points at that row, and each distinct coefficient's
-        text is rendered once.
+        pair in (p, q) order.  Each distinct term's text is rendered once, and
+        each row once, as a tuple of pieces (the list's separators and the
+        shared term texts) that every entry pointing at that row extends its
+        p's chunk with; no row is joined into a text of its own.
         """
         nu_text = "null" if nu is None else f'"{format_rational(Fraction(nu))}"'
         basis = [
@@ -156,18 +165,28 @@ class StructureTable:
             f'\n  "basis": {_json_list(basis, 2)},\n  "constants": '
         )
 
-        terms_of = self._exported_terms(nu, lambda texts: _json_list((f'"{t}"' for t in texts), 10))
+        def term(ir, texts) -> str:
+            poly = _json_list((f'"{t}"' for t in texts), 10)
+            return f'{{\n          "r": {ir},\n          "poly": {poly}\n        }}'
 
-        def render(row) -> str:
-            return _json_list(
-                (f'{{\n          "r": {ir},\n          "poly": {text}\n        }}' for ir, text in terms_of(row)), 6
-            )
+        terms_of = self._exported_terms(nu, term)
+        opening, comma, closing = _json_separators(6)
+
+        def pieces(row) -> tuple[str, ...]:
+            texts = terms_of(row)
+            if not texts:
+                return ("[]",)
+            out = [comma] * (2 * len(texts) + 1)
+            out[0], out[1::2], out[-1] = opening, texts, closing
+            return tuple(out)
 
         sep = "[\n    "
-        for ip, texts_of_p in enumerate(self.map_rows(render)):
+        for ip, pieces_of_p in enumerate(self.map_rows(pieces)):
             chunk = []
-            for iq, terms_text in enumerate(texts_of_p):
-                chunk += (f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": ', terms_text, "\n    }")
+            for iq, row_pieces in enumerate(pieces_of_p):
+                chunk.append(f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": ')
+                chunk += row_pieces
+                chunk.append("\n    }")
                 sep = ",\n    "
             yield "".join(chunk)
         yield "\n  ]\n}\n" if self.dimension else "[]\n}\n"
@@ -184,9 +203,10 @@ class StructureTable:
         naming the entry.  Every basis monomial has degree alpha and appears
         once; every pair of basis indices appears exactly once, with indices
         in range, r values that increase strictly and coefficients that are
-        nonzero NuPoly values.  Equal rows are interned by value in (p, q)
-        order, so the layout does not depend on which row objects the pairs
-        share, and a table built by structure_table comes back equal to itself.
+        nonzero NuPoly values.  Equal terms and then equal rows are interned by
+        value in (p, q) order, as structure_table interns them, so the layout
+        does not depend on which objects the pairs share, and a table built by
+        structure_table comes back equal to itself, with its terms shared alike.
         """
         basis = tuple(basis)
         first: dict[Monomial, int] = {}
@@ -198,6 +218,7 @@ class StructureTable:
             first[m] = i
         dim = len(basis)
         slots: list[Row | None] = [None] * (dim * dim)
+        shared: dict[Term, Term] = {}
         for (ip, iq), terms in pairs:
             key = (ip, iq)
             terms = tuple(terms)
@@ -212,7 +233,7 @@ class StructureTable:
                     raise ValueError(f"constants entry {key} has coefficient {c!r} at r={ir}, not a nonzero NuPoly")
             if slots[ip * dim + iq] is not None:
                 raise ValueError(f"constants entry {key} repeats")
-            slots[ip * dim + iq] = terms
+            slots[ip * dim + iq] = _shared_terms(terms, shared)
         if None in slots:
             raise ValueError(f"constants entry {divmod(slots.index(None), dim)} is missing")
         index: dict[Row, int] = {}
@@ -264,14 +285,13 @@ class StructureTable:
         return cls.from_pairs(alpha, basis, pairs)
 
     def csv_chunks(self, nu=None) -> Iterator[str]:
-        """The table as CSV lines, in pieces: the header, then one piece per basis element p."""
-        terms_of = self._exported_terms(nu, " ".join)
+        """The table as CSV lines, in pieces: the header, then one piece per basis element p.
 
-        def render(row) -> list[str]:
-            return [f"{ir},{text}" for ir, text in terms_of(row)]
-
+        Each distinct term's "r,poly" tail is rendered once and shared by every line that ends in it.
+        """
         yield "p,q,r,poly\n"
-        for ip, tails_of_p in enumerate(self.map_rows(render)):
+        tails_of = self._exported_terms(nu, lambda ir, texts: f"{ir},{' '.join(texts)}")
+        for ip, tails_of_p in enumerate(self.map_rows(tails_of)):
             yield "".join(f"{ip},{iq},{tail}\n" for iq, tails in enumerate(tails_of_p) for tail in tails)
 
 
@@ -295,12 +315,28 @@ def _field(obj, name: str, where: str, kind: str | None = None):
     return value
 
 
+def _json_separators(indent: int) -> tuple[str, str, str]:
+    """What json.dumps(indent=2) writes before, between and after the items of a
+    non-empty array whose opening bracket sits on a line indented by `indent`."""
+    inner = "\n" + " " * (indent + 2)
+    return f"[{inner}", "," + inner, f"\n{' ' * indent}]"
+
+
 def _json_list(items, indent: int) -> str:
     """A JSON array of already-encoded items, laid out as json.dumps(indent=2) does
     for an array whose opening bracket sits on a line indented by `indent`."""
-    inner = "\n" + " " * (indent + 2)
-    body = ("," + inner).join(items)
-    return f"[{inner}{body}\n{' ' * indent}]" if body else "[]"
+    opening, comma, closing = _json_separators(indent)
+    body = comma.join(items)
+    return f"{opening}{body}{closing}" if body else "[]"
+
+
+def _shared_terms(terms, shared: dict[Term, Term]) -> Row:
+    """terms as a row whose every (r, poly) is the first equal term in shared, which it extends.
+
+    Equal terms are then one tuple, whichever row holds them: the 74,525
+    terms of the alpha=4 rows are 3,838 tuples.
+    """
+    return tuple([shared.setdefault(term, term) for term in terms])
 
 
 _TABLE_CACHE: dict[int, StructureTable] = {}
@@ -315,8 +351,9 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
     seen in this build is reduced by the build's one Normalizer, its leaf
     ids mapped to basis indices, sorted and checked to have integer
     coefficients, once, and its row is appended to rows; every pair records
-    the index of its state's row in row_of.  A row equal to an earlier one
-    is not stored again, as from_pairs interns rows.  A constant that is not
+    the index of its state's row in row_of.  Each term of a new row is
+    interned by value, and a row equal to an earlier one is not stored
+    again, as from_pairs interns terms and rows.  A constant that is not
     in Z[nu] raises ConsistencyError naming the first such pair in (p, q)
     order, which is the pair that reached its row first.
 
@@ -338,6 +375,7 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
     nz = Normalizer()
     # the basis index of each leaf id of nz, extended as new leaves appear
     basis_of: list[int] = []
+    shared: dict[Term, Term] = {}
     row_index: dict[Row, int] = {}
     state_row: dict[State, int] = {}
     row_of = array("I")
@@ -348,7 +386,7 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
             if i is None:
                 nf = nz.reduce(*state)
                 basis_of += map(index.__getitem__, nz.monomials[len(basis_of) :])
-                row = tuple(sorted([(basis_of[k], c) for k, c in nf.items()], key=itemgetter(0)))
+                row = _shared_terms(sorted([(basis_of[k], c) for k, c in nf.items()], key=itemgetter(0)), shared)
                 # every rule coefficient lies in Z[nu], so every structure constant must too
                 for ir, poly in row:
                     for c in poly.coeffs:

@@ -250,10 +250,10 @@ def dimension_suite(
     ns = _default_points(alpha, 1) if ns is None else tuple(ns)
     ctxs = _contexts(alpha, ns)
     counted = rook_count(alpha)
-    enumerated = len(rook_enumerate(alpha))
+    rooks = rook_enumerate(alpha)
     basis_len = len(basis_enumerate(alpha))
-    if not counted == enumerated == basis_len:
-        col.add("dimension-mismatch", closed_form=counted, enumerated=enumerated, basis=basis_len)
+    if not counted == len(rooks) == basis_len:
+        col.add("dimension-mismatch", closed_form=counted, enumerated=len(rooks), basis=basis_len)
     fsd = fixed_space_dimensions(alpha)
     if sum(d * d for d in fsd) != counted:
         col.add("square-sum-mismatch", dims=list(fsd), expected=counted)
@@ -266,7 +266,7 @@ def dimension_suite(
             sigma = corner_map(u, alpha)
             sizes[sigma] = sizes.get(sigma, 0) + 1
             total += 1
-        expected = sum(1 for s in rook_enumerate(alpha) if coset_corank(s) <= n)
+        expected = sum(1 for s in rooks if coset_corank(s) <= n)
         if len(sizes) != expected:
             col.add("coset-count-mismatch", n=n, found=len(sizes), expected=expected)
         if total != factorial(ctx.degree):

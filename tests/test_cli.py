@@ -8,15 +8,16 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from rookalg import algebra, cli
+from rookalg import algebra, cli, verify
 from rookalg.capacity import rook_limit
 from rookalg.cli import main, parse_word
-from rookalg.combinatorics import Permutation
+from rookalg.combinatorics import Permutation, rook_enumerate
 from rookalg.nupoly import NuPoly
 from rookalg.tables import StructureTable, structure_table
 
@@ -64,6 +65,40 @@ def test_dims_output():
         "double cosets (n=2): 7\n"
         "status: pass\n"
     )
+
+
+def test_dims_enumerates_the_rooks_and_the_basis_once(monkeypatch):
+    # the printed counts are read off the dimension suite's report
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for module in (cli, verify):
+        for name in ("rook_enumerate", "basis_enumerate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    code, out, _ = run_cli("dims", "--alpha", "2")
+    assert code == 0
+    assert out.startswith("alpha: 2\n")
+    assert calls == {"rook_enumerate": 1, "basis_enumerate": 1}
+
+
+def test_dims_prints_the_counts_of_a_dimension_mismatch(monkeypatch):
+    monkeypatch.setattr(verify, "rook_enumerate", lambda alpha: rook_enumerate(alpha)[:-1])
+    code, out, err = run_cli("dims", "--alpha", "2")
+    assert code == 1
+    assert out.splitlines()[1:4] == [
+        "dimension (closed form): 7",
+        "dimension (enumeration): 6",
+        "dimension (admissible basis): 7",
+    ]
+    assert out.endswith("status: fail\n")
+    assert err == "FAIL dimensions\n"
 
 
 def test_basis_output():

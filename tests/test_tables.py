@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 from array import array
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -106,6 +107,39 @@ def test_a_fresh_build_holds_one_object_per_distinct_polynomial():
     # the build's Normalizer interns every coefficient, so rows share objects by value
     polys = [c for row in structure_table(3, use_cache=False).rows for _, c in row]
     assert len({id(c) for c in polys}) == len(set(polys))
+
+
+@pytest.mark.parametrize("alpha,distinct,slots", [(2, 26, 58), (3, 269, 1661), (4, 3838, 74525)])
+def test_a_build_holds_one_object_per_distinct_term(alpha, distinct, slots):
+    # each new row's (r, poly) terms are interned by value, so rows share them
+    held = [term for row in structure_table(alpha).rows for term in row]
+    assert len(held) == slots
+    assert len({id(term) for term in held}) == len(set(held)) == distinct
+
+
+def test_a_loaded_table_shares_its_terms_like_a_built_one():
+    built = structure_table(3)
+    loaded = StructureTable.from_json_obj(json.loads(built.canonical_json()))
+    assert loaded == built
+    held = [term for row in loaded.rows for term in row]
+    assert len(held) == 1661
+    assert len({id(term) for term in held}) == len(set(held)) == 269
+
+
+@pytest.mark.parametrize("export,bound_mb", [("json_chunks", 7), ("csv_chunks", 5)])
+def test_an_export_holds_each_distinct_term_text_once(export, bound_mb):
+    # the alpha=4 rows hold 3,838 distinct terms; the exports render each
+    # once and share its text among the rows, peaking near 4.5 MB (JSON)
+    # and 2.6 MB (CSV), where a joined text per distinct row needs 10.7 and 7.0 MB
+    chunks = getattr(structure_table(4), export)
+    tracemalloc.start()
+    try:
+        for _ in chunks():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 def test_table_constants_are_integers():
