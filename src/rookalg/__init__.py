@@ -59,11 +59,8 @@ from .rational import format_rational, parse_rational
 from .tables import (
     StructureTable,
     check_associativity,
-    det_polynomial,
     evaluate_matrix,
     gram_matrix,
-    positive_definite,
-    rank,
     scaled_limit_table,
     structure_table,
     trace_form,
@@ -124,7 +121,6 @@ __all__ = [
     "crosscheck_multi",
     "crosscheck_structure",
     "dc_multiply",
-    "det_polynomial",
     "dimension_suite",
     "element_from_word",
     "embed_pair",
@@ -146,9 +142,7 @@ __all__ = [
     "multiply",
     "parse_rational",
     "partitions",
-    "positive_definite",
     "project_biinvariant",
-    "rank",
     "relation_suite",
     "rook_count",
     "rook_enumerate",

@@ -100,8 +100,7 @@ class Monomial:
     @classmethod
     def from_rook(cls, sigma: PartialInjection) -> "Monomial":
         """Inverse of to_rook: fill the holes order-preservingly."""
-        hit = sigma.image_set()
-        missing = (y for y in range(1, sigma.alpha + 1) if y not in hit)
+        missing = iter(sigma.missing())
         images = tuple(next(missing) if v is None else v for v in sigma.target)
         holes = tuple(x for x, v in enumerate(sigma.target, start=1) if v is None)
         return cls(Permutation(images), holes)

@@ -165,8 +165,9 @@ class PartialInjection:
     def __call__(self, x: int) -> int | None:
         return self.target[x - 1]
 
-    def image_set(self) -> frozenset[int]:
-        return frozenset(v for v in self.target if v is not None)
+    def missing(self) -> tuple[int, ...]:
+        """The targets in 1..alpha with no preimage, in increasing order."""
+        return tuple(y for y in range(1, self.alpha + 1) if y not in self.target)
 
     def __mul__(self, other: "PartialInjection") -> "PartialInjection":
         """Composition as partial maps: (self * other)(x) = self(other(x))."""

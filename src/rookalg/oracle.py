@@ -181,8 +181,7 @@ def canonical_completion(sigma: PartialInjection, ctx: Context) -> Permutation:
     alpha = ctx.alpha
     cols = count(alpha + 1)
     head = tuple(next(cols) if v is None else v for v in sigma.target)
-    hit = sigma.image_set()
-    missing = tuple(y for y in range(1, alpha + 1) if y not in hit)
+    missing = sigma.missing()
     return Permutation(head + missing + tuple(range(alpha + len(missing) + 1, ctx.degree + 1)))
 
 
@@ -198,14 +197,13 @@ def coset_enumerate(sigma: PartialInjection, ctx: Context) -> tuple[Permutation,
     """
     _require_coset(ctx, sigma)
     alpha = ctx.alpha
-    hit = sigma.image_set()
-    missing = [y for y in range(1, alpha + 1) if y not in hit]
+    missing = sigma.missing()
     tails = range(alpha + 1, ctx.degree + 1)
     out: list[Permutation] = []
     for outs in _permutations(tails, len(missing)):
         fills = iter(outs)
         prefix = tuple(next(fills) if v is None else v for v in sigma.target)
-        rest = [t for t in tails if t not in outs]
+        rest = tuple(t for t in tails if t not in outs)
         out.extend(Permutation(prefix + fill) for fill in _permutations(missing + rest))
     return tuple(out)
 

@@ -29,13 +29,14 @@ export holds 3,838 term texts, not one text per row.
 
 Every bilinear form is a view of the table: the trace form is the identity
 coefficient of each product, and the Gram matrix is the trace form applied
-to the normal forms of the basis stars.  The verification suites check both
+to the normal forms of the basis stars.  The suites and the CLI check both
 against closed forms entry by entry and eliminate nothing.  One
 rank-revealing Gaussian elimination over Fractions, `_pivots`, yields
 (column, pivot, exchanged) for each pivot of a matrix of any shape, and it
-has three readers: `rank`, the Sylvester test of `positive_definite`, which
-`rookalg gram --nu` runs at one point, and `_point_det`, the determinant at
-one point, which `det_polynomial` interpolates.
+has two readers: the Sylvester test of `positive_definite` and `_point_det`,
+the determinant at one point, which `det_polynomial` interpolates.  No
+module in the package calls them: the tests check the closed forms against
+them, and bench/ traces the two public ones by name.
 """
 from __future__ import annotations
 
@@ -487,14 +488,6 @@ def _pivots(a: list[list[Fraction]]):
         r += 1
 
 
-def rank(mat: Sequence[Sequence]) -> int:
-    """Rank over Q of a rational matrix of any shape."""
-    a = [list(map(Fraction, row)) for row in mat]
-    if any(len(row) != len(a[0]) for row in a):
-        raise ValueError("matrix rows must have equal length")
-    return sum(1 for _ in _pivots(a))
-
-
 def positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:
     """Exact Sylvester test for a symmetric rational matrix.
 
@@ -504,7 +497,8 @@ def positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:
     The test stops at the first pivot that fails.  A skipped column fails
     too: the block left below and right of the earlier pivots is symmetric,
     so its zero column is also a zero row, and the next pivot needs an
-    exchange; a skipped last column leaves fewer than n pivots.
+    exchange; a skipped last column leaves fewer than n pivots.  The
+    tests' reference for verify.gram_positive_definite; bench/ traces it.
     """
     n = len(mat)
     a = [list(map(Fraction, row)) for row in mat]
@@ -546,7 +540,8 @@ def _degree_bound(mat: Sequence[Sequence[NuPoly]]) -> int:
 def det_polynomial(mat: Sequence[Sequence[NuPoly]]) -> NuPoly:
     """det M(nu), Newton-interpolated through x = 0, ..., _degree_bound(M).
 
-    No caller in src/; kept because bench/ wraps it by name.
+    No caller in the package: the tests' reference for the closed
+    determinants, and bench/ traces it.
     """
     coeffs = [_point_det(mat, x) for x in range(_degree_bound(mat) + 1)]
     # divided differences at the points 0, 1, ...: x_i - x_(i-j) = j

@@ -32,8 +32,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
-from math import factorial
+from itertools import combinations, count
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .algebra import Monomial, _as_poly, _emit, _sites, basis_enumerate, word_to_state
@@ -195,7 +195,7 @@ def rook_images(basis: Sequence[Monomial]) -> list[dict[PartialInjection, int]]:
             rows = [
                 row[: i - 1] + (y,) + row[i:]
                 for row in rows
-                for y in (None, *(y for y in range(1, m.alpha + 1) if y not in row))
+                for y in (None, *PartialInjection._trusted(row).missing())
             ]
         img = {PartialInjection._trusted(row): 1 for row in rows}
         if not _unitriangular(m, img):
@@ -237,6 +237,16 @@ def gram_faults(G, imgs: Sequence[dict[PartialInjection, int]]) -> list[tuple[st
     """
     asymmetric = [("asymmetry", p, q) for p in range(len(G)) for q in range(p) if G[p][q] != G[q][p]]
     return asymmetric + [("gram-off-closed-form", p, q) for p, q in off_closed_form(G, imgs, lambda s: s)]
+
+
+def gram_positive_definite(imgs: Sequence[dict[PartialInjection, int]], x) -> bool:
+    """Whether G(x) is positive definite, for a G with no fault gram_faults lists against Phi = imgs.
+
+    G = Phi^T D Phi with Phi unitriangular, so G(x) is positive definite exactly when
+    every (x)_r = x (x - 1) ... (x - r + 1) > 0, r over the coranks of Phi's keys:
+    at alpha = 0 that is (x)_0 = 1 alone, true at every x.
+    """
+    return all(prod(x - j for j in range(r)) > 0 for r in {coset_corank(s) for img in imgs for s in img})
 
 
 def dimension_suite(
@@ -520,12 +530,11 @@ def gram_suite(
     point n, rook_images less its keys of corank > n must equal
     monomial_images, the brute-force anchor, or the image fails as
     image-mismatch; then G(n) is the oracle's n! trace(phi_p phi_q*) on all
-    agreement_pairs.  Phi is unitriangular, so with no fault G(n) is
-    positive definite at an integer n exactly when every (n)_{r_sigma} > 0,
-    that is from n = alpha on, and first_positive_definite_integer is
-    alpha; otherwise it is null.  A run with no default point (alpha +
-    alpha > ORACLE_DEGREE_LIMIT) is refused with CapacityError before the
-    Gram matrix is built.
+    agreement_pairs.  With no fault, first_positive_definite_integer is
+    the smallest integer n >= 0 where gram_positive_definite holds, which
+    is alpha, the largest corank; with a fault it is null.  A run with no
+    default point (alpha + alpha > ORACLE_DEGREE_LIMIT) is refused with
+    CapacityError before the Gram matrix is built.
     """
     col = _Collector(max_counterexamples)
     if ns is None:
@@ -537,6 +546,7 @@ def gram_suite(
     basis = basis_enumerate(alpha)
     rooks = rook_images(basis)
     faults = gram_faults(G, rooks)
+    first_pd = None if faults else next(n for n in count() if gram_positive_definite(rooks, n))
     for kind, ip, iq in faults:
         col.add(kind, p=ip, q=iq)
     for ctx in ctxs:
@@ -548,7 +558,7 @@ def gram_suite(
         {"alpha": alpha, "ns": list(ns)},
         dimension=dim,
         agreement_pairs=len(ctxs) * dim * dim,
-        first_positive_definite_integer=None if faults else alpha,
+        first_positive_definite_integer=first_pd,
     )
 
 

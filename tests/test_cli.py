@@ -157,6 +157,11 @@ def test_gram_at_a_positive_point():
     assert out == "1/1 0/1\n0/1 2/1\npositive_definite: true\n"
 
 
+def test_gram_at_alpha_0_is_positive_definite_below_alpha_minus_1():
+    # the one key has corank 0 and (x)_0 = 1, so "x > alpha - 1" would be wrong here
+    assert run_cli("gram", "--alpha", "0", "--nu=-1") == (0, "1/1\npositive_definite: true\n", "")
+
+
 @pytest.mark.parametrize("nu", [[], ["--nu", "2"]], ids=["polynomial", "at-a-point"])
 def test_gram_reports_an_asymmetric_matrix_as_a_consistency_failure(monkeypatch, nu):
     # a build fault, so exit 1 with the first asymmetric pair, not a usage error

@@ -142,7 +142,10 @@ def test_partial_injection_basics():
     pi = PartialInjection((None, 1, 3))
     assert pi.alpha == 3
     assert pi.rank == 2
-    assert pi.image_set() == frozenset({1, 3})
+    assert pi.missing() == (2,)
+    assert PartialInjection((None, 3, None)).missing() == (1, 2)
+    assert PartialInjection((None, None, None)).missing() == (1, 2, 3)
+    assert PartialInjection.identity(3).missing() == ()
     assert pi(1) is None
     assert pi(2) == 1
     assert pi.inverse().serialize() == (2, 0, 3)

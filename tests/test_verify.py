@@ -18,8 +18,18 @@ from rookalg.combinatorics import PartialInjection, rook_enumerate
 from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly, parse_rational
 from rookalg.oracle import BiinvariantElement, Context, coset_corank, dc_multiply, gen_hole
-from rookalg import algebra, capacity, cli, verify
-from rookalg.tables import StructureTable, det_polynomial, evaluate_matrix, rank, structure_table, trace_form
+import rookalg
+from rookalg import algebra, capacity, cli, tables, verify
+from rookalg.tables import (
+    StructureTable,
+    _pivots,
+    det_polynomial,
+    evaluate_matrix,
+    gram_matrix,
+    positive_definite,
+    structure_table,
+    trace_form,
+)
 from rookalg.verify import (
     VerificationReport,
     crosscheck_multi,
@@ -247,10 +257,15 @@ def test_crosscheck_multi_catches_a_tamper_in_the_null_space_of_dependent_images
     assert [(c["n"], c["p"], c["q"]) for c in r.counterexamples] == [(5, 5, 7)]
 
 
+def _rank(mat) -> int:
+    """Rank over Q of a rational matrix: the number of pivots _pivots finds."""
+    return sum(1 for _ in _pivots([list(map(Fraction, row)) for row in mat]))
+
+
 def _image_rank(imgs) -> int:
     """Rank over Q of the images, as coefficient vectors over the coset keys they use."""
     keys = list(dict.fromkeys(k for x in imgs for k, _ in x.items()))
-    return rank([[x.coefficient(k) for k in keys] for x in imgs])
+    return _rank([[x.coefficient(k) for k in keys] for x in imgs])
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -270,11 +285,11 @@ def test_trace_form_nullity_is_the_rank_defect_of_the_images(alpha, expected):
     B = trace_form(t)
     nullities, defects = {}, {}
     for x in range(1, alpha):
-        nullities[x] = t.dimension - rank(evaluate_matrix(B, x))
+        nullities[x] = t.dimension - _rank(evaluate_matrix(B, x))
         defects[x] = t.dimension - _image_rank(monomial_images(t.basis, Context(alpha, x)))
     assert nullities == defects == expected
     # at x >= alpha the images are independent, and the trace form is not singular
-    assert all(rank(evaluate_matrix(B, x)) == t.dimension for x in range(alpha, alpha + 3))
+    assert all(_rank(evaluate_matrix(B, x)) == t.dimension for x in range(alpha, alpha + 3))
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
@@ -342,6 +357,23 @@ def test_gram_suite_reports_a_disagreement_with_the_oracle(monkeypatch):
     assert r.status == "fail"
     assert r.counterexamples == ({"kind": "gram-off-closed-form", "p": 0, "q": 0},)
     assert r.metrics["first_positive_definite_integer"] is None
+
+
+# the rational points k/d, -12 <= k <= 24 and d in {1, 2, 3, 7}: 111 distinct values
+_GRID = sorted({Fraction(k, d) for k in range(-12, 25) for d in (1, 2, 3, 7)})
+
+
+@pytest.mark.parametrize(
+    "alpha, points",
+    [(0, _GRID), (1, _GRID), (2, _GRID), (3, _GRID), (4, [2, Fraction(5, 2), 3, Fraction(7, 2), 4])],
+)
+def test_gram_positive_definite_is_the_sylvester_test(alpha, points):
+    # the closed form's verdict against an exact elimination of G(x), on either
+    # side of alpha - 1 and at non-integers between alpha - 1 and alpha
+    G = gram_matrix(alpha)
+    imgs = rook_images(basis_enumerate(alpha))
+    for x in points:
+        assert verify.gram_positive_definite(imgs, x) == positive_definite(evaluate_matrix(G, x)), x
 
 
 def test_gram_suite_refuses_past_the_oracle_cap():
@@ -622,6 +654,11 @@ def test_a_repeated_point_is_checked_once(monkeypatch, suite, tamper):
 def test_verification_runs_no_elimination():
     for name in ("rank", "positive_definite", "_point_det", "_degree_bound", "evaluate_matrix"):
         assert not hasattr(verify, name), name
+    # the CLI prints G(x) but reads its verdict off the closed form
+    for name in ("positive_definite", "rank", "_pivots", "det_polynomial"):
+        assert not hasattr(cli, name), name
+    assert not hasattr(tables, "rank")
+    assert not {"rank", "positive_definite", "det_polynomial"} & set(rookalg.__all__)
 
 
 def _tamper(rule, change):
