@@ -27,10 +27,12 @@ on those states (Newman's lemma).
 The engine works on plain tuples of ints.  A state A(g) T_{js} is
 (images, js), the one-line images of g and the hole indices; the memo is
 keyed by it, and the swap and erase rules form g (uv) by exchanging two
-entries of images.  The recursion makes no Permutation and no Monomial,
-except one Monomial for each admissible state the first time it reaches
-it: that Monomial's position in `Normalizer.monomials` is the leaf id that
-normal forms are keyed by.  Callers map ids back once, after summing
+entries of images.  Words, stars, products and the table build all reach
+their states through `fuse`, the one copy of the slide relation.  The
+recursion makes no Permutation and no Monomial, except one Monomial for
+each admissible state the first time it reaches it: that Monomial's
+position in `Normalizer.monomials` is the leaf id that normal forms are
+keyed by.  Callers map ids back once, after summing
 (`Normalizer.to_monomials`), and the table build maps them to basis indices.
 Nothing enumerates the basis, so a word normalizes at any alpha.
 
@@ -131,15 +133,15 @@ def _measure(images: tuple[int, ...], js: tuple[int, ...]) -> tuple[int, int, in
     return (m, 0, img_inv)
 
 
-def fuse(p: Monomial, q: Monomial) -> State:
-    """The state A(g) T_{js} equal to the word p q, before normalization.
+def fuse(left: State, right: State) -> State:
+    """The state of the product of two states, before normalization: the one slide rule.
 
     A(g) T_I A(h) T_J = A(gh) T_{h^{-1}(I)} T_J, since each T_i slides
     through A(h) by T_i A(h) = A(h) T_{h^{-1}(i)}.
     """
-    g, h = p.perm.images, q.perm.images
+    (g, holes), (h, js) = left, right
     # h^{-1}(i) is the position of i in h's one-line images
-    return tuple([g[y - 1] for y in h]), tuple([h.index(i) + 1 for i in p.holes]) + q.holes
+    return tuple([g[y - 1] for y in h]), tuple([h.index(i) + 1 for i in holes]) + js
 
 
 def star_state(m: Monomial) -> State:
@@ -150,26 +152,27 @@ def star_state(m: Monomial) -> State:
 def word_to_state(alpha: int, tokens: Sequence[tuple[str, object]]) -> State:
     """Collect all permutation letters on the left.
 
-    Tokens are ("perm", Permutation) or ("hole", index).  Sliding a hole
-    letter through A(h) from the left turns its index into h^{-1}(index),
-    so a right-to-left sweep with the running right-hand product does it.
+    Tokens are ("perm", Permutation) or ("hole", index).  Each token is a
+    one-letter state, A(g) or T_i, and the word is their product, folded
+    from the right through `fuse`.
     """
-    h = tuple(range(1, alpha + 1))
-    js_rev: list[int] = []
+    one = tuple(range(1, alpha + 1))
+    state: State = (one, ())
     for kind, payload in reversed(list(tokens)):
         if kind == "perm":
             g = payload
             if not isinstance(g, Permutation) or g.degree != alpha:
                 raise ContextError(f"permutation token of wrong degree in alpha={alpha} word")
-            h = tuple([g.images[y - 1] for y in h])
+            letter: State = (g.images, ())
         elif kind == "hole":
             i = int(payload)  # type: ignore[call-overload]
             if not 1 <= i <= alpha:
                 raise ValueError(f"hole index {i} outside 1..{alpha}")
-            js_rev.append(h.index(i) + 1)
+            letter = (one, (i,))
         else:
             raise ValueError(f"unknown token kind {kind!r}")
-    return h, tuple(reversed(js_rev))
+        state = fuse(letter, state)
+    return state
 
 
 def _sites(images: tuple[int, ...], js: tuple[int, ...]) -> list[tuple[str, int]]:
@@ -479,7 +482,8 @@ def multiply(x: OElement, y: OElement) -> OElement:
     """Product via monomial fusion followed by normalization."""
     x._check(y)
     nz = default_normalizer()
-    terms = ((c1 * c2, nz.reduce(*fuse(m1, m2)).items()) for m1, c1 in x.items() for m2, c2 in y.items())
+    xs, ys = ([((m.perm.images, m.holes), c) for m, c in e.items()] for e in (x, y))
+    terms = ((c1 * c2, nz.reduce(*fuse(s1, s2)).items()) for s1, c1 in xs for s2, c2 in ys)
     return OElement._trusted(x.alpha, nz.to_monomials(combine(terms)))
 
 

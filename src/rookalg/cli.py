@@ -76,13 +76,9 @@ def parse_word(alpha: int, text: str) -> list[tuple[str, object]]:
 # argparse reads "--nu -1/2" as a second option, though "--nu -1" is a negative number
 _NEGATIVE_NU = "write a negative fraction as --nu=-1/2"
 
-# characters per write: a text-mode write encodes its whole argument at once,
-# so one write of a large table would hold a second, encoded copy of it
-_EMIT_CHARS = 1 << 20
-
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write text, one str or an iterable of str pieces, to the file out or to stdout."""
+    """Write text, one str or an iterable of str pieces, to the file out or to stdout, each piece whole."""
     pieces = (text,) if isinstance(text, str) else text
     if out:
         try:
@@ -90,15 +86,9 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
         with fh:
-            _write_sliced(fh, pieces)
+            fh.writelines(pieces)
     else:
-        _write_sliced(sys.stdout, pieces)
-
-
-def _write_sliced(fh, pieces: Iterable[str]) -> None:
-    for text in pieces:
-        for start in range(0, len(text), _EMIT_CHARS):
-            fh.write(text[start : start + _EMIT_CHARS])
+        sys.stdout.writelines(pieces)
 
 
 # suite -> (help, reads --n, call(alpha, n, max_counterexamples)); n is None
@@ -225,18 +215,16 @@ def _cmd_normalize(args) -> int:
             f"the {len(tokens)}-letter word needs a rewriting recursion deeper than "
             f"the interpreter's limit of {sys.getrecursionlimit()} frames"
         ) from None
-    if args.nu is not None:
-        value = parse_rational(args.nu)
-        elem = OElement(args.alpha, {m: NuPoly.constant(v) for m, v in elem.evaluate(value).items()})
+    if args.nu_value is not None:
+        elem = OElement(args.alpha, {m: NuPoly.constant(v) for m, v in elem.evaluate(args.nu_value).items()})
     print(format_element(elem))
     return 0
 
 
 def _cmd_table(args) -> int:
     tbl = structure_table(args.alpha)
-    nu = parse_rational(args.nu) if args.nu is not None else None
     # in pieces, one per basis element: the whole alpha=4 JSON text is 36.8 MB
-    _emit(tbl.csv_chunks(nu) if args.format == "csv" else tbl.json_chunks(nu), args.out)
+    _emit(tbl.csv_chunks(args.nu_value) if args.format == "csv" else tbl.json_chunks(args.nu_value), args.out)
     return 0
 
 
@@ -249,14 +237,14 @@ def _cmd_gram(args) -> int:
         kind, p, q = faults[0]
         what = "not symmetric" if kind == "asymmetry" else "off its closed form"
         raise ConsistencyError(f"the Gram matrix is {what}", {"p": p, "q": q})
-    if args.nu is None:
+    value = args.nu_value
+    if value is None:
         lines = ["[" + ", ".join(entry.pretty() for entry in row) + "]" for row in G]
         top = 4 * args.alpha
         first = next(n for n in range(top + 1) if gram_positive_definite(imgs, n))
         lines.append(f"smallest positive definite integer in [0, {top}]: {first}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
-    value = parse_rational(args.nu)
     pd = gram_positive_definite(imgs, value)
     lines = [" ".join(format_rational(entry) for entry in row) for row in evaluate_matrix(G, value)]
     lines.append(f"positive_definite: {'true' if pd else 'false'}")
@@ -314,6 +302,8 @@ def main(argv=None) -> int:
     try:
         if args.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {args.alpha}")
+        # --nu, for the commands that read it, is parsed before any work; args.nu keeps its text
+        args.nu_value = None if getattr(args, "nu", None) is None else parse_rational(args.nu)
         with capacity.override(args.capacity):
             code = _COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -8,7 +8,7 @@ distinct row once, in `rows`, and for each pair only the index of its row,
 in `row_of` (4 bytes a pair).  The rows share their terms too: the 74,525
 (r, poly) terms of the alpha=4 rows are 3,838 distinct values, and each is
 one tuple, which every row that holds it points at (`_shared_terms`).  A
-build fuses each pair to a state (images, js) of plain int tuples and
+build fuses each pair of basis states (images, js) of plain int tuples and
 reduces, indexes and checks each distinct one once, with one rewriting
 engine; the engine keys a normal form by leaf ids, which a list that grows
 as new leaves appear turns into basis indices, so rows sort on int keys.  A
@@ -288,12 +288,14 @@ class StructureTable:
     def csv_chunks(self, nu=None) -> Iterator[str]:
         """The table as CSV lines, in pieces: the header, then one piece per basis element p.
 
-        Each distinct term's "r,poly" tail is rendered once and shared by every line that ends in it.
+        Each distinct term's "r,poly" tail, newline included, is rendered once and shared by every
+        line that ends in it; each pair's "p,q," prefix is one string that its lines share.
         """
         yield "p,q,r,poly\n"
-        tails_of = self._exported_terms(nu, lambda ir, texts: f"{ir},{' '.join(texts)}")
+        tails_of = self._exported_terms(nu, lambda ir, texts: f"{ir},{' '.join(texts)}\n")
         for ip, tails_of_p in enumerate(self.map_rows(tails_of)):
-            yield "".join(f"{ip},{iq},{tail}\n" for iq, tails in enumerate(tails_of_p) for tail in tails)
+            prefixes = [f"{ip},{iq}," for iq in range(self.dimension)]
+            yield "".join([s for pq, tails in zip(prefixes, tails_of_p) for tail in tails for s in (pq, tail)])
 
 
 # what a loaded field may hold, under the name its ValueError gives it
@@ -348,14 +350,14 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
 
     use_cache=False builds afresh, kept because bench/ counter tests read a fresh build's stats.
 
-    Each pair (p, q) is fused to its state (images, js).  A state not yet
-    seen in this build is reduced by the build's one Normalizer, its leaf
-    ids mapped to basis indices, sorted and checked to have integer
+    Each pair (p, q) is `fuse` of its two basis states (images, js).  A state
+    not yet seen in this build is reduced by the build's one Normalizer, its
+    leaf ids mapped to basis indices, sorted and checked to have integer
     coefficients, once, and its row is appended to rows; every pair records
     the index of its state's row in row_of.  Each term of a new row is
     interned by value, and a row equal to an earlier one is not stored
-    again, as from_pairs interns terms and rows.  A constant that is not
-    in Z[nu] raises ConsistencyError naming the first such pair in (p, q)
+    again, as from_pairs interns terms and rows.  A constant that is not in
+    Z[nu] raises ConsistencyError naming the first such pair in (p, q)
     order, which is the pair that reached its row first.
 
     build_stats holds the Normalizer's counters (the rule firings, states,
@@ -380,8 +382,9 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
     row_index: dict[Row, int] = {}
     state_row: dict[State, int] = {}
     row_of = array("I")
-    for ip, p in enumerate(basis):
-        for iq, q in enumerate(basis):
+    states = [(m.perm.images, m.holes) for m in basis]
+    for ip, p in enumerate(states):
+        for iq, q in enumerate(states):
             state = fuse(p, q)
             i = state_row.get(state)
             if i is None:

@@ -37,13 +37,18 @@ from rookalg.combinatorics import (
     rook_count,
     rook_enumerate,
 )
-from rookalg.errors import ConsistencyError
+from rookalg.errors import ConsistencyError, ContextError
 from rookalg.nupoly import NuPoly
 from rookalg.sparse import combine
 
 
 def mono(images, holes=()):
     return Monomial(Permutation(tuple(images)), tuple(holes))
+
+
+def state_of(m: Monomial):
+    """The state (images, js) of a monomial, as `fuse` takes it."""
+    return m.perm.images, m.holes
 
 
 # ------------------------------------------------------------------ monomials
@@ -110,6 +115,49 @@ def test_word_to_state():
 
 
 @pytest.mark.parametrize(
+    "token, error, message",
+    [
+        (("perm", Permutation((2, 1, 3))), ContextError, "permutation token of wrong degree in alpha=2 word"),
+        (("hole", 3), ValueError, "hole index 3 outside 1..2"),
+        (("star", 1), ValueError, "unknown token kind 'star'"),
+    ],
+)
+def test_word_to_state_refuses_a_bad_token(token, error, message):
+    with pytest.raises(error) as excinfo:
+        word_to_state(2, [("hole", 1), token, ("perm", Permutation((2, 1)))])
+    assert str(excinfo.value) == message
+
+
+def basis_word(m: Monomial) -> list:
+    """The word A(g) T_{j_1} ... T_{j_k} of a basis monomial, as word_to_state's tokens."""
+    return [("perm", m.perm), *(("hole", j) for j in m.holes)]
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_fuse_of_two_basis_states_is_the_state_of_the_two_words(alpha):
+    basis = basis_enumerate(alpha)
+    for p in basis:
+        for q in basis:
+            assert fuse(state_of(p), state_of(q)) == word_to_state(alpha, basis_word(p) + basis_word(q))
+
+
+@st.composite
+def two_words(draw):
+    alpha = draw(st.integers(0, 6))
+    letter = st.permutations(range(1, alpha + 1)).map(lambda g: ("perm", Permutation(tuple(g))))
+    if alpha:
+        letter = letter | st.integers(1, alpha).map(lambda i: ("hole", i))
+    return alpha, draw(st.lists(letter, max_size=8)), draw(st.lists(letter, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_words())
+def test_the_state_of_a_word_is_fuse_of_the_states_of_its_halves(words):
+    alpha, u, v = words
+    assert word_to_state(alpha, u + v) == fuse(word_to_state(alpha, u), word_to_state(alpha, v))
+
+
+@pytest.mark.parametrize(
     "word,expected",
     [
         ("T2 T1", "-A(12) T1 + A(12) T2 + T1 T2"),
@@ -160,7 +208,7 @@ def test_clear_empties_the_memo_the_intern_table_and_the_leaves():
 def test_normalizer_memo_holds_one_object_per_distinct_polynomial():
     nz = Normalizer()
     basis = basis_enumerate(3)
-    nfs = [nz.reduce(*fuse(p, q)) for p in basis[-6:] for q in basis[-6:]]
+    nfs = [nz.reduce(*fuse(state_of(p), state_of(q))) for p in basis[-6:] for q in basis[-6:]]
     # the memo holds packed coefficients, one int object per value ...
     packed = [c for _, cs, _ in nz._cache.values() for c in cs]
     assert len(set(packed)) > 1 and max(map(abs, packed)) >= 2**64
@@ -249,7 +297,7 @@ def check_every_site(states) -> int:
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_every_site_agrees_on_every_state_of_the_table(alpha):
     basis = basis_enumerate(alpha)
-    check_every_site({fuse(p, q) for p in basis for q in basis})
+    check_every_site({fuse(state_of(p), state_of(q)) for p in basis for q in basis})
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])

@@ -422,12 +422,22 @@ def test_negative_counterexample_cap_exits_2():
         *((f"{c} --nu 1/0", "zero denominator in '1/0'")
           for c in ("table --alpha 2", "gram --alpha 2", "normalize --alpha 2 --word T1")),
         ("table --alpha 2 --nu 1e3", "Invalid literal for Fraction: '1e3'"),
+        # --nu is read before the capacity check and before any build
+        *((f"{c} --alpha 5 --nu abc", "Invalid literal for Fraction: 'abc'") for c in ("table", "gram")),
+        ("gram --alpha 4 --nu 1/0", "zero denominator in '1/0'"),
     ],
 )
 def test_bad_values_exit_2(command, message, monkeypatch):
     words = command.split()
     if "=" in words[0]:  # a leading NAME=value sets the environment
         monkeypatch.setenv(*words.pop(0).split("=", 1))
+
+    def build(alpha):
+        raise AssertionError(f"built at alpha={alpha}")
+
+    # a bad value is refused before anything is built
+    monkeypatch.setattr(cli, "gram_matrix", build)
+    monkeypatch.setattr(cli, "structure_table", build)
     code, out, err = run_cli(*words)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -486,20 +496,17 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly():
 
 
 def test_emit_writes_the_bytes_of_one_plain_write(tmp_path):
-    # about 2.5 Mi characters; multi-byte characters sit on both sides of every
-    # slice boundary, so a slice cut by bytes instead of characters would show
+    # about 2.5 Mi characters, with multi-byte characters throughout
     pattern = "a\u00e9\u20ac\U0001f600\n"
     text = pattern * (int(2.5 * 2**20) // len(pattern))
-    for boundary in range(cli._EMIT_CHARS, len(text), cli._EMIT_CHARS):
-        assert not text[boundary - 1 : boundary + 1].isascii()
     plain = tmp_path / "plain.txt"
     with open(plain, "w", encoding="utf-8") as fh:
         fh.write(text)
     emitted = tmp_path / "emitted.txt"
     cli._emit(text, str(emitted))
     assert emitted.read_bytes() == plain.read_bytes() == text.encode("utf-8")
-    # the same text as pieces, one longer than a slice, each cut between multi-byte characters
-    cuts = [0, 3, cli._EMIT_CHARS + 7, 2 * cli._EMIT_CHARS + 1, len(text)]
+    # the same text as pieces, each cut between multi-byte characters
+    cuts = [0, 3, 2**20 + 7, 2**21 + 1, len(text)]
     for cut in cuts[1:-1]:
         assert not text[cut - 1 : cut + 1].isascii()
     in_pieces = tmp_path / "in_pieces.txt"

@@ -35,6 +35,11 @@ NU = NuPoly.nu()
 ONE = NuPoly.one()
 
 
+def state_of(m: Monomial):
+    """The state (images, js) of a basis monomial, as `fuse` takes it."""
+    return m.perm.images, m.holes
+
+
 def test_table_alpha1_golden():
     t = structure_table(1)
     assert t.dimension == 2
@@ -167,7 +172,7 @@ def test_non_integral_constant_raises(monkeypatch):
     # the payload names the first of them in (p, q) order
     basis = basis_enumerate(2)
     state = ((1, 2), (1, 1))
-    pairs = [(ip, iq) for ip, p in enumerate(basis) for iq, q in enumerate(basis) if fuse(p, q) == state]
+    pairs = [(ip, iq) for ip, p in enumerate(basis) for iq, q in enumerate(basis) if fuse(state_of(p), state_of(q)) == state]
     assert len(pairs) > 1
     with pytest.raises(ConsistencyError) as excinfo:
         structure_table(2, use_cache=False)
@@ -178,7 +183,7 @@ def test_non_integral_constant_raises(monkeypatch):
 def test_map_rows_maps_each_distinct_row_once():
     built = structure_table(3, use_cache=False)
     # one row per distinct fused state, and one row index per pair
-    states = {fuse(p, q) for p in built.basis for q in built.basis}
+    states = {fuse(state_of(p), state_of(q)) for p in built.basis for q in built.basis}
     assert len(built.rows) == len(set(built.rows)) == len(states)
     assert len(built.row_of) == built.dimension**2
     # a loaded table, and the same entries given in reverse (p, q) order, intern
@@ -201,7 +206,7 @@ def test_map_rows_maps_each_distinct_row_once():
 def test_shared_rows_export_like_unshared_rows(monkeypatch):
     shared = structure_table(3, use_cache=False)
     # one row per distinct fused state, shared by the pairs that reach it
-    states = {fuse(p, q) for p in shared.basis for q in shared.basis}
+    states = {fuse(state_of(p), state_of(q)) for p in shared.basis for q in shared.basis}
     assert len(shared.rows) == len(states) < len(shared.row_of)
     # the same products with one row per pair, so that no row is shared
     n = shared.dimension**2
