@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, starmap
+from operator import ge, gt
 from typing import Sequence
 
 from .combinatorics import PartialInjection, Permutation, rook_enumerate
@@ -125,12 +127,10 @@ State = tuple[tuple[int, ...], tuple[int, ...]]
 def _measure(images: tuple[int, ...], js: tuple[int, ...]) -> tuple[int, int, int]:
     """Strictly decreasing along every rewrite: (length, weak inversions, image inversions)."""
     m = len(js)
-    weak = sum(1 for s in range(m) for t in range(s + 1, m) if js[s] >= js[t])
+    weak = sum(starmap(ge, combinations(js, 2)))
     if weak:
         return (m, weak, m * m)
-    hit = [images[j - 1] for j in js]
-    img_inv = sum(1 for s in range(m) for t in range(s + 1, m) if hit[s] > hit[t])
-    return (m, 0, img_inv)
+    return (m, 0, sum(starmap(gt, combinations([images[j - 1] for j in js], 2))))
 
 
 def fuse(left: State, right: State) -> State:

@@ -8,21 +8,24 @@ distinct row once, in `rows`, and for each pair only the index of its row,
 in `row_of` (4 bytes a pair).  The rows share their terms too: the 74,525
 (r, poly) terms of the alpha=4 rows are 3,838 distinct values, and each is
 one tuple, which every row that holds it points at (`_shared_terms`).  A
-build fuses each pair of basis states (images, js) of plain int tuples and
-reduces, indexes and checks each distinct one once, with one rewriting
-engine; the engine keys a normal form by leaf ids, which a list that grows
-as new leaves appear turns into basis indices, so rows sort on int keys.  A
-table read from outside goes through `StructureTable.from_pairs`, which
-interns its terms and rows by value, so a loaded table has the same layout
-as the built one and equals it.  Every read that turns each pair's row into
-a result (the JSON and CSV exports, the trace form, the scaled limit and the
-oracle crosscheck's right-hand sides) goes through `StructureTable.map_rows`,
-which maps each row once and returns the dimension x dimension matrix of
-results, out[p][q], so only `StructureTable` knows where a pair's row index
-sits in `row_of`.
+build keys each pair's fused state A(g) T_js by one int made of the ids of
+js and of g, with `fuse` run once per hole set and basis element and once
+per distinct state, not once per pair; it reduces, indexes and checks each
+distinct state once, with one rewriting engine.  The engine keys a normal
+form by leaf ids, which a list that grows as new leaves appear turns into
+basis indices, so rows sort on int keys.  A table read from outside goes
+through `StructureTable.from_pairs`, which interns its terms and rows by
+value, so a loaded table has the same layout as the built one and equals it.
+Every read that turns each pair's row into a result (the JSON and CSV
+exports, the trace form, the scaled limit and the oracle crosscheck's
+right-hand sides) goes through `StructureTable.map_rows`, which maps each
+row once and returns the dimension x dimension matrix of results, out[p][q],
+so only `StructureTable` knows where a pair's row index sits in `row_of`.
 `StructureTable.json_chunks` holds the one JSON layout and yields the text
-in pieces, one per basis element p, so a writer never holds the whole
-export; `canonical_json` joins them.  `csv_chunks` does the same for CSV.
+in pieces, one per pair, so a writer never holds the whole export nor a
+whole row of p (1.26 M chars at alpha=4); `canonical_json` joins them.
+`csv_chunks` yields CSV in pieces too, one per basis element p: its largest
+is 232 KB at alpha=4, and a piece per pair took a third longer to drain.
 Both render each distinct term's text once per export, and a row's export is
 a tuple of those shared texts (with JSON's separators), so at alpha=4 an
 export holds 3,838 term texts, not one text per row.
@@ -148,12 +151,14 @@ class StructureTable:
         """The table as JSON in pieces, indented as json.dumps(indent=2) would, with a final newline.
 
         The first piece holds the header and the basis, then one piece per
-        basis element p holds its dimension entries, and the last piece
-        closes the text.  "constants" holds one {"p", "q", "terms"} entry per
-        pair in (p, q) order.  Each distinct term's text is rendered once, and
-        each row once, as a tuple of pieces (the list's separators and the
-        shared term texts) that every entry pointing at that row extends its
-        p's chunk with; no row is joined into a text of its own.
+        pair (p, q), in that order, holds its {"p", "q", "terms"} entry of
+        "constants" (with the separator before it), and the last piece closes
+        the text, so no piece grows with a whole row of p: at alpha=4 the
+        largest is 30,646 chars, where one piece per p reached 1,258,577.  Each
+        distinct term's text is rendered once, and each row once, as a tuple
+        of pieces (the list's separators and the shared term texts) that each
+        entry pointing at that row joins into its own piece; no row is joined
+        into a text of its own.
         """
         nu_text = "null" if nu is None else f'"{format_rational(Fraction(nu))}"'
         basis = [
@@ -181,15 +186,13 @@ class StructureTable:
             out[0], out[1::2], out[-1] = opening, texts, closing
             return tuple(out)
 
+        qs = [f'\n      "q": {iq},\n      "terms": ' for iq in range(self.dimension)]
         sep = "[\n    "
         for ip, pieces_of_p in enumerate(self.map_rows(pieces)):
-            chunk = []
-            for iq, row_pieces in enumerate(pieces_of_p):
-                chunk.append(f'{sep}{{\n      "p": {ip},\n      "q": {iq},\n      "terms": ')
-                chunk += row_pieces
-                chunk.append("\n    }")
+            p = f'{{\n      "p": {ip},'
+            for q, row_pieces in zip(qs, pieces_of_p):
+                yield "".join((sep, p, q, *row_pieces, "\n    }"))
                 sep = ",\n    "
-            yield "".join(chunk)
         yield "\n  ]\n}\n" if self.dimension else "[]\n}\n"
 
     def canonical_json(self, nu=None) -> str:
@@ -342,6 +345,32 @@ def _shared_terms(terms, shared: dict[Term, Term]) -> Row:
     return tuple([shared.setdefault(term, term) for term in terms])
 
 
+def _pair_keys(alpha: int, states: list[State]) -> Iterator[list[int]]:
+    """For each state p = (g, I) of states, in order, the int key of each pair (p, q) of states.
+
+    Two pairs have equal keys exactly when they fuse to equal states.
+    A(g) T_I q = A(g) (A(1) T_I q) = (g h, js), where A(1) T_I q = (h, js), so
+    each hole set I is fused with each q once (16 x 209 calls at alpha=4),
+    and the key of (p, q) is js_id * alpha! + id(g h), with g h read from a
+    table of the products in S_alpha, so states must hold every permutation
+    of S_alpha, as the basis states do.  No state of a pair is made here.
+    """
+    perm_id: dict[tuple[int, ...], int] = {}
+    # the id of each q's permutation h, which A(1) T_I q keeps
+    hs = [perm_id.setdefault(h, len(perm_id)) for h, _ in states]
+    perms = list(perm_id)
+    compose = [[perm_id[fuse((g, ()), (h, ()))[0]] for h in perms] for g in perms]
+    one = tuple(range(1, alpha + 1))
+    js_id: dict[tuple[int, ...], int] = {}
+    # hole set I -> js_id * alpha! of the js of each A(1) T_I q
+    slid: dict[tuple[int, ...], list[int]] = {}
+    for g, holes in states:
+        if holes not in slid:
+            slid[holes] = [js_id.setdefault(fuse((one, holes), q)[1], len(js_id)) * len(perms) for q in states]
+        after_g = compose[perm_id[g]]
+        yield [k + after_g[h] for k, h in zip(slid[holes], hs)]
+
+
 _TABLE_CACHE: dict[int, StructureTable] = {}
 
 
@@ -350,11 +379,15 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
 
     use_cache=False builds afresh, kept because bench/ counter tests read a fresh build's stats.
 
-    Each pair (p, q) is `fuse` of its two basis states (images, js).  A state
-    not yet seen in this build is reduced by the build's one Normalizer, its
-    leaf ids mapped to basis indices, sorted and checked to have integer
-    coefficients, once, and its row is appended to rows; every pair records
-    the index of its state's row in row_of.  Each term of a new row is
+    The product of pair (p, q) is the state `fuse` of their basis states
+    (images, js).  `_pair_keys` gives each pair an int key, equal exactly
+    when the fused states are, without making the pairs' states; the 43,681
+    alpha=4 pairs reach 3,928 keys, and only a new key's state is made, by
+    `fuse(p, q)`.  The loop runs in (p, q) order.  A new state is
+    reduced by the build's one Normalizer, its leaf ids mapped to basis
+    indices, sorted and checked to have integer coefficients, once, and its
+    row is appended to rows; every pair records the index of its key's row
+    in row_of.  Each term of a new row is
     interned by value, and a row equal to an earlier one is not stored
     again, as from_pairs interns terms and rows.  A constant that is not in
     Z[nu] raises ConsistencyError naming the first such pair in (p, q)
@@ -380,27 +413,27 @@ def structure_table(alpha: int, *, use_cache: bool = True) -> StructureTable:
     basis_of: list[int] = []
     shared: dict[Term, Term] = {}
     row_index: dict[Row, int] = {}
-    state_row: dict[State, int] = {}
     row_of = array("I")
     states = [(m.perm.images, m.holes) for m in basis]
-    for ip, p in enumerate(states):
-        for iq, q in enumerate(states):
-            state = fuse(p, q)
-            i = state_row.get(state)
-            if i is None:
-                nf = nz.reduce(*state)
-                basis_of += map(index.__getitem__, nz.monomials[len(basis_of) :])
-                row = _shared_terms(sorted([(basis_of[k], c) for k, c in nf.items()], key=itemgetter(0)), shared)
-                # every rule coefficient lies in Z[nu], so every structure constant must too
-                for ir, poly in row:
-                    for c in poly.coeffs:
-                        if type(c) is not int:
-                            raise ConsistencyError(
-                                "non-integral structure constant",
-                                {"p": ip, "q": iq, "r": ir, "coefficient": format_rational(c)},
-                            )
-                i = state_row[state] = row_index.setdefault(row, len(row_index))
-            row_of.append(i)
+    key_row: dict[int, int] = {}
+    for ip, keys in enumerate(_pair_keys(alpha, states)):
+        p = states[ip]
+        for iq, key in enumerate(keys):
+            if key in key_row:
+                continue
+            nf = nz.reduce(*fuse(p, states[iq]))
+            basis_of += map(index.__getitem__, nz.monomials[len(basis_of) :])
+            row = _shared_terms(sorted([(basis_of[k], c) for k, c in nf.items()], key=itemgetter(0)), shared)
+            # every rule coefficient lies in Z[nu], so every structure constant must too
+            for ir, poly in row:
+                for c in poly.coeffs:
+                    if type(c) is not int:
+                        raise ConsistencyError(
+                            "non-integral structure constant",
+                            {"p": ip, "q": iq, "r": ir, "coefficient": format_rational(c)},
+                        )
+            key_row[key] = row_index.setdefault(row, len(row_index))
+        row_of.extend(map(key_row.__getitem__, keys))
     stats = dict(nz.stats, dimension=len(basis), elapsed_s=time.perf_counter() - t0)
     table = StructureTable(alpha, basis, tuple(row_index), row_of, stats)
     if use_cache:

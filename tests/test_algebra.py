@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rookalg import algebra
+from rookalg import algebra, tables
 from rookalg.algebra import (
     Monomial,
     Normalizer,
@@ -383,6 +383,26 @@ def test_shorter_children_are_not_measured(monkeypatch):
     # a swap's first child has the parent's length, so both are measured
     Normalizer().reduce((1, 2), (2, 1))
     assert calls == [(2, 1), (1, 2)]
+
+
+def test_measure_counts_inversions_as_the_quadratic_definition(monkeypatch):
+    # on every state the alpha=4 table build reduces: (length, pairs s < t with
+    # js[s] >= js[t], and when there are none, pairs whose hole images invert)
+    def quadratic(images, js):
+        m = len(js)
+        weak = sum(1 for s in range(m) for t in range(s + 1, m) if js[s] >= js[t])
+        if weak:
+            return (m, weak, m * m)
+        hit = [images[j - 1] for j in js]
+        return (m, 0, sum(1 for s in range(m) for t in range(s + 1, m) if hit[s] > hit[t]))
+
+    made = []
+    monkeypatch.setattr(tables, "Normalizer", lambda: made.append(Normalizer()) or made[-1])
+    tables.structure_table(4, use_cache=False)
+    (nz,) = made
+    assert len(nz._cache) == 10295
+    for images, js in nz._cache:
+        assert algebra._measure(images, js) == quadratic(images, js)
 
 
 # a partial injection of degree 0..6: a permutation with some points undefined

@@ -19,6 +19,7 @@ from rookalg.nupoly import NuPoly
 from rookalg import verify
 from rookalg.tables import (
     StructureTable,
+    _pair_keys,
     _pivots,
     check_associativity,
     det_polynomial,
@@ -98,6 +99,38 @@ def test_rewrite_counters_alpha4():
     assert len(t.rows) == 3928
 
 
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_pair_keys_are_equal_exactly_when_fused_states_are(alpha):
+    states = [state_of(m) for m in basis_enumerate(alpha)]
+    keys = [key for keys_of_p in _pair_keys(alpha, states) for key in keys_of_p]
+    fused = [fuse(p, q) for p in states for q in states]
+    assert len(keys) == len(fused)
+    assert len(set(keys)) == len(set(zip(keys, fused))) == len(set(fused))
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3, 4])
+def test_build_matches_a_loop_that_fuses_every_pair(alpha):
+    # the build slides each hole set through each q once and keys a pair by two
+    # ints; a loop that fuses every pair (p, q) in full must give the same table
+    basis = basis_enumerate(alpha)
+    index = {m: i for i, m in enumerate(basis)}
+    nz = Normalizer()
+    state_row, row_index, row_of = {}, {}, array("I")
+    for p in basis:
+        for q in basis:
+            state = fuse(state_of(p), state_of(q))
+            if state not in state_row:
+                nf = nz.to_monomials(nz.reduce(*state))
+                row = tuple(sorted((index[m], c) for m, c in nf.items()))
+                state_row[state] = row_index.setdefault(row, len(row_index))
+            row_of.append(state_row[state])
+    t = structure_table(alpha)
+    assert t.rows == tuple(row_index)
+    assert t.row_of == row_of
+    stats = {k: v for k, v in t.build_stats.items() if k != "elapsed_s"}
+    assert stats == dict(nz.stats, dimension=len(basis))
+
+
 def test_alpha3_exports_are_byte_identical():
     # digests of the full alpha=3 table as first released; the normal form
     # must not depend on how the rewriting memo is shared or filled
@@ -130,11 +163,15 @@ def test_a_loaded_table_shares_its_terms_like_a_built_one():
     assert len({id(term) for term in held}) == len(set(held)) == 269
 
 
-@pytest.mark.parametrize("export,bound_mb", [("json_chunks", 7), ("csv_chunks", 5)])
+@pytest.mark.parametrize(
+    "export,bound_mb", [("json_chunks", 7), ("json_chunks", 3.5), ("csv_chunks", 5)]
+)
 def test_an_export_holds_each_distinct_term_text_once(export, bound_mb):
     # the alpha=4 rows hold 3,838 distinct terms; the exports render each
-    # once and share its text among the rows, peaking near 4.5 MB (JSON)
-    # and 2.6 MB (CSV), where a joined text per distinct row needs 10.7 and 7.0 MB
+    # once and share its text among the rows, peaking near 2.6 MB (JSON, one
+    # piece per pair) and 1.9 MB (CSV), where a joined text per distinct row
+    # needs 10.7 and 7.0 MB; a JSON piece per p peaked near 4.5 MB, under
+    # the first JSON bound but not under the second
     chunks = getattr(structure_table(4), export)
     tracemalloc.start()
     try:
@@ -260,8 +297,25 @@ def test_canonical_json_matches_json_dumps(alpha, nu):
     assert json.loads(text) == expected
     # the layout and the key order
     assert text == json.dumps(expected, indent=2) + "\n"
-    # the header and basis, one piece per p, and the closing text
-    assert len(list(t.json_chunks(nu))) == t.dimension + 2
+    # the header and basis, one piece per pair, and the closing text
+    assert len(list(t.json_chunks(nu))) == t.dimension**2 + 2
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 3])
+@pytest.mark.parametrize("nu", [None, 0])
+def test_each_json_piece_after_the_header_holds_one_pair(alpha, nu):
+    t = structure_table(alpha)
+    header, *pairs, closing = t.json_chunks(nu)
+    assert header.endswith('"constants": ')
+    assert closing == "\n  ]\n}\n"
+    expected = [(ip, iq) for ip in range(t.dimension) for iq in range(t.dimension)]
+    assert len(pairs) == len(expected)
+    for k, (piece, (ip, iq)) in enumerate(zip(pairs, expected)):
+        # the list's opening bracket, or the comma after the previous entry
+        assert piece.startswith("[\n    {" if k == 0 else ",\n    {")
+        entry = json.loads(piece[1:])
+        assert list(entry) == ["p", "q", "terms"]
+        assert (entry["p"], entry["q"]) == (ip, iq)
 
 
 def test_cli_table_json_same_bytes_to_file_and_stdout(tmp_path):
