@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import capacity, verify
 from .algebra import (
@@ -77,18 +77,39 @@ def parse_word(alpha: int, text: str) -> list[tuple[str, object]]:
 _NEGATIVE_NU = "write a negative fraction as --nu=-1/2"
 
 
+_WRITE_CHARS = 1 << 16
+
+
+def _batches(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces, joined in order into texts of at least _WRITE_CHARS chars each, and the rest."""
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _WRITE_CHARS:
+            yield "".join(batch)
+            batch, size = [], 0
+    if batch:
+        yield "".join(batch)
+
+
 def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write text, one str or an iterable of str pieces, to the file out or to stdout, each piece whole."""
-    pieces = (text,) if isinstance(text, str) else text
+    """Write text, one str or an iterable of str pieces, to the file out or to stdout.
+
+    The pieces go out in writes of about 64 Ki chars, so a table of tens of
+    thousands of pieces is not a write call per piece.
+    """
+    batches = _batches((text,) if isinstance(text, str) else text)
     if out:
         try:
             fh = open(out, "w", encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
         with fh:
-            fh.writelines(pieces)
+            fh.writelines(batches)
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(batches)
 
 
 # suite -> (help, reads --n, call(alpha, n, max_counterexamples)); n is None

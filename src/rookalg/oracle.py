@@ -4,14 +4,17 @@ Everything here is brute force on purpose: explicit permutations, exact
 rational coefficients, and convolution straight from the definition.  The
 symmetric group of the tail block {alpha+1, ..., alpha+n} plays the role
 of the subgroup K; its double cosets are indexed by partial injections of
-{1, ..., alpha} through the corner map.
+{1, ..., alpha} through the corner map.  One generator, _coset_members,
+lists a coset's members in increasing order: coset_enumerate keeps them
+all, canonical_completion the first.
 
 Bi-invariant elements multiply by two routes that must agree.  The "fast"
 route sums over a quotient of K: the corner of U_sigma k U_tau depends on
 k only through its restriction to the r_tau = alpha - rank(tau) tail
 points that U_tau sends the corner into, so it sums over the injections
 of those points into the tail, each adding the falling-factorial weight
-(n)_{r_sigma} / (n)_{r_rho} to the corner rho it gives.  The
+(n)_{r_sigma} / (n)_{r_rho} to the corner rho it gives.  It reads U_sigma
+and U_tau off the two rooks and builds no permutation.  The
 "convolve" route is still the full double sum over both supports in the
 group algebra of S_{alpha+n}, accumulated in integers: every product g h
 is formed, one bytes.translate call each, and the products are tallied
@@ -29,9 +32,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, permutations as _permutations
+from itertools import permutations as _permutations
 from math import factorial, perm
 from operator import attrgetter
+from typing import Iterator
 
 from .combinatorics import (
     PartialInjection,
@@ -154,10 +158,8 @@ def coset_corank(sigma: PartialInjection) -> int:
 
 def coset_size(ctx: Context, sigma: PartialInjection) -> int:
     """Number of permutations whose corner equals sigma: (n!)^2 / (n-r)! = n! (n)_r."""
-    r = coset_corank(sigma)
-    if r > ctx.n:
-        raise EmptyCosetError(f"rank {sigma.rank} is too small for n={ctx.n} (need rank >= alpha-n)")
-    return factorial(ctx.n) * perm(ctx.n, r)
+    _require_coset(ctx, sigma)
+    return factorial(ctx.n) * perm(ctx.n, coset_corank(sigma))
 
 
 def _require_coset(ctx: Context, sigma: PartialInjection) -> None:
@@ -168,26 +170,8 @@ def _require_coset(ctx: Context, sigma: PartialInjection) -> None:
         raise EmptyCosetError(f"key {sigma.serialize()} indexes no coset at n={ctx.n}")
 
 
-@lru_cache(maxsize=None)
-def canonical_completion(sigma: PartialInjection, ctx: Context) -> Permutation:
-    """Deterministic coset representative with the given corner.
-
-    The points 1 .. alpha go where sigma sends them, its r undefined
-    sources to alpha+1, alpha+2, ... in order; the tail points alpha+1 ..
-    alpha+r go to the r corner targets without a preimage, in increasing
-    order; the rest of the tail, alpha+r+1 .. alpha+n, is fixed.
-    """
-    _require_coset(ctx, sigma)
-    alpha = ctx.alpha
-    cols = count(alpha + 1)
-    head = tuple(next(cols) if v is None else v for v in sigma.target)
-    missing = sigma.missing()
-    return Permutation(head + missing + tuple(range(alpha + len(missing) + 1, ctx.degree + 1)))
-
-
-@lru_cache(maxsize=None)
-def coset_enumerate(sigma: PartialInjection, ctx: Context) -> tuple[Permutation, ...]:
-    """All permutations of S_{alpha+n} whose corner equals sigma, in increasing order.
+def _coset_members(sigma: PartialInjection, ctx: Context) -> Iterator[Permutation]:
+    """The permutations of S_{alpha+n} whose corner equals sigma, in increasing order.
 
     Each injection outs of the undefined sources into the tail gives a
     prefix, sigma's target row with its holes filled from outs in order;
@@ -196,16 +180,32 @@ def coset_enumerate(sigma: PartialInjection, ctx: Context) -> tuple[Permutation,
     come from sorted inputs, so the members come out in increasing order.
     """
     _require_coset(ctx, sigma)
-    alpha = ctx.alpha
     missing = sigma.missing()
-    tails = range(alpha + 1, ctx.degree + 1)
-    out: list[Permutation] = []
+    tails = range(ctx.alpha + 1, ctx.degree + 1)
     for outs in _permutations(tails, len(missing)):
         fills = iter(outs)
         prefix = tuple(next(fills) if v is None else v for v in sigma.target)
         rest = tuple(t for t in tails if t not in outs)
-        out.extend(Permutation(prefix + fill) for fill in _permutations(missing + rest))
-    return tuple(out)
+        for fill in _permutations(missing + rest):
+            yield Permutation(prefix + fill)
+
+
+@lru_cache(maxsize=None)
+def canonical_completion(sigma: PartialInjection, ctx: Context) -> Permutation:
+    """The least member of the coset of sigma, its deterministic representative.
+
+    The points 1 .. alpha go where sigma sends them, its r undefined
+    sources to alpha+1, alpha+2, ... in order; the tail points alpha+1 ..
+    alpha+r go to the r corner targets without a preimage, in increasing
+    order; the rest of the tail, alpha+r+1 .. alpha+n, is fixed.
+    """
+    return next(_coset_members(sigma, ctx))
+
+
+@lru_cache(maxsize=None)
+def coset_enumerate(sigma: PartialInjection, ctx: Context) -> tuple[Permutation, ...]:
+    """All permutations of S_{alpha+n} whose corner equals sigma, in increasing order."""
+    return tuple(_coset_members(sigma, ctx))
 
 
 class BiinvariantElement(SparseVector):
@@ -288,16 +288,20 @@ def gen_hole(i: int, ctx: Context) -> BiinvariantElement:
 
 
 def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> BiinvariantElement:
-    """Single-sum product over a quotient of the tail subgroup.
+    """Single-sum product over a quotient of the tail subgroup, read off the two rooks.
 
-    U_tau sends r_tau = alpha - rank(tau) corner points into a set L of tail
-    points, and k in the tail subgroup fixes the corner, so the corner rho of
+    U_tau, the canonical completion of tau, sends its r_tau = alpha - rank(tau)
+    undefined sources to the tail points L = alpha+1 .. alpha+r_tau in order,
+    and k in the tail subgroup fixes the corner, so the corner rho of
     U_sigma k U_tau depends on k only through its restriction to L.  Each k
     adds |c_sigma| |c_tau| / ((n!)^2 |c_rho|) to e_rho, and an injection of L
     into the tail stands for n! / (n)_{r_tau} of them; as |c_sigma| =
-    n! (n)_{r_sigma}, an injection adds (n)_{r_sigma} / (n)_{r_rho}.  Each
-    operand is scaled by the lcm of its denominators, so the tallies are
-    integers; each corner's coefficient is one Fraction, built at the end.
+    n! (n)_{r_sigma}, an injection adds (n)_{r_sigma} / (n)_{r_rho}.  The
+    corner entry U_sigma sends each point to is read off sigma: its target
+    row on 1 .. alpha, its missing targets on the next r_sigma points, and
+    none on the rest of the tail.  Each operand is scaled by the lcm of its
+    denominators, so the tallies are integers; each corner's coefficient is
+    one Fraction, built at the end.
     """
     ctx = x.ctx
     alpha, n = ctx.alpha, ctx.n
@@ -306,15 +310,15 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
     dy, y_ints = integral(y.items())
     ys = []
     for tau, cy in y_ints:
-        head = canonical_completion(tau, ctx).images[:alpha]
-        slots = [i for i, p in enumerate(head) if p > alpha]  # the corner points sent into L
+        head = tau.serialize()  # 0 at each undefined source, where u_corner holds None
+        slots = [i for i, p in enumerate(head) if not p]  # the corner points sent into L
         ys.append((head, slots, cy))
     acc: dict[tuple[int | None, ...], int] = defaultdict(int)
     for sigma, cx in xs:
-        u = canonical_completion(sigma, ctx)
-        # the corner entry u sends each point p to, indexed by p
-        u_corner = (None,) + tuple(p if p <= alpha else None for p in u.images)
-        weight_x = cx * perm(n, coset_corank(sigma))
+        r = coset_corank(sigma)
+        # the corner entry U_sigma sends each point p to, indexed by p
+        u_corner = (None, *sigma.target, *sigma.missing(), *(None,) * (n - r))
+        weight_x = cx * perm(n, r)
         for head, slots, cy in ys:
             # k fixes the other corner points; the slots are overwritten per injection
             row = [u_corner[p] for p in head]
@@ -324,7 +328,7 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
                     row[i] = u_corner[p]
                 acc[tuple(row)] += weight
     d = dx * dy
-    # distinct points of u's one-line images, read through its injective corner
+    # distinct points of U_sigma's one-line images, read through its injective corner
     out = {PartialInjection._trusted(c): Fraction(t, d * perm(n, c.count(None))) for c, t in acc.items()}
     return BiinvariantElement._trusted(ctx, out)
 

@@ -512,3 +512,22 @@ def test_emit_writes_the_bytes_of_one_plain_write(tmp_path):
     in_pieces = tmp_path / "in_pieces.txt"
     cli._emit((text[a:b] for a, b in zip(cuts, cuts[1:])), str(in_pieces))
     assert in_pieces.read_bytes() == plain.read_bytes()
+
+
+def test_emit_joins_the_pieces_into_writes_of_about_64_kib():
+    # the alpha=4 JSON is 43,683 pieces, one per pair; each write but the last holds at least 64 Ki chars
+    class CountingWrites(io.StringIO):
+        writes = 0
+
+        def write(self, s):
+            self.writes += 1
+            return super().write(s)
+
+    out = CountingWrites()
+    with redirect_stdout(out):
+        assert main(["table", "--alpha", "4", "--format", "json"]) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "259fe9eddc3e52588fd9c026d89ba65ae66ea1c1cae2cfef6f0d0c29a0f79ba1"
+    )
+    assert 1 < out.writes <= -(-len(text) // 2**16) + 1

@@ -38,6 +38,7 @@ from rookalg.oracle import (
     project_biinvariant,
     subgroup_elements,
 )
+from rookalg import oracle
 from rookalg.verify import monomial_images
 
 
@@ -255,6 +256,19 @@ def test_cosets_and_completions_match_their_definition():
                 assert canonical_completion(sigma, ctx) == first, (alpha, n, sigma)
 
 
+def test_the_canonical_completion_is_the_least_member_of_its_coset():
+    # every coset of degree up to 8; the uncached enumeration keeps no member
+    cosets = 0
+    for alpha in range(5):
+        for n in range(9 - alpha):
+            ctx = Context(alpha, n)
+            for sigma in rook_enumerate(alpha):
+                if coset_corank(sigma) <= n:
+                    assert canonical_completion(sigma, ctx) == coset_enumerate.__wrapped__(sigma, ctx)[0]
+                    cosets += 1
+    assert cosets == 985
+
+
 # ------------------------------------------------------- biinvariant elements
 
 
@@ -284,7 +298,11 @@ def test_from_group_rejects_a_full_coset_with_one_value_off():
     assert err.value.payload["seen"] == err.value.payload["coset_size"] == coset_size(ctx, sigma)
 
 
-@pytest.mark.parametrize("fn", [canonical_completion, coset_enumerate], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "fn",
+    [canonical_completion, coset_enumerate, pytest.param(lambda sigma, ctx: coset_size(ctx, sigma), id="coset_size")],
+    ids=lambda f: f.__name__,
+)
 def test_coset_functions_refuse_a_key_that_indexes_no_coset(fn):
     ctx = Context(2, 1)
     with pytest.raises(ContextError):
@@ -346,6 +364,20 @@ def test_convolve_product_matches_fast_product_at_degree_8():
     for _ in range(4):
         x, y = rng.choice(images), rng.choice(images)
         assert dc_multiply(x, y, via="convolve") == dc_multiply(x, y, via="fast")
+
+
+@pytest.mark.parametrize("alpha,n", [(2, 4), (3, 3)])
+def test_fast_product_reads_only_the_two_rooks(monkeypatch, alpha, n):
+    ctx = Context(alpha, n)
+    images = monomial_images(basis_enumerate(alpha), ctx)
+    want = [[dc_multiply(x, y, via="fast") for y in images] for x in images]
+
+    def no_permutation(sigma, ctx):
+        raise AssertionError(f"the fast product built a permutation for {sigma}")
+
+    monkeypatch.setattr(oracle, "canonical_completion", no_permutation)
+    monkeypatch.setattr(oracle, "coset_enumerate", no_permutation)
+    assert [[dc_multiply(x, y, via="fast") for y in images] for x in images] == want
 
 
 def full_sum_product(x: BiinvariantElement, y: BiinvariantElement) -> BiinvariantElement:

@@ -327,6 +327,18 @@ def test_cli_table_json_same_bytes_to_file_and_stdout(tmp_path):
     assert target.read_bytes() == out.getvalue().encode()
 
 
+def test_a_pair_with_no_terms_exports_an_empty_list():
+    # no built row at alpha <= 3 vanishes, so the entry is loaded: (1, 1) of alpha=1 with no terms
+    base = structure_table(1)
+    t = StructureTable.from_pairs(1, base.basis, {**base.constants, (1, 1): ()}.items())
+    text = t.canonical_json()
+    obj = json.loads(text)
+    assert obj["constants"][3] == {"p": 1, "q": 1, "terms": []}
+    assert text == json.dumps(obj, indent=2) + "\n"
+    assert "".join(t.csv_chunks()) == "p,q,r,poly\n0,0,0,1/1\n0,1,1,1/1\n1,0,1,1/1\n"
+    assert StructureTable.from_json_obj(obj) == t
+
+
 def test_json_roundtrip():
     for alpha in (1, 2, 3):
         t = structure_table(alpha)
@@ -494,6 +506,17 @@ def test_associativity_sampled_is_reproducible():
     plan_a = check_associativity(t, samples=100, seed=11)
     plan_b = check_associativity(t, samples=100, seed=11)
     assert plan_a == plan_b == []
+
+
+def test_associativity_names_the_triples_a_tampered_row_breaks():
+    # A(12) A(12) = 1 at alpha=2, doubled to 2
+    t = structure_table(2)
+    bad = StructureTable.from_pairs(2, t.basis, {**t.constants, (1, 1): ((0, NuPoly.constant(2)),)}.items())
+    assert check_associativity(bad) == [
+        (1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 1, 5), (1, 1, 6), (1, 2, 5), (1, 3, 2), (1, 4, 3),
+        (1, 4, 6), (1, 5, 4), (1, 6, 2), (1, 6, 6), (2, 1, 1), (2, 5, 1), (3, 1, 1), (3, 2, 1),
+        (4, 1, 1), (4, 3, 1), (4, 6, 1), (5, 1, 1), (5, 4, 1), (6, 1, 1), (6, 2, 1), (6, 6, 1),
+    ]
 
 
 # -------------------------------------------------------------------- forms

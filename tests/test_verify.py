@@ -9,6 +9,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,58 @@ def test_crosscheck_structure_passes(alpha, n):
 def test_crosscheck_dual_route_runs_at_small_degree():
     r = crosscheck_structure(1, 2)
     assert r.metrics["dual_route_pairs"] > 0
+
+
+def _tamper_products(monkeypatch, change):
+    """Make the suites read each product dc_multiply(x, y, via) as change(x, y, via, product)."""
+    real = verify.dc_multiply
+    monkeypatch.setattr(
+        verify, "dc_multiply", lambda x, y, via="fast": change(x, y, via, real(x, y, via=via))
+    )
+
+
+def test_relation_suite_reports_a_product_off_its_augmentation(monkeypatch):
+    # one key dropped from each A(g) T_i product, an element of corank 0 times one of corank 1
+    def drop_a_key(x, y, via, prod):
+        if [coset_corank(s) for s, _ in (*x.items(), *y.items())] != [0, 1]:
+            return prod
+        return BiinvariantElement._trusted(prod.ctx, dict(list(prod.items())[1:]))
+
+    _tamper_products(monkeypatch, drop_a_key)
+    r = relation_suite(2, 2, max_counterexamples=100)
+    assert [c for c in r.counterexamples if c["kind"] == "augmentation"] == [
+        {"kind": "augmentation", "g": g, "i": i} for g in ([1, 2], [2, 1]) for i in (1, 2)
+    ]
+
+
+def test_relation_suite_reports_cosets_short_of_their_members(monkeypatch):
+    # the first member of each corank-1 coset dropped: 4 of 4 members left 3 at n = 2
+    real = verify.coset_enumerate
+    monkeypatch.setattr(verify, "coset_enumerate", lambda sigma, ctx: real(sigma, ctx)[coset_corank(sigma) == 1:])
+    r = relation_suite(2, 2, max_counterexamples=10)
+    short = [s for s in rook_enumerate(2) if coset_corank(s) == 1]
+    assert r.counterexamples == (
+        *({"kind": "coset-size", "sigma": list(s.serialize()), "found": 3} for s in short),
+        {"kind": "coset-partition", "found": 24 - len(short), "expected": 24},
+    )
+
+
+def test_relation_suite_reports_an_embedding_off_biinvariance(monkeypatch):
+    # the two-sided average doubled, so no coset sum is fixed by it
+    real = verify.project_biinvariant
+    monkeypatch.setattr(verify, "project_biinvariant", lambda e: real(e) * 2)
+    r = relation_suite(2, 2, max_counterexamples=10)
+    assert r.counterexamples == tuple(
+        {"kind": "biinvariance", "sigma": list(s.serialize())} for s in rook_enumerate(2)
+    )
+
+
+def test_crosscheck_reports_the_two_routes_disagreeing(monkeypatch):
+    # the convolve route doubled: every pair both routes check at degree 5 disagrees
+    _tamper_products(monkeypatch, lambda x, y, via, prod: prod * 2 if via == "convolve" else prod)
+    r = crosscheck_structure(2, 3)
+    assert r.metrics["failure_count"] == r.metrics["dual_route_pairs"] == 49
+    assert r.counterexamples == tuple({"kind": "route-disagreement", "p": 0, "q": q} for q in range(5))
 
 
 def _tampered(t, rows):
@@ -306,6 +359,15 @@ def test_limit_suite_reports_a_divergent_entry(monkeypatch):
     assert r.status == "fail"
     assert [c["kind"] for c in r.counterexamples] == ["divergent-entry"]
     assert set(r.metrics) == {"failure_count", "elapsed_s"}
+    assert r.metrics["failure_count"] == 1
+
+
+def test_limit_suite_reports_a_row_off_the_monoid(monkeypatch):
+    # A(12) A(12) = 1 at alpha=2, doubled to 2
+    bad = _tampered(structure_table(2), {(1, 1): ((0, NuPoly.constant(2)),)})
+    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: bad)
+    r = limit_suite(2)
+    assert r.counterexamples == ({"kind": "limit-mismatch", "p": 1, "q": 1, "expected_r": 0, "got": [[0, "2/1"]]},)
     assert r.metrics["failure_count"] == 1
 
 
@@ -671,24 +733,32 @@ def _tamper(rule, change):
     return tampered
 
 
-@pytest.mark.parametrize(
-    "tampered, expected",
-    [
-        # erase without its -1 term, -A((uv)) T_v: one failure at each of the C(3, 2) pairs
-        (_tamper("erase", lambda ts: ts[:2]), [("hole-erase", {"u": u, "v": v}) for u, v in ((1, 2), (1, 3), (2, 3))]),
+def _tampered_rules(alpha, suffix=""):
+    """The three rule tampers at (alpha, 3), each with the counterexamples it gives."""
+    pairs = list(combinations(range(1, alpha + 1), 2))
+    return [
+        # erase without its -1 term, -A((uv)) T_v: one failure at each of the C(alpha, 2) pairs
+        pytest.param(alpha, _tamper("erase", lambda ts: ts[:2]),
+                     [("hole-erase", {"u": u, "v": v}) for u, v in pairs],
+                     id="erase-without-its-minus-one-term" + suffix),
         # square with weight nu in place of nu - 1
-        (_tamper("square", lambda ts: ((NuPoly.nu(), *ts[0][1:]), ts[1])),
-         [("hole-square", {"i": i}) for i in (1, 2, 3)]),
+        pytest.param(alpha, _tamper("square", lambda ts: ((NuPoly.nu(), *ts[0][1:]), ts[1])),
+                     [("hole-square", {"i": i}) for i in range(1, alpha + 1)],
+                     id="square-weighted-nu" + suffix),
         # swap without its -A((uv)) T_v term
-        (_tamper("swap", lambda ts: ts[:2]),
-         [("hole-exchange", {"u": u, "v": v}) for u, v in ((2, 1), (3, 1), (3, 2))]),
-    ],
-    ids=["erase-without-its-minus-one-term", "square-weighted-nu", "swap-without-its-minus-term"],
+        pytest.param(alpha, _tamper("swap", lambda ts: ts[:2]),
+                     [("hole-exchange", {"u": u, "v": v}) for v, u in pairs],
+                     id="swap-without-its-minus-term" + suffix),
+    ]
+
+
+@pytest.mark.parametrize(
+    "alpha, tampered, expected", _tampered_rules(3) + _tampered_rules(5, "-at-alpha-5")
 )
-def test_a_tampered_rewriting_rule_fails_as_its_relation(monkeypatch, tampered, expected):
+def test_a_tampered_rewriting_rule_fails_as_its_relation(monkeypatch, alpha, tampered, expected):
     # the suite reads each relation's right-hand side off the engine's rules, so it names the broken one
     monkeypatch.setattr(verify, "_emit", tampered)
-    r = relation_suite(3, 3, max_counterexamples=10)
+    r = relation_suite(alpha, 3, max_counterexamples=10)
     assert r.metrics["failure_count"] == len(expected)
     assert [(c["kind"], {k: v for k, v in c.items() if k != "kind"}) for c in r.counterexamples] == expected
 
@@ -701,6 +771,9 @@ def test_a_tampered_rewriting_rule_fails_as_its_relation(monkeypatch, tampered, 
         (3, 3, "17296a585ed94886490bbc9b466257e793924d0712d5099d1f91f415a15c0cbb"),
         (3, 5, "d3a8f118babad1b756133627890ec5fee90a0c903470618b1cb901c6c221aa05"),
         (4, 4, "bee11c7b437e4cfadccd91252475d4aa08bf73519d89b7ae7a462c5708f646fa"),
+        # below n = alpha, where the keys of corank > n index no coset, and at alpha = 5
+        (3, 1, "83975c253d03acd867fbd484323114356484d16607e51aefed020030aaf3a9e5"),
+        (5, 3, "e355c7a75b73f98371f15dad46223717a5cc6c44a2ceda87a57484033fc6f16a"),
     ],
 )
 def test_relation_report_bytes(alpha, n, digest):
