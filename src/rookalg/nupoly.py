@@ -13,15 +13,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .rational import Rational, format_rational, parse_rational
-
-
-def _smallest(c) -> Rational:
-    """c as an exact rational: an int when integral, a Fraction otherwise."""
-    if type(c) is int:
-        return c
-    f = c if type(c) is Fraction else Fraction(c)
-    return f.numerator if f.denominator == 1 else f
+from .rational import Rational, format_rational, parse_rational, smallest
 
 
 class NuPoly:
@@ -39,7 +31,7 @@ class NuPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [_smallest(c) for c in coeffs]
+        cs = [smallest(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -122,7 +114,7 @@ class NuPoly:
         At an integer x with integer coefficients every step stays in int
         arithmetic; the value is returned as a Fraction either way.
         """
-        x = _smallest(x)
+        x = smallest(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c

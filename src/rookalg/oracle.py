@@ -20,6 +20,11 @@ group algebra of S_{alpha+n}, accumulated in integers: every product g h
 is formed, one bytes.translate call each, and the products are tallied
 per pair of coefficient classes, so it needs degree at most 255.
 
+The products write each coefficient through rational.smallest: an int
+when integral, a Fraction otherwise.  The convolution makes one
+coefficient per distinct integer tally, and from_group reads the corner
+of each distinct head, a permutation's images of 1 .. alpha, once.
+
 Bi-invariant elements are stored in the scaled coset basis: e_sigma is the
 sum of the delta functions over the coset of sigma, divided by n factorial.
 Under this normalization the structure constants are polynomial in n, and
@@ -47,7 +52,7 @@ from .combinatorics import (
     rook_sort_key,
 )
 from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
-from .rational import format_rational
+from .rational import format_rational, smallest
 from .sparse import SparseVector, integral
 
 
@@ -126,9 +131,11 @@ class GroupAlgebraElement(SparseVector):
                 for gh, count in counts.items():
                     acc[gh] += w * count
         d = dx * dy
+        # one coefficient per distinct tally, shared by every key with that tally
+        coeff = {c: smallest(c, d) for c in set(acc.values()) if c}
         # each key is a product of two permutations, so valid by construction
         return GroupAlgebraElement._trusted(
-            self.ctx, {Permutation._trusted(tuple(gh)): Fraction(c, d) for gh, c in acc.items() if c}
+            self.ctx, {Permutation._trusted(tuple(gh)): coeff[c] for gh, c in acc.items() if c}
         )
 
     def augmentation(self) -> Fraction:
@@ -241,21 +248,34 @@ class BiinvariantElement(SparseVector):
 
     @classmethod
     def from_group(cls, x: GroupAlgebraElement) -> "BiinvariantElement":
-        """Collapse a coset-constant group-algebra element; loud otherwise."""
+        """Collapse a coset-constant group-algebra element; loud otherwise.
+
+        A permutation's corner depends only on its head, its images of
+        1 .. alpha, so the corner map is evaluated once per distinct head.
+        """
         ctx = x.ctx
-        buckets: dict[PartialInjection, list[Fraction]] = defaultdict(list)
+        alpha = ctx.alpha
+        heads: dict[tuple[int, ...], tuple[Permutation, list]] = {}
         for g, c in x.items():
-            buckets[corner_map(g, ctx.alpha)].append(c)
+            head = g.images[:alpha]
+            if head in heads:
+                heads[head][1].append(c)
+            else:
+                heads[head] = (g, [c])
+        buckets: dict[PartialInjection, list] = defaultdict(list)
+        for g, values in heads.values():
+            buckets[corner_map(g, alpha)] += values
         nf = factorial(ctx.n)
-        acc: dict[PartialInjection, Fraction] = {}
+        acc = {}
         for sigma, values in buckets.items():
             size = coset_size(ctx, sigma)
-            if len(values) != size or any(v != values[0] for v in values):
+            # list.count tries identity first, so equal values that are one object count fast
+            if len(values) != size or values.count(values[0]) != size:
                 raise ConsistencyError(
                     "element is not constant on double cosets",
                     {"sigma": sigma.serialize(), "seen": len(values), "coset_size": size},
                 )
-            acc[sigma] = values[0] * nf
+            acc[sigma] = smallest(values[0] * nf)
         return cls._trusted(ctx, acc)
 
     def augmentation(self) -> Fraction:
@@ -301,7 +321,7 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
     row on 1 .. alpha, its missing targets on the next r_sigma points, and
     none on the rest of the tail.  Each operand is scaled by the lcm of its
     denominators, so the tallies are integers; each corner's coefficient is
-    one Fraction, built at the end.
+    one value in smallest form, built at the end.
     """
     ctx = x.ctx
     alpha, n = ctx.alpha, ctx.n
@@ -329,7 +349,7 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
                 acc[tuple(row)] += weight
     d = dx * dy
     # distinct points of U_sigma's one-line images, read through its injective corner
-    out = {PartialInjection._trusted(c): Fraction(t, d * perm(n, c.count(None))) for c, t in acc.items()}
+    out = {PartialInjection._trusted(c): smallest(t, d * perm(n, c.count(None))) for c, t in acc.items()}
     return BiinvariantElement._trusted(ctx, out)
 
 

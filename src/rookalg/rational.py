@@ -1,9 +1,10 @@
 """Exact rationals as "p/q" text.
 
 Every "p/q" the package writes goes through `format_rational`, and every
-one it reads through `parse_rational`.  This module imports nothing from
-the package, so the oracle uses it and still imports nothing from
-`nupoly` or the rewriting code.
+one it reads through `parse_rational`; every coefficient kept in smallest
+form, an int when integral, goes through `smallest`.  This module imports
+nothing from the package, so the oracle uses it and still imports nothing
+from `nupoly` or the rewriting code.
 """
 from __future__ import annotations
 
@@ -14,6 +15,24 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def smallest(c, d: int = 1) -> Rational:
+    """c / d as an exact rational: an int when integral, a Fraction otherwise.
+
+    c is an int, a Fraction or any value Fraction accepts, and d a nonzero
+    int.  An int c is divided in integers, so an integral quotient makes no
+    Fraction.
+    """
+    if type(c) is int:
+        if d == 1:
+            return c
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
+    f = c if type(c) is Fraction else Fraction(c)
+    if d != 1:
+        f /= d
+    return f.numerator if f.denominator == 1 else f
 
 
 def format_rational(x: Rational) -> str:

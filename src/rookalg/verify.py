@@ -6,7 +6,11 @@ Every comparison is exact; there are no tolerances anywhere.
 
 The central suite is the structure-constant crosscheck: the polynomial
 table built by rewriting must reproduce, at nu = n, the multiplication of
-generator images computed by brute-force convolution.  Agreement at n fixes
+generator images computed by the oracle.  Each pair's product
+phi(p) phi(q) is read through the corner action: one oracle product per
+hole set and image, each pair's then a relabelling of its hole set's by
+p's permutation, and the convolve route forms the first 12 x 12 pairs'
+products from the definition at degree <= 6.  Agreement at n fixes
 the constants at n only where the monomial images are linearly independent,
 which they are from n = alpha on.  When the number of such checked points
 exceeds the maximum polynomial degree, the table is the unique polynomial
@@ -60,7 +64,7 @@ from .oracle import (
     gen_perm,
     project_biinvariant,
 )
-from .rational import format_rational
+from .rational import format_rational, smallest
 from .sparse import combine
 from .tables import StructureTable, gram_matrix, scaled_limit_table, structure_table, trace_form
 
@@ -305,7 +309,7 @@ def relation_suite(alpha: int, n: int, *, max_counterexamples: int = 5) -> Verif
     """
     col = _Collector(max_counterexamples)
     (ctx,) = _contexts(alpha, (n,))
-    if n < 1:
+    if alpha and n < 1:
         raise ValueError("relation checks need n >= 1 so hole generators exist")
     perms = tuple(all_permutations(alpha))
     holes = range(1, alpha + 1)
@@ -382,16 +386,66 @@ def relation_suite(alpha: int, n: int, *, max_counterexamples: int = 5) -> Verif
     )
 
 
-def _check_point(col: _Collector, tbl: StructureTable, ctx: Context, **tag) -> tuple[list, int]:
-    """Every pair at nu = ctx.n against convolution, failures tagged with `tag`.
+def _perm_action(g: Permutation, rooks: Sequence[PartialInjection]) -> dict[PartialInjection, PartialInjection]:
+    """rho -> g rho on rooks, every rook of size g.degree, so e_g sum c_rho e_rho = sum c_rho e_(g rho).
 
-    Returns the images at ctx.n and the number of pairs also checked by the convolve route.
+    e_g e_rho = e_(g rho) is a relabelling: e_g averages the tail subgroup
+    K, which the coset of rho absorbs, and left multiplication by U_g sends
+    the coset of rho onto that of g rho, since the corner of U_g u is g
+    after the corner of u.  Each g rho is given as the object in rooks, so
+    relabelled elements share their key objects.
+    """
+    own = dict(zip(rooks, rooks))
+    to = (None, *g.images)
+    return {rho: own[PartialInjection._trusted(tuple([to[y] for y in rho.serialize()]))] for rho in rooks}
+
+
+def _corner_products(basis: Sequence[Monomial], imgs: Sequence[BiinvariantElement], ctx: Context):
+    """(p, q, phi(p) phi(q)) for every pair in (p, q) order, with imgs the images at ctx.
+
+    For p = A(g) T_I with I = (i1, ..., ik), phi(p) phi(q) is
+    e_g (theta_i1 (theta_(I minus i1) phi(q))) by associativity.  So each
+    hole set's products theta_I phi(q) are made once per q, one oracle
+    product each from those of its suffix I minus i1, and a pair's product
+    is its hole set's relabelled by g (_perm_action): (2^alpha - 1) dim
+    oracle products in all, not dim^2.  The basis holds every hole set (T_J
+    alone is a basis monomial) sorted by hole count, so a suffix's products
+    are made before the hole sets that extend it, and dropped after the
+    last p that reads them.
+    """
+    rooks = rook_enumerate(ctx.alpha)
+    action = {g: _perm_action(g, rooks) for g in dict.fromkeys(m.perm for m in basis)}
+    theta_hole = {i: gen_hole(i, ctx) for i in range(1, ctx.alpha + 1)}
+    # the last p that reads each hole set's products, as its own or as the suffix of its own
+    last_read = {}
+    for ip, m in enumerate(basis):
+        last_read[m.holes] = last_read[m.holes[1:]] = ip
+    theta = {(): imgs}
+    for ip, m in enumerate(basis):
+        holes = m.holes
+        if holes not in theta:
+            theta[holes] = [dc_multiply(theta_hole[holes[0]], x, via="fast") for x in theta[holes[1:]]]
+        relabel = action[m.perm]
+        for iq, x in enumerate(theta[holes]):
+            yield ip, iq, BiinvariantElement._trusted(ctx, {relabel[s]: c for s, c in x.items()})
+        for read in {holes, holes[1:]}:
+            if last_read[read] == ip:
+                del theta[read]
+
+
+def _check_point(col: _Collector, tbl: StructureTable, ctx: Context, **tag) -> tuple[list, int]:
+    """Every pair at nu = ctx.n against the oracle, failures tagged with `tag`.
+
+    Each pair's left-hand side phi(p) phi(q) comes from _corner_products;
+    on the first 12 x 12 pairs at degree <= 6 the convolve route also forms
+    it from the definition, and the two must agree.  Returns the images at
+    ctx.n and the number of pairs also checked by the convolve route.
     """
     imgs = monomial_images(tbl.basis, ctx)
 
     def table_side(row) -> BiinvariantElement:
         # the keys are the images' own, already valid in ctx
-        terms = ((poly.evaluate(ctx.n), imgs[ir].items()) for ir, poly in row)
+        terms = ((smallest(poly.evaluate(ctx.n)), imgs[ir].items()) for ir, poly in row)
         return BiinvariantElement._trusted(ctx, combine((c, v) for c, v in terms if c))
 
     # one right-hand side per row, shared by the pairs that point at it
@@ -400,23 +454,21 @@ def _check_point(col: _Collector, tbl: StructureTable, ctx: Context, **tag) -> t
     dual_limit = dim if dim <= 12 else 12
     dual_route = ctx.degree <= 6
     dual_checked = 0
-    for ip in range(dim):
-        for iq in range(dim):
-            lhs = dc_multiply(imgs[ip], imgs[iq], via="fast")
-            if dual_route and ip < dual_limit and iq < dual_limit:
-                dual_checked += 1
-                if dc_multiply(imgs[ip], imgs[iq], via="convolve") != lhs:
-                    col.add("route-disagreement", p=ip, q=iq, **tag)
-            rhs = rhs_of[ip][iq]
-            if lhs != rhs:
-                col.add(
-                    "structure-mismatch",
-                    p=ip,
-                    q=iq,
-                    convolution=_pairs_obj(lhs),
-                    table=_pairs_obj(rhs),
-                    **tag,
-                )
+    for ip, iq, lhs in _corner_products(tbl.basis, imgs, ctx):
+        if dual_route and ip < dual_limit and iq < dual_limit:
+            dual_checked += 1
+            if dc_multiply(imgs[ip], imgs[iq], via="convolve") != lhs:
+                col.add("route-disagreement", p=ip, q=iq, **tag)
+        rhs = rhs_of[ip][iq]
+        if lhs != rhs:
+            col.add(
+                "structure-mismatch",
+                p=ip,
+                q=iq,
+                convolution=_pairs_obj(lhs),
+                table=_pairs_obj(rhs),
+                **tag,
+            )
     return imgs, dual_checked
 
 

@@ -266,6 +266,22 @@ def test_verify_relations_defaults_n_to_alpha():
     assert json.loads(out)["params"] == {"alpha": 2, "n": 2}
 
 
+def test_verify_relations_at_alpha_0_checks_its_default_point_n_0():
+    # alpha = 0 has no hole generator, so n = 0 is a point to check, not one to refuse
+    code, out, _ = run_cli("verify", "relations", "--alpha", "0")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["params"], obj["status"]) == ({"alpha": 0, "n": 0}, "pass")
+    assert obj["metrics"]["checks"] == 2
+    assert obj["metrics"]["biinvariance_checked"] == 1
+
+
+def test_verify_relations_refuses_n_0_where_hole_generators_exist():
+    code, out, err = run_cli("verify", "relations", "--alpha", "1", "--n", "0")
+    assert (code, out) == (2, "")
+    assert "need n >= 1" in err
+
+
 def test_verify_crosscheck_multi_point():
     code, out, _ = run_cli("verify", "crosscheck", "--alpha", "1")
     assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from rookalg import nupoly
 from rookalg.nupoly import NuPoly, format_rational, parse_rational
+from rookalg.rational import smallest
 
 
 def test_trailing_zeros_are_stripped():
@@ -130,6 +131,16 @@ def test_integral_inputs_are_stored_as_int():
     assert [type(c) for c in p.coeffs] == [int, int, Fraction]
     assert p.coeffs == (2, 2, Fraction(1, 2))
     assert type(NuPoly.from_strings(["3/1"]).coeffs[0]) is int
+
+
+@pytest.mark.parametrize(
+    "c, d, want",
+    [(6, 3, 2), (-6, -3, 2), (0, 5, 0), (3, -6, Fraction(-1, 2)), (7, 1, 7), (Fraction(4, 2), 1, 2),
+     (Fraction(9, 2), 3, Fraction(3, 2)), ("6/3", 1, 2)],
+)
+def test_smallest_is_an_int_exactly_when_the_quotient_is_integral(c, d, want):
+    got = smallest(c, d)
+    assert got == want and type(got) is type(want)
 
 
 @given(st.lists(rationals, max_size=5))

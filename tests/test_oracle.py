@@ -451,6 +451,35 @@ def test_fast_product_matches_full_sum_with_rational_coefficients(alpha, n):
         assert dc_multiply(x, y, via="fast") == full_sum_product(x, y)
 
 
+def in_smallest_form(x) -> bool:
+    """Whether every coefficient of x is an int, or a Fraction that is not integral: never a float."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for _, c in x.items())
+
+
+small_rationals = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_products_write_integral_coefficients_as_ints(data):
+    # rational operands through the fast product, the convolution and from_group, at degree <= 5
+    alpha = data.draw(st.integers(min_value=1, max_value=3), label="alpha")
+    ctx = Context(alpha, data.draw(st.integers(min_value=0, max_value=5 - alpha), label="n"))
+    keys = [s for s in rook_enumerate(alpha) if coset_corank(s) <= ctx.n]
+    elements = st.dictionaries(st.sampled_from(keys), small_rationals, max_size=4).map(
+        lambda coeffs: BiinvariantElement(ctx, coeffs)
+    )
+    x, y = data.draw(elements, label="x"), data.draw(elements, label="y")
+    convolved = x.embed() * y.embed()
+    fast = dc_multiply(x, y, via="fast")
+    collapsed = BiinvariantElement.from_group(convolved)
+    back = BiinvariantElement.from_group(x.embed())
+    for z in (fast, convolved, collapsed, back):
+        assert in_smallest_form(z)
+    assert fast == collapsed == full_sum_product(x, y)
+    assert back == x
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_fast_product_corners_hash_like_checked_partial_injections(data):

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 from rookalg.algebra import basis_enumerate
-from rookalg.combinatorics import PartialInjection, rook_enumerate
+from rookalg.combinatorics import PartialInjection, all_permutations, rook_enumerate
 from rookalg.errors import CapacityError, ConsistencyError
 from rookalg.nupoly import NuPoly, parse_rational
-from rookalg.oracle import BiinvariantElement, Context, coset_corank, dc_multiply, gen_hole
+from rookalg.oracle import BiinvariantElement, Context, coset_corank, dc_multiply, gen_hole, gen_perm
 import rookalg
 from rookalg import algebra, capacity, cli, tables, verify
 from rookalg.tables import (
@@ -195,6 +195,79 @@ def test_crosscheck_detects_a_tampered_table(monkeypatch):
         lhs = dc_multiply(imgs[c["p"]], imgs[c["q"]])
         assert c["convolution"] == [[list(k), v] for k, v in lhs.to_pairs()]
     assert r.summary_line().startswith("FAIL")
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_corner_products_are_the_oracle_products_of_the_images(alpha):
+    basis = basis_enumerate(alpha)
+    pairs = [(p, q) for p in range(len(basis)) for q in range(len(basis))]
+    for n in range(1, 9 - alpha):
+        ctx = Context(alpha, n)
+        imgs = monomial_images(basis, ctx)
+        got = list(verify._corner_products(basis, imgs, ctx))
+        assert [(p, q) for p, q, _ in got] == pairs
+        for p, q, lhs in got:
+            assert lhs == dc_multiply(imgs[p], imgs[q]), (alpha, n, p, q)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_the_permutation_action_is_the_oracle_product_with_e_g(alpha):
+    rooks = rook_enumerate(alpha)
+    held = {id(rho) for rho in rooks}
+    for g in all_permutations(alpha):
+        action = verify._perm_action(g, rooks)
+        assert {id(rho) for rho in action.values()} == held
+        for n in range(1, 9 - alpha):
+            ctx = Context(alpha, n)
+            for rho in rooks:
+                if coset_corank(rho) <= n:
+                    e_rho = BiinvariantElement.basis(ctx, rho)
+                    assert dc_multiply(gen_perm(g, ctx), e_rho) == BiinvariantElement.basis(ctx, action[rho])
+
+
+def test_crosscheck_names_exactly_one_redirected_pair_with_a_permutation_and_holes(monkeypatch):
+    # p = A(g) T_I with g != 1 and I nonempty, its entry at the last q pointed at the row of (p, q - 1)
+    t = structure_table(3)
+    p = next(i for i, m in enumerate(t.basis) if not m.perm.is_identity() and m.holes)
+    q = t.dimension - 1
+    assert t.product(p, q) != t.product(p, q - 1)
+    monkeypatch.setattr(verify, "structure_table", lambda *a, **k: _tampered(t, {(p, q): t.product(p, q - 1)}))
+    r = crosscheck_structure(3, 3)
+    assert r.metrics["failure_count"] == 1
+    (c,) = r.counterexamples
+    assert (c["kind"], c["p"], c["q"]) == ("structure-mismatch", p, q)
+    imgs = monomial_images(t.basis, Context(3, 3))
+    assert c["convolution"] == [[list(k), v] for k, v in dc_multiply(imgs[p], imgs[q]).to_pairs()]
+
+
+def test_a_relabelling_by_rho_g_fails_the_crosscheck(monkeypatch):
+    # rho -> rho g in place of g rho: the corner action is a left action
+    def right_action(g, rooks):
+        own = dict(zip(rooks, rooks))
+        return {rho: own[PartialInjection._trusted(tuple(rho.target[y - 1] for y in g.images))] for rho in rooks}
+
+    monkeypatch.setattr(verify, "_perm_action", right_action)
+    r = crosscheck_structure(3, 3)
+    assert r.status == "fail"
+    assert {c["kind"] for c in r.counterexamples} == {"route-disagreement", "structure-mismatch"}
+
+
+@pytest.mark.parametrize("alpha,n,convolve", [(3, 3, 144), (3, 4, 0)])
+def test_crosscheck_forms_one_fast_product_per_hole_set_and_image(monkeypatch, alpha, n, convolve):
+    # the images' own products, then (2^alpha - 1) dim: one per nonempty hole set and image, not one per pair
+    calls = {"fast": 0, "convolve": 0}
+    real = verify.dc_multiply
+
+    def counted(x, y, via="fast"):
+        calls[via] += 1
+        return real(x, y, via=via)
+
+    monkeypatch.setattr(verify, "dc_multiply", counted)
+    assert crosscheck_structure(alpha, n).passed
+    basis = structure_table(alpha).basis
+    own = sum(m.hole_degree for m in basis)
+    assert calls == {"fast": own + (2**alpha - 1) * len(basis), "convolve": convolve}
+    assert own + (2**alpha - 1) * len(basis) < len(basis) ** 2
 
 
 def test_counterexample_cap(monkeypatch):
