@@ -55,6 +55,7 @@ from typing import Sequence
 from .combinatorics import PartialInjection, Permutation, rook_enumerate
 from .errors import ConsistencyError, ContextError
 from .nupoly import NuPoly
+from .rational import Rational
 from .sparse import SparseVector, combine
 
 _ONE = NuPoly.one()
@@ -455,9 +456,9 @@ class OElement(SparseVector):
         terms = ((c, nz.reduce(*star_state(m)).items()) for m, c in self._coeffs.items())
         return OElement._trusted(self.alpha, nz.to_monomials(combine(terms)))
 
-    def evaluate(self, value) -> dict[Monomial, Fraction]:
-        """Specialize nu to an exact rational; zero coefficients are dropped."""
-        out: dict[Monomial, Fraction] = {}
+    def evaluate(self, value) -> dict[Monomial, Rational]:
+        """Specialize nu to an exact rational; each value in smallest form, the zeros dropped."""
+        out: dict[Monomial, Rational] = {}
         for m, c in self._coeffs.items():
             v = c.evaluate(value)
             if v:

@@ -4,6 +4,8 @@ Coefficients are exact rationals kept in their smallest form: a plain
 int when the value is integral and a Fraction only otherwise.  Structure
 constants lie in Z[nu], so theirs are ints; Fractions appear where
 interpolation, rational evaluation or parsed "p/q" text brings them in.
+`evaluate` returns its value in the same form, so a structure constant
+at an integer point is an int.
 The rewriting engine makes no NuPoly while it recurses: it sums packed
 ints and decodes each distinct value once (see `algebra.Normalizer`).
 """
@@ -108,17 +110,18 @@ class NuPoly:
             return self * other
         return NotImplemented
 
-    def evaluate(self, x: Rational) -> Fraction:
-        """Exact evaluation by Horner's rule.
+    def evaluate(self, x: Rational) -> Rational:
+        """Exact evaluation by Horner's rule, in smallest form.
 
         At an integer x with integer coefficients every step stays in int
-        arithmetic; the value is returned as a Fraction either way.
+        arithmetic and the value is that int; otherwise it is an int when
+        integral and a Fraction when not.
         """
         x = smallest(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return Fraction(acc)
+        return smallest(acc)
 
     def to_strings(self) -> list[str]:
         """Coefficients as "p/q" strings, constant term first."""

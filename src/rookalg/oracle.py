@@ -20,10 +20,13 @@ group algebra of S_{alpha+n}, accumulated in integers: every product g h
 is formed, one bytes.translate call each, and the products are tallied
 per pair of coefficient classes, so it needs degree at most 255.
 
-The products write each coefficient through rational.smallest: an int
-when integral, a Fraction otherwise.  The convolution makes one
-coefficient per distinct integer tally, and from_group reads the corner
-of each distinct head, a permutation's images of 1 .. alpha, once.
+Every coefficient is made in smallest form, an int when integral and a
+Fraction otherwise, by rational.smallest where it is made: the checked
+constructors coerce through it, and each product, embed and augmentation
+applies it to the values it computes; no element stores a zero.  The
+convolution makes one coefficient per distinct integer tally, and
+from_group reads the corner of each distinct head, a permutation's
+images of 1 .. alpha, once.
 
 Bi-invariant elements are stored in the scaled coset basis: e_sigma is the
 sum of the delta functions over the coset of sigma, divided by n factorial.
@@ -52,7 +55,7 @@ from .combinatorics import (
     rook_sort_key,
 )
 from .errors import CapacityError, ConsistencyError, ContextError, EmptyCosetError
-from .rational import format_rational, smallest
+from .rational import Rational, format_rational, smallest
 from .sparse import SparseVector, integral
 
 
@@ -84,8 +87,8 @@ class GroupAlgebraElement(SparseVector):
 
     __slots__ = ("ctx",)
     _context = "ctx"
-    _zero = Fraction(0)
-    _coerce = staticmethod(Fraction)
+    _zero = 0
+    _coerce = staticmethod(smallest)
     _sort_key = staticmethod(attrgetter("images"))
 
     @staticmethod
@@ -95,7 +98,7 @@ class GroupAlgebraElement(SparseVector):
 
     @classmethod
     def delta(cls, ctx: Context, g: Permutation) -> "GroupAlgebraElement":
-        return cls(ctx, {g: Fraction(1)})
+        return cls(ctx, {g: 1})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -138,9 +141,9 @@ class GroupAlgebraElement(SparseVector):
             self.ctx, {Permutation._trusted(tuple(gh)): coeff[c] for gh, c in acc.items() if c}
         )
 
-    def augmentation(self) -> Fraction:
+    def augmentation(self) -> Rational:
         """Sum of all coefficients; multiplicative under convolution."""
-        return sum(self._coeffs.values(), Fraction(0))
+        return smallest(sum(self._coeffs.values()))
 
     def star(self) -> "GroupAlgebraElement":
         """The involution sending each group element to its inverse."""
@@ -220,14 +223,14 @@ class BiinvariantElement(SparseVector):
 
     __slots__ = ("ctx",)
     _context = "ctx"
-    _zero = Fraction(0)
-    _coerce = staticmethod(Fraction)
+    _zero = 0
+    _coerce = staticmethod(smallest)
     _sort_key = staticmethod(rook_sort_key)
     _check_key = staticmethod(_require_coset)
 
     @classmethod
     def basis(cls, ctx: Context, sigma: PartialInjection) -> "BiinvariantElement":
-        return cls(ctx, {sigma: Fraction(1)})
+        return cls(ctx, {sigma: 1})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -238,10 +241,10 @@ class BiinvariantElement(SparseVector):
 
     def embed(self) -> GroupAlgebraElement:
         """Expand into the group algebra: each coset uniformly, scaled by 1/n!."""
-        w = Fraction(1, factorial(self.ctx.n))
-        acc: dict[Permutation, Fraction] = {}
+        nf = factorial(self.ctx.n)
+        acc: dict[Permutation, Rational] = {}
         for sigma, c in self._coeffs.items():
-            cw = c * w
+            cw = smallest(c, nf)
             for u in coset_enumerate(sigma, self.ctx):
                 acc[u] = cw
         return GroupAlgebraElement._trusted(self.ctx, acc)
@@ -278,9 +281,9 @@ class BiinvariantElement(SparseVector):
             acc[sigma] = smallest(values[0] * nf)
         return cls._trusted(ctx, acc)
 
-    def augmentation(self) -> Fraction:
+    def augmentation(self) -> Rational:
         """Sum of c (n)_{r_sigma}: e_sigma sums |c_sigma| / n! = (n)_{r_sigma} deltas."""
-        return sum((c * perm(self.ctx.n, coset_corank(s)) for s, c in self._coeffs.items()), Fraction(0))
+        return smallest(sum(c * perm(self.ctx.n, coset_corank(s)) for s, c in self._coeffs.items()))
 
     def star(self) -> "BiinvariantElement":
         """Coset-basis involution: invert every index."""
@@ -295,7 +298,7 @@ def gen_perm(g: Permutation, ctx: Context) -> BiinvariantElement:
     """Scaled coset sum of the block-diagonal embedding of g; augmentation 1."""
     if g.degree != ctx.alpha:
         raise ContextError(f"generator permutation has degree {g.degree}, expected {ctx.alpha}")
-    return BiinvariantElement(ctx, {PartialInjection.from_permutation(g): Fraction(1)})
+    return BiinvariantElement(ctx, {PartialInjection.from_permutation(g): 1})
 
 
 def gen_hole(i: int, ctx: Context) -> BiinvariantElement:
@@ -304,7 +307,7 @@ def gen_hole(i: int, ctx: Context) -> BiinvariantElement:
         raise ValueError(f"hole index {i} outside 1..{ctx.alpha}")
     if ctx.n < 1:
         raise EmptyCosetError("hole generators need n >= 1")
-    return BiinvariantElement(ctx, {idempotent(ctx.alpha, (i,)): Fraction(1)})
+    return BiinvariantElement(ctx, {idempotent(ctx.alpha, (i,)): 1})
 
 
 def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> BiinvariantElement:
@@ -348,8 +351,9 @@ def _dc_multiply_fast(x: BiinvariantElement, y: BiinvariantElement) -> Biinvaria
                     row[i] = u_corner[p]
                 acc[tuple(row)] += weight
     d = dx * dy
-    # distinct points of U_sigma's one-line images, read through its injective corner
-    out = {PartialInjection._trusted(c): smallest(t, d * perm(n, c.count(None))) for c, t in acc.items()}
+    # distinct points of U_sigma's one-line images, read through its injective corner;
+    # a corner whose tally cancels is dropped here, as nothing downstream filters zeros
+    out = {PartialInjection._trusted(c): smallest(t, d * perm(n, c.count(None))) for c, t in acc.items() if t}
     return BiinvariantElement._trusted(ctx, out)
 
 

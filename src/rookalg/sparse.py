@@ -3,10 +3,13 @@
 An element is a dict from basis keys to nonzero coefficients, tied to one
 context.  A subclass names what differs as class attributes: the slot that
 holds its context (`_context`, "ctx" or "alpha"), its zero coefficient
-(`_zero`), how a scalar becomes a coefficient (`_coerce`), how a key is
-checked against the context (`_check_key`) and how its keys sort
-(`_sort_key`).  The one constructor checks outside input, and each class's
-`__mul__` is its own.
+(`_zero`), how a scalar becomes a coefficient (`_coerce`; the oracle's
+classes use `rational.smallest`), how a key is checked against the context
+(`_check_key`) and how its keys sort (`_sort_key`).  The one constructor
+checks outside input, and each class's `__mul__` is its own.  Whoever
+makes a coefficient settles it there: `_trusted` stores the dict it is
+given, so each maker drops its own zeros (`combine` its zero sums, `scale`
+everything on a zero factor).
 
 Linear combinations of elements are summed by `combine` alone: element
 sums and products, stars, and the right-hand sides of the crosscheck.  The
@@ -63,15 +66,17 @@ class SparseVector:
 
     @classmethod
     def _trusted(cls, context, coeffs):
-        """Wrap coefficients on keys this class's own arithmetic made.
+        """Wrap, as it is, a dict this class's own arithmetic made.
 
-        Those keys and coefficients are already valid in the context, so only
-        the zeros are dropped; outside input goes through __init__, which
-        checks every key.
+        Its maker vouches that every key is valid in the context and every
+        coefficient is nonzero and already in the class's form (smallest form
+        for the oracle's rationals), so nothing is checked or copied; outside
+        input goes through __init__, which coerces every coefficient, drops
+        the zeros and checks every key.
         """
         out = object.__new__(cls)
         setattr(out, cls._context, context)
-        out._coeffs = {k: c for k, c in coeffs.items() if c}
+        out._coeffs = coeffs
         return out
 
     @classmethod
@@ -113,7 +118,7 @@ class SparseVector:
 
     def scale(self, c):
         c = self._coerce(c)
-        return self._trusted(self._own_context(), {k: c * v for k, v in self._coeffs.items()})
+        return self._trusted(self._own_context(), {k: c * v for k, v in self._coeffs.items()} if c else {})
 
     def __rmul__(self, other):
         # scalars commute; a product of two elements is taken by the left

@@ -57,7 +57,7 @@ from .capacity import table_limit
 from .combinatorics import Permutation
 from .errors import CapacityError, ConsistencyError
 from .nupoly import NuPoly
-from .rational import format_rational
+from .rational import Rational, format_rational
 from .sparse import combine
 
 Term = tuple[int, NuPoly]
@@ -494,12 +494,13 @@ def trace_form(table: StructureTable) -> tuple[tuple[NuPoly, ...], ...]:
 def _pivots(a: list[list[Fraction]]):
     """Gaussian elimination over Fractions, in place: (column, pivot, exchanged) per pivot.
 
-    a is any list of equally long rows.  The pivot of a column is its first
-    nonzero entry at or below the next pivot row, and exchanged says whether
-    a row swap brought it there.  A column with no such entry is skipped, so
-    the pivots yielded number the rank.  A row whose multiplier is zero is
-    left alone; the trace forms are sparse, and eliminating every row (as
-    Bareiss does) was 30 times slower.
+    a is any list of equally long rows of Fractions: callers convert int
+    entries first, or `row[k] / piv` would make floats.  The pivot of a
+    column is its first nonzero entry at or below the next pivot row, and
+    exchanged says whether a row swap brought it there.  A column with no
+    such entry is skipped, so the pivots yielded number the rank.  A row
+    whose multiplier is zero is left alone; the trace forms are sparse, and
+    eliminating every row (as Bareiss does) was 30 times slower.
     """
     m = len(a)
     r = 0
@@ -552,7 +553,8 @@ def positive_definite(mat: Sequence[Sequence[Fraction]]) -> bool:
     return good == n
 
 
-def evaluate_matrix(mat: Sequence[Sequence[NuPoly]], value) -> list[list[Fraction]]:
+def evaluate_matrix(mat: Sequence[Sequence[NuPoly]], value) -> list[list[Rational]]:
+    """M(value), each entry in smallest form: ints at an integer value of an integer matrix."""
     return [[c.evaluate(value) for c in row] for row in mat]
 
 
@@ -562,7 +564,8 @@ def _point_det(mat: Sequence[Sequence[NuPoly]], x) -> Fraction:
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
     det, count = Fraction(1), 0
-    for _, piv, exchanged in _pivots(evaluate_matrix(mat, x)):
+    # evaluate gives ints at an integer x, and _pivots needs Fractions
+    for _, piv, exchanged in _pivots([list(map(Fraction, row)) for row in evaluate_matrix(mat, x)]):
         det *= -piv if exchanged else piv
         count += 1
     return det if count == n else Fraction(0)

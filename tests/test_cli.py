@@ -339,8 +339,12 @@ GOLDEN_STDOUT_SHA256 = {
     "table --alpha 3 --nu 5/2 --format json": "c1e9eba91f31ba4b86208124cf1f9e4e28b7e3a879fdc633271986db6bd01a18",
     "table --alpha 3 --format csv": "e1714074e7a221e9fda19c79a4f1076dd7e5992b17d2cddee183bda134c9af34",
     "table --alpha 3 --nu 5/2 --format csv": "65764a1448c066c8bf75f9ad93421b791dc820772251b0d54fe28d605192db59",
+    # at an integer point every exported value is an evaluated structure constant, an int
+    "table --alpha 3 --nu 4 --format csv": "03b0ba9a7d6ea98b41368a311a9f147a9cdecdf3207fc2af985916579da76686",
+    "table --alpha 3 --nu 4 --format json": "fe17d2156261c14bdd1bcfae3e25f0c8da918d5ff310e6b606718d97a3f1eb73",
     'normalize --alpha 3 --word "T3 T2 T1 T1"': "d54a319577b5e3176bd5e5ece309fbee3804267e7d27c930c9d32f369db756c7",
     'normalize --alpha 4 --word "A(14) T4 T3 T2 T1 T1"': "8bfd32f140d262680df5f9a09600b0ca96657b94e930d1e70be12f35be13f5c4",
+    'normalize --alpha 2 --word "T1 T1" --nu 3': "b24561295a5530218479e6eb573b08a5982055e223a437e63af8bae2799b2cbc",
 }
 
 

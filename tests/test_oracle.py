@@ -452,8 +452,13 @@ def test_fast_product_matches_full_sum_with_rational_coefficients(alpha, n):
 
 
 def in_smallest_form(x) -> bool:
-    """Whether every coefficient of x is an int, or a Fraction that is not integral: never a float."""
-    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for _, c in x.items())
+    """Whether every stored coefficient of x is a nonzero int, or a Fraction that is not integral.
+
+    So x stores no zero, no integral Fraction and no float.
+    """
+    return all(
+        (type(c) is int and c) or (type(c) is Fraction and c.denominator != 1) for _, c in x.items()
+    )
 
 
 small_rationals = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=6))
@@ -474,10 +479,32 @@ def test_products_write_integral_coefficients_as_ints(data):
     fast = dc_multiply(x, y, via="fast")
     collapsed = BiinvariantElement.from_group(convolved)
     back = BiinvariantElement.from_group(x.embed())
-    for z in (fast, convolved, collapsed, back):
+    # the checked constructor, embed and a zero scaling write the same form as the products
+    for z in (x, y, x.embed(), x.scale(0), fast, convolved, collapsed, back):
         assert in_smallest_form(z)
+    for a in (x.augmentation(), convolved.augmentation()):
+        assert type(a) is int or (type(a) is Fraction and a.denominator != 1)
     assert fast == collapsed == full_sum_product(x, y)
     assert back == x
+
+
+def test_products_and_scalings_that_vanish_store_nothing():
+    # (1 - A((23))) e_(1,.,.) cancels: A(g) e_sigma = e_(g sigma), and (23) fixes 1,
+    # so the fast product's one corner tallies to zero and is dropped where it is made
+    ctx = Context(3, 2)
+    one, swap = Permutation.identity(3), Permutation.transposition(3, 2, 3)
+    x = gen_perm(one, ctx) - gen_perm(swap, ctx)
+    e = BiinvariantElement.basis(ctx, PartialInjection((1, None, None)))
+    for z in (dc_multiply(x, e, via="fast"), dc_multiply(x, e, via="convolve"), e.scale(0), 0 * e):
+        assert not z.items()
+        assert z == BiinvariantElement.zero(ctx)
+
+
+def test_monomial_images_hold_ints():
+    # phi(m) = e_g theta_I has integer coefficients in the scaled coset basis
+    ctx = Context(3, 3)
+    images = monomial_images(basis_enumerate(3), ctx)
+    assert all(type(c) is int and c for x in images for _, c in x.items())
 
 
 @settings(deadline=None)

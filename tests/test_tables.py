@@ -19,8 +19,10 @@ from rookalg.nupoly import NuPoly
 from rookalg import verify
 from rookalg.tables import (
     StructureTable,
+    _degree_bound,
     _pair_keys,
     _pivots,
+    _point_det,
     check_associativity,
     det_polynomial,
     evaluate_matrix,
@@ -662,6 +664,16 @@ def test_trace_form_determinant_matches_full_interpolation(alpha):
         for j in range(m.hole_degree):
             closed = closed * NuPoly((-j, 1))
     assert det_polynomial(trace_form(t)) == closed
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_point_determinants_stay_exact(alpha):
+    # evaluate gives ints at an integer point; _pivots must see them as
+    # Fractions, or its divisions would make floats (-486.0 at alpha=2, x=3)
+    B = trace_form(structure_table(alpha))
+    for x in range(_degree_bound(B) + 1):
+        assert type(_point_det(B, x)) is Fraction
+    assert all(type(c) in (int, Fraction) for c in det_polynomial(B).coeffs)
 
 
 @pytest.mark.parametrize(
