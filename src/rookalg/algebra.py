@@ -25,16 +25,19 @@ normal form unchanged.  With termination, that makes the normal form unique
 on those states (Newman's lemma).
 
 The engine works on plain tuples of ints.  A state A(g) T_{js} is
-(images, js), the one-line images of g and the hole indices; the memo is
-keyed by it, and the swap and erase rules form g (uv) by exchanging two
-entries of images.  Words, stars, products and the table build all reach
-their states through `fuse`, the one copy of the slide relation.  The
-recursion makes no Permutation and no Monomial, except one Monomial for
-each admissible state the first time it reaches it: that Monomial's
-position in `Normalizer.monomials` is the leaf id that normal forms are
-keyed by.  Callers map ids back once, after summing
-(`Normalizer.to_monomials`), and the table build maps them to basis indices.
-Nothing enumerates the basis, so a word normalizes at any alpha.
+(images, js), the one-line images of g and the hole indices, and the swap
+and erase rules form g (uv) by exchanging two entries of images.  The
+square and swap rules read only js, so the engine rewrites each js once,
+from the identity, and composes the result with the images; only the
+erase rule's states are kept whole (see `Normalizer`).  Words, stars,
+products and the table build all reach their states through `fuse`, the
+one copy of the slide relation.  The recursion makes no Permutation and
+no Monomial, except one Monomial for each admissible state the first time
+it reaches it: that Monomial's position in `Normalizer.monomials` is the
+leaf id that normal forms are keyed by.  Callers map ids back once, after
+summing (`Normalizer.to_monomials`), and the table build maps them to
+basis indices.  Nothing enumerates the basis, so a word normalizes at any
+alpha.
 
 Nor does the recursion make a NuPoly.  Every rule weight is 1, -1, nu or
 nu - 1, so every normal form lies in Z[nu], and the recursion holds each
@@ -49,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, starmap
-from operator import ge, gt
+from operator import ge, gt, itemgetter
 from typing import Sequence
 
 from .combinatorics import PartialInjection, Permutation, rook_enumerate
@@ -217,6 +220,23 @@ def _unpack(x: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _children(rule: str, t: int, images: tuple[int, ...], js: tuple[int, ...]):
+    """`_emit`'s terms, each child of the parent's length checked to decrease `_measure` first."""
+    parent = None
+    for w, images2, js2 in _emit(rule, t, images, js):
+        # a shorter child decreases the measure by its length alone
+        if len(js2) >= len(js):
+            if parent is None:
+                parent = _measure(images, js)
+            child = _measure(images2, js2)
+            if not child < parent:
+                raise ConsistencyError(
+                    "termination measure failed to decrease",
+                    {"rule": rule, "g": list(images), "parent": parent, "child": child, "js": js},
+                )
+        yield w, images2, js2
+
+
 class Normalizer:
     """Rewrites states A(g) T_{js} to admissible normal form, with memoization.
 
@@ -230,37 +250,65 @@ class Normalizer:
     Monomial to `monomials`, and the state's leaf id is its position there;
     `to_monomials` maps a normal form back.
 
+    Rewriting runs in two phases, each with its own memo.  While `_sites`
+    lists a square or swap site, the rule, its weights and its children's js
+    depend on js alone, and each child of (k, js) is (k∘t, js') for t the
+    identity or the transposition (u v) of the swapped holes.  So if the
+    identity state (1, js) rewrites to sum c·(y, J) over its ends, the
+    states with no square or swap site (J strictly increases there), then
+    (k, js) rewrites to sum c·(k∘y, J), and NF(k, js) = sum c·NF(k∘y, J).
+    `_slide` builds that expansion by its own recursion on identity states,
+    and the slide memo `_slides` keeps it once per js, its ends grouped by
+    y and each y held as its one composer k -> k∘y.  The erase rule keeps J
+    strictly increasing, so the erase phase never re-enters the first;
+    `_erase` rewrites it, and the erase memo `_erased` keeps the normal form
+    of each (g, J) it meets, keyed by g and then J.  The alpha=4 table build
+    visits 755 slide and 384 erase states, where a memo of whole states
+    visited 10,295.  The measure check of a slide step reads only js, so a
+    refused step reports the identity images and its js, and
+    `reduce(identity, js)` reproduces it.
+
     The recursion works on packed coefficients (Kronecker substitution): p
     in Z[nu] is the int p(2^B), for the digit width B that the Normalizer
     holds, 64 at first.  A sum is then one int addition, a product by a
     rule weight w is one product by the cached int w(2^B), and a zero test
-    is `== 0`.  The memo `_cache`, keyed by the state, holds each normal
-    form as (leaf ids, packed coefficients, bound): two parallel tuples and
-    one int with |c| <= bound for every coefficient c of every polynomial in
-    it.  A leaf's bound is 1, and a parent's is the sum over its children of
-    |w|_1 * bound(child), where |w|_1 sums the absolute coefficients of the
-    weight.  While every bound is below 2^(B-1), the balanced base-2^B
-    digits of a packed value are its coefficients, so packing is exact and
-    invertible.  A state whose bound reaches 2^(B-1) is not stored: B
-    doubles, every memo entry is re-encoded at the new width (exactly, as
-    each is decodable at the old one), and the top-level call runs again.
-    Leaf ids, memo states and `monomials` stay as they were, so no input
-    is refused for the size of its coefficients and none is decoded wrong.
+    is `== 0`.  An erase memo entry holds leaf ids, packed coefficients and
+    a bound with |c| <= bound for every coefficient c of every polynomial
+    in it.  A leaf's bound is 1, and a parent's is the sum over its children
+    of |w|_1 * bound(child), where |w|_1 sums the absolute coefficients of
+    the weight.  A slide memo entry holds one bound b per end, built by the
+    same rule from the ends' bound 1, so that the bound of (k, js),
+    sum b·bound(k∘y, J), is the one a recursion through every state would
+    give; an end whose coefficient cancels keeps its bound, so the digits
+    widen at the same points.  While every bound is below 2^(B-1), the
+    balanced base-2^B digits of a packed value are its coefficients, so
+    packing is exact and invertible.  A state whose bound, or identity
+    state whose sum of bounds, reaches 2^(B-1) is not stored: B doubles,
+    every memo entry is re-encoded at the new width (exactly, as each is
+    decodable at the old one), and the top-level call runs again.  Leaf
+    ids, memo states and `monomials` stay as they were, so no input is
+    refused for the size of its coefficients and none is decoded wrong.
     `stats["widenings"]` counts the doublings; the rerun repeats the state
     and rule counts of the states that the aborted call had entered but not
-    finished, and finds the ones it finished in the memo.
+    finished, and finds the ones it finished in the memos.
+    `stats["states"]` and `stats["cache_hits"]` count both memos' misses
+    and hits.
 
-    `_ints` interns the packed values, so the memo holds one int object per
-    value (the memo of the alpha=4 table build holds 238,114 coefficients
-    of only 377 distinct values).  `reduce` decodes each distinct value
-    once, into the NuPoly that `_polys` keeps for it, so the normal forms it
-    returns share one NuPoly object per value.  `clear` empties all five
-    tables (the memo, `_ints`, `_polys`, `_weights` and `monomials`) and
-    returns to the first width.
+    `_ints` interns the packed values, so the memos hold one int object per
+    value.  `reduce` decodes each distinct value once, into the NuPoly that
+    `_polys` keeps for it, so the normal forms it returns share one NuPoly
+    object per value.  `clear` empties all seven tables (both memos,
+    `_composers`, `_ints`, `_polys`, `_weights` and `monomials`) and returns
+    to the first width.
     """
 
     def __init__(self):
-        self._cache: dict[State, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        # erase memo: images -> J -> (leaf ids, packed coefficients, bound, plus, minus)
+        self._erased: dict[tuple[int, ...], dict[tuple[int, ...], tuple]] = {}
+        # slide memo: identity state (1, js) -> (composers k -> k∘y, holes J, packed coefficients, bounds)
+        self._slides: dict[State, tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]] = {}
+        # y's images -> k -> k∘y: `tuple` for the identity (it returns a tuple as it is), else an itemgetter
+        self._composers: dict[tuple[int, ...], object] = {}
         self._ints: dict[int, int] = {}
         self._polys: dict[int, NuPoly] = {}
         # each rule weight w as (w(2^B), |w|_1), at the current width
@@ -270,8 +318,10 @@ class Normalizer:
         self.stats = {"square": 0, "swap": 0, "erase": 0, "states": 0, "cache_hits": 0, "widenings": 0}
 
     def clear(self) -> None:
-        """Empty the memo, the intern tables and the leaves; no normal form changes."""
-        self._cache.clear()
+        """Empty both memos, the intern tables and the leaves; no normal form changes."""
+        self._erased.clear()
+        self._slides.clear()
+        self._composers.clear()
         self._ints.clear()
         self._polys.clear()
         self._weights.clear()
@@ -287,7 +337,7 @@ class Normalizer:
         """Normal form of the single state A(g) T_{js}, as leaf id -> coefficient."""
         while True:
             try:
-                ids, packed, _ = self._reduce(images, js)
+                ids, packed = self._normal_form(images, js)
                 break
             except _Widen:
                 self._widen()
@@ -296,10 +346,116 @@ class Normalizer:
             polys[c] = NuPoly(_unpack(c, self._width))
         return dict(zip(ids, map(polys.__getitem__, packed)))
 
-    def _reduce(self, images: tuple[int, ...], js: tuple[int, ...]):
-        """The memo entry (leaf ids, packed coefficients, bound) of the state; see the class docstring."""
-        key = (images, js)
-        hit = self._cache.get(key)
+    def _normal_form(self, images: tuple[int, ...], js: tuple[int, ...]):
+        """(leaf ids, packed coefficients) of the state: sum c·NF(k∘y, J) over the ends of its slide phase."""
+        sites = _sites(images, js)
+        if not sites or sites[0][0] == "erase":
+            return self._erase(images, js)[:2]
+        erased = self._erased
+        acc: dict[int, int] = {}
+        get = acc.get
+        bound = hits = 0
+        last = None
+        try:
+            # the ends come grouped by y, so k∘y and its erase memo are looked up once per group
+            for compose, holes, c, b in zip(*self._slide(tuple(range(1, len(images) + 1)), js)):
+                if compose is not last:
+                    last = compose
+                    k = compose(images)
+                    memo = erased.get(k)
+                    if memo is None:
+                        memo = erased[k] = {}
+                hit = memo.get(holes)
+                if hit is None:
+                    hit = self._erase(k, holes)
+                else:
+                    hits += 1
+                ids, packed, b2, plus, minus = hit
+                bound += b * b2
+                if not c:
+                    continue
+                if plus is None:
+                    for i, x in zip(ids, packed):
+                        acc[i] = get(i, 0) + c * x
+                    continue
+                for i in plus:
+                    acc[i] = get(i, 0) + c
+                for i in minus:
+                    acc[i] = get(i, 0) - c
+        finally:
+            self.stats["cache_hits"] += hits
+        if bound >> (self._width - 1):
+            raise _Widen
+        if 0 in acc.values():
+            acc = {i: c for i, c in acc.items() if c}
+        return tuple(acc), acc.values()
+
+    def _slide(self, one: tuple[int, ...], js: tuple[int, ...]):
+        """The slide memo entry (composers, holes J, packed coefficients, bounds) of the identity state (one, js)."""
+        key = (one, js)
+        hit = self._slides.get(key)
+        if hit is not None:
+            self.stats["cache_hits"] += 1
+            return hit
+        self.stats["states"] += 1
+        # the identity inverts no pair, so it has no site exactly when js strictly increases
+        sites = _sites(one, js)
+        if not sites:
+            out = ((self._composer(one, one),), (js,), (self._ints.setdefault(1, 1),), (1,))
+        else:
+            rule, t = sites[0]
+            self.stats[rule] += 1
+            # composer of y -> J -> [packed coefficient, bound]
+            groups: dict[object, dict[tuple[int, ...], list[int]]] = {}
+            weights = self._weights
+            for w, images2, js2 in _children(rule, t, one, js):
+                pw, norm = weights.get(w) or self._weight(w)
+                composers, hole_sets, cs, bs = self._slide(one, js2)
+                if pw != 1:
+                    cs = [pw * c for c in cs]
+                if norm != 1:
+                    bs = [norm * b for b in bs]
+                last = None
+                for compose, holes, c, b in zip(composers, hole_sets, cs, bs):
+                    if compose is not last:
+                        last = compose
+                        # the child is (t, js2) for t the identity or a transposition, so its ends are (t∘y, J)
+                        if images2 != one:
+                            compose = self._composer(one, compose(images2))
+                        group = groups.setdefault(compose, {})
+                    end = group.get(holes)
+                    if end is None:
+                        group[holes] = [c, b]
+                    else:
+                        end[0] += c
+                        end[1] += b
+            ends = [(f, J, c, b) for f, group in groups.items() for J, (c, b) in group.items()]
+            composers, holes, cs, bs = zip(*ends)
+            if sum(bs) >> (self._width - 1):
+                raise _Widen
+            out = (composers, holes, tuple(map(self._ints.setdefault, cs, cs)), bs)
+        self._slides[key] = out
+        return out
+
+    def _composer(self, one: tuple[int, ...], images: tuple[int, ...]):
+        compose = self._composers.get(images)
+        if compose is None:
+            compose = self._composers[images] = tuple if images == one else itemgetter(*[y - 1 for y in images])
+        return compose
+
+    def _erase(self, images: tuple[int, ...], js: tuple[int, ...]):
+        """The erase memo entry of a state with no square or swap site.
+
+        (leaf ids, packed coefficients, bound, plus, minus): plus and minus
+        list the leaf ids of coefficient 1 and -1, or are None when some
+        coefficient is neither.  The erase rule's weights are 1 and -1, so
+        its coefficients are ints; every one met so far (the tables to
+        alpha=5) is 1 or -1.
+        """
+        memo = self._erased.get(images)
+        if memo is None:
+            memo = self._erased[images] = {}
+        hit = memo.get(js)
         if hit is not None:
             self.stats["cache_hits"] += 1
             return hit
@@ -307,27 +463,17 @@ class Normalizer:
         sites = _sites(images, js)
         if not sites:
             self.monomials.append(Monomial(Permutation(images), js))
-            out = ((len(self.monomials) - 1,), (self._ints.setdefault(1, 1),), 1)
+            leaf = (len(self.monomials) - 1,)
+            out = (leaf, (self._ints.setdefault(1, 1),), 1, leaf, ())
         else:
             rule, t = sites[0]
             self.stats[rule] += 1
-            parent = None
             acc: dict[int, int] = {}
             get = acc.get
             weights = self._weights
             bound = 0
-            for w, images2, js2 in _emit(rule, t, images, js):
-                # a shorter child decreases the measure by its length alone
-                if len(js2) >= len(js):
-                    if parent is None:
-                        parent = _measure(images, js)
-                    child = _measure(images2, js2)
-                    if not child < parent:
-                        raise ConsistencyError(
-                            "termination measure failed to decrease",
-                            {"rule": rule, "g": list(images), "parent": parent, "child": child, "js": js},
-                        )
-                ids, packed, b = self._reduce(images2, js2)
+            for w, images2, js2 in _children(rule, t, images, js):
+                ids, packed, b, _, _ = self._erase(images2, js2)
                 pw, norm = weights.get(w) or self._weight(w)
                 bound += norm * b
                 if pw != 1:
@@ -343,7 +489,11 @@ class Normalizer:
                 acc = {k: c for k, c in acc.items() if c}
             cs = acc.values()
             out = (tuple(acc), tuple(map(self._ints.setdefault, cs, cs)), bound)
-        self._cache[key] = out
+            if all(c == 1 or c == -1 for c in cs):
+                out += (tuple([k for k, c in acc.items() if c == 1]), tuple([k for k, c in acc.items() if c == -1]))
+            else:
+                out += (None, None)
+        memo[js] = out
         return out
 
     def _weight(self, w) -> tuple[int, int]:
@@ -353,14 +503,18 @@ class Normalizer:
         return out
 
     def _widen(self) -> None:
-        """Double the digit width and re-encode the memo; every leaf id and state stays."""
+        """Double the digit width and re-encode both memos; every leaf id, state and end stays."""
         old, new = self._width, 2 * self._width
-        recode = {c: _pack(_unpack(c, old), new) for c in self._ints}
-        self._ints = {c: c for c in recode.values()}
+        # the memos' values are in _ints, and the normal forms reduce has returned are in _polys
+        recode = {c: _pack(_unpack(c, old), new) for c in self._ints.keys() | self._polys.keys()}
+        self._ints = {recode[c]: recode[c] for c in self._ints}
         self._polys = {recode[c]: poly for c, poly in self._polys.items()}
-        cache = self._cache
-        for key, (ids, packed, bound) in cache.items():
-            cache[key] = (ids, tuple([recode[c] for c in packed]), bound)
+        for memo in self._erased.values():
+            for js, (ids, packed, *rest) in memo.items():
+                memo[js] = (ids, tuple([recode[c] for c in packed]), *rest)
+        slides = self._slides
+        for key, (composers, holes, packed, bounds) in slides.items():
+            slides[key] = (composers, holes, tuple([recode[c] for c in packed]), bounds)
         self._weights.clear()
         self._width = new
         self.stats["widenings"] += 1

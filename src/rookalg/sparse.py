@@ -9,7 +9,9 @@ classes use `rational.smallest`), how a key is checked against the context
 checks outside input, and each class's `__mul__` is its own.  Whoever
 makes a coefficient settles it there: `_trusted` stores the dict it is
 given, so each maker drops its own zeros (`combine` its zero sums, `scale`
-everything on a zero factor).
+everything on a zero factor), and element sums and scalings settle each
+result coefficient through `_coerce`, so a Fraction a caller passes in
+comes back in the class's form.
 
 Linear combinations of elements are summed by `combine` alone: element
 sums and products, stars, and the right-hand sides of the crosscheck.  The
@@ -105,7 +107,9 @@ class SparseVector:
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
-        return self._trusted(self._own_context(), combine(((1, self.items()), (sign, other.items()))))
+        coerce = self._coerce
+        sums = combine(((1, self.items()), (sign, other.items())))
+        return self._trusted(self._own_context(), {k: coerce(c) for k, c in sums.items()})
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -117,8 +121,9 @@ class SparseVector:
         return bool(self._coeffs)
 
     def scale(self, c):
-        c = self._coerce(c)
-        return self._trusted(self._own_context(), {k: c * v for k, v in self._coeffs.items()} if c else {})
+        coerce = self._coerce
+        c = coerce(c)
+        return self._trusted(self._own_context(), {k: coerce(c * v) for k, v in self._coeffs.items()} if c else {})
 
     def __rmul__(self, other):
         # scalars commute; a product of two elements is taken by the left

@@ -70,9 +70,11 @@ def leibniz_det():
 class _ReferenceNormalizer:
     """The rewriting engine on NuPoly coefficients, every step summed by `combine`.
 
-    Same rule order, measure check and memo keys as `algebra.Normalizer`,
-    but no packing: each normal form is a dict from leaf ids to interned
-    NuPolys, so no coefficient size needs a digit width.
+    Same rule order and measure check as `algebra.Normalizer`, but one
+    memo keyed by the whole state (images, js), so `_cache` lists every
+    state the recursion visits, where the engine's slide memo keeps one
+    entry per js; and no packing: each normal form is a dict from leaf ids
+    to interned NuPolys, so no coefficient size needs a digit width.
     """
 
     def __init__(self):
@@ -116,12 +118,18 @@ class _ReferenceNormalizer:
 
 
 @pytest.fixture
-def reference_reduce():
+def reference_normalizer():
+    """A fresh reference engine; its `reduce`, `monomials` and `stats` stand in for a Normalizer's."""
+    return _ReferenceNormalizer()
+
+
+@pytest.fixture
+def reference_reduce(reference_normalizer):
     """The normal form of a state (images, js) as Monomial -> NuPoly, by the NuPoly engine.
 
     Each test gets a fresh memo.
     """
-    nz = _ReferenceNormalizer()
+    nz = reference_normalizer
     return lambda images, js: {nz.monomials[i]: c for i, c in nz.reduce(images, js).items()}
 
 

@@ -199,18 +199,21 @@ def test_clear_empties_the_memo_the_intern_table_and_the_leaves():
     nz = Normalizer()
     state = word_to_state(3, parse_word(3, "A(123) T2 T1 T3"))
     before = nz.to_monomials(nz.reduce(*state))
-    assert nz._cache and nz._polys and nz.monomials
+    assert nz._erased and nz._slides and nz._composers and nz._polys and nz.monomials
     nz.clear()
-    assert not nz._cache and not nz._polys and not nz.monomials
+    assert not nz._erased and not nz._slides and not nz._composers and not nz._polys and not nz.monomials
+    # the rerun fills both memos again
     assert nz.to_monomials(nz.reduce(*state)) == before
+    assert nz._erased and nz._slides
 
 
 def test_normalizer_memo_holds_one_object_per_distinct_polynomial():
     nz = Normalizer()
     basis = basis_enumerate(3)
     nfs = [nz.reduce(*fuse(state_of(p), state_of(q))) for p in basis[-6:] for q in basis[-6:]]
-    # the memo holds packed coefficients, one int object per value ...
-    packed = [c for _, cs, _ in nz._cache.values() for c in cs]
+    # both memos hold packed coefficients, one int object per value ...
+    packed = [c for memo in nz._erased.values() for _, cs, *_ in memo.values() for c in cs]
+    packed += [c for _, _, cs, _ in nz._slides.values() for c in cs]
     assert len(set(packed)) > 1 and max(map(abs, packed)) >= 2**64
     assert len({id(c) for c in packed}) == len(set(packed))
     # ... and reduce decodes them to one NuPoly object per value
@@ -252,6 +255,54 @@ def test_packed_engine_matches_the_reference_engine_on_powers_of_t1(k, widenings
     assert nz.stats["widenings"] == widenings
 
 
+def fused_table_states(alpha: int) -> list:
+    """The distinct fused states (images, js) of the alpha table's pairs, in (p, q) order."""
+    basis = [state_of(m) for m in basis_enumerate(alpha)]
+    return list(dict.fromkeys(fuse(p, q) for p in basis for q in basis))
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_engine_matches_the_reference_engine_on_every_fused_table_state(alpha, reference_reduce):
+    nz = Normalizer()
+    for state in fused_table_states(alpha):
+        assert nz.to_monomials(nz.reduce(*state)) == reference_reduce(*state), state
+
+
+def test_engine_matches_the_reference_engine_on_alpha4_slide_states_with_images(reference_reduce):
+    # each state rewrites through the slide memo of its js, kept for the identity,
+    # so its own images k enter only as the composite k∘y of each end
+    one = tuple(range(1, 5))
+    sliding = [
+        (images, js) for images, js in fused_table_states(4)
+        if images != one and any(rule != "erase" for rule, _ in algebra._sites(images, js))
+    ]
+    nz = Normalizer()
+    for state in random.Random(0).sample(sliding, 150):
+        assert nz.to_monomials(nz.reduce(*state)) == reference_reduce(*state), state
+
+
+@pytest.mark.parametrize("alpha, holes, seeds", [(5, 6, range(8)), (6, 5, range(4))])
+def test_engine_matches_the_reference_engine_on_short_words(alpha, holes, seeds, reference_reduce):
+    nz = Normalizer()
+    for seed in seeds:
+        state = random_word_state(alpha, holes, seed)
+        assert nz.to_monomials(nz.reduce(*state)) == reference_reduce(*state), seed
+
+
+def test_erase_entries_without_unit_lists_sum_by_multiplying():
+    # every erase coefficient met so far is 1 or -1, so the engine adds and subtracts
+    # the slide coefficients; an entry whose plus and minus lists are None, as one
+    # with another coefficient would be, is summed by multiplying, to the same forms
+    nz = Normalizer()
+    states = fused_table_states(3)
+    want = [nz.reduce(*state) for state in states]
+    for memo in nz._erased.values():
+        assert all(plus is not None for _, _, _, plus, _ in memo.values())
+        for js, entry in memo.items():
+            memo[js] = entry[:3] + (None, None)
+    assert [nz.reduce(*state) for state in states] == want
+
+
 def test_a_normal_form_reduced_before_a_widening_is_the_same_after_it():
     nz = Normalizer()
     state = word_to_state(2, parse_word(2, "A(12) T2 T1 T1 T2 T2"))
@@ -260,7 +311,7 @@ def test_a_normal_form_reduced_before_a_widening_is_the_same_after_it():
     leaves = list(nz.monomials)
     nz.reduce((1, 2), (1,) * 200)
     assert nz.stats["widenings"] == 2
-    # the memo entry was re-encoded: the same leaf ids and coefficient objects, from a memo hit
+    # the memo entries were re-encoded: the rerun only hits them, and decodes to the same leaf ids and NuPoly objects
     states = nz.stats["states"]
     after = nz.reduce(*state)
     assert nz.stats["states"] == states
@@ -374,6 +425,17 @@ def test_a_same_length_child_that_does_not_decrease_is_refused(monkeypatch):
     assert exc.value.payload == {"rule": "swap", "g": [1, 2], "parent": (2, 1, 4), "child": (2, 1, 4), "js": (2, 1)}
 
 
+def test_a_refused_slide_step_reports_the_identity_state_that_reproduces_it(monkeypatch):
+    # the square and swap steps of (k, js) are those of (1, js), composed with k
+    monkeypatch.setattr(algebra, "_emit", lambda rule, t, images, js: ((1, images, js),))
+    with pytest.raises(ConsistencyError) as exc:
+        Normalizer().reduce((3, 1, 2), (3, 1))
+    with pytest.raises(ConsistencyError) as again:
+        Normalizer().reduce(tuple(exc.value.payload["g"]), exc.value.payload["js"])
+    assert exc.value.payload["g"] == [1, 2, 3]
+    assert again.value.payload == exc.value.payload
+
+
 def test_shorter_children_are_not_measured(monkeypatch):
     calls = []
     measure = algebra._measure
@@ -385,9 +447,10 @@ def test_shorter_children_are_not_measured(monkeypatch):
     assert calls == [(2, 1), (1, 2)]
 
 
-def test_measure_counts_inversions_as_the_quadratic_definition(monkeypatch):
+def test_measure_counts_inversions_as_the_quadratic_definition(monkeypatch, reference_normalizer):
     # on every state the alpha=4 table build reduces: (length, pairs s < t with
-    # js[s] >= js[t], and when there are none, pairs whose hole images invert)
+    # js[s] >= js[t], and when there are none, pairs whose hole images invert);
+    # the reference engine's memo of whole states lists all 10,295 of them
     def quadratic(images, js):
         m = len(js)
         weak = sum(1 for s in range(m) for t in range(s + 1, m) if js[s] >= js[t])
@@ -396,10 +459,9 @@ def test_measure_counts_inversions_as_the_quadratic_definition(monkeypatch):
         hit = [images[j - 1] for j in js]
         return (m, 0, sum(1 for s in range(m) for t in range(s + 1, m) if hit[s] > hit[t]))
 
-    made = []
-    monkeypatch.setattr(tables, "Normalizer", lambda: made.append(Normalizer()) or made[-1])
+    monkeypatch.setattr(tables, "Normalizer", lambda: reference_normalizer)
     tables.structure_table(4, use_cache=False)
-    (nz,) = made
+    nz = reference_normalizer
     assert len(nz._cache) == 10295
     for images, js in nz._cache:
         assert algebra._measure(images, js) == quadratic(images, js)

@@ -92,6 +92,24 @@ def test_public_constructor_checks_every_key(cls, context, bad):
         assert cls(context, {key: 0}) == cls.zero(context)
 
 
+HALVES = [
+    gen_hole(1, Context(2, 2)).scale(Fraction(1, 2)),
+    GroupAlgebraElement(Context(2, 1), {Permutation.identity(3): Fraction(1, 2)}),
+]
+
+
+@pytest.mark.parametrize("h", HALVES, ids=IDS[1::-1])
+def test_sums_and_scalings_of_halves_store_ints(h):
+    # the oracle's classes hold a Fraction only when it is not integral
+    def types(v):
+        return {type(c) for _, c in v.items()}
+
+    assert types(h) == {Fraction}
+    for made in (h + h, h.scale(2), Fraction(2) * h, h.scale(Fraction(4)) - h - h):
+        assert types(made) == {int}, made
+    assert types(h + h + h) == types(h.scale(3)) == {Fraction}
+
+
 SHARED = (
     "__init__", "zero", "_trusted", "coefficient", "items", "sorted_items", "_check", "__bool__",
     "__add__", "__sub__", "scale", "__rmul__", "__eq__", "__repr__",
