@@ -291,8 +291,11 @@ class Normalizer:
     `stats["widenings"]` counts the doublings; the rerun repeats the state
     and rule counts of the states that the aborted call had entered but not
     finished, and finds the ones it finished in the memos.
-    `stats["states"]` and `stats["cache_hits"]` count both memos' misses
-    and hits.
+    `stats["states"]` counts the entries both memos store.
+    `stats["cache_hits"]` counts every lookup that finds its entry,
+    including one for each end of a slide expansion that the sum finds in
+    the erase memo, so it is not comparable with a count of memoised states
+    hit.
 
     `_ints` interns the packed values, so the memos hold one int object per
     value.  `reduce` decodes each distinct value once, into the NuPoly that
@@ -303,7 +306,7 @@ class Normalizer:
     """
 
     def __init__(self):
-        # erase memo: images -> J -> (leaf ids, packed coefficients, bound, plus, minus)
+        # erase memo: images -> J -> (leaf ids, packed coefficients, bound)
         self._erased: dict[tuple[int, ...], dict[tuple[int, ...], tuple]] = {}
         # slide memo: identity state (1, js) -> (composers k -> k∘y, holes J, packed coefficients, bounds)
         self._slides: dict[State, tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]] = {}
@@ -370,18 +373,11 @@ class Normalizer:
                     hit = self._erase(k, holes)
                 else:
                     hits += 1
-                ids, packed, b2, plus, minus = hit
+                ids, packed, b2 = hit
                 bound += b * b2
-                if not c:
-                    continue
-                if plus is None:
+                if c:
                     for i, x in zip(ids, packed):
                         acc[i] = get(i, 0) + c * x
-                    continue
-                for i in plus:
-                    acc[i] = get(i, 0) + c
-                for i in minus:
-                    acc[i] = get(i, 0) - c
         finally:
             self.stats["cache_hits"] += hits
         if bound >> (self._width - 1):
@@ -444,14 +440,7 @@ class Normalizer:
         return compose
 
     def _erase(self, images: tuple[int, ...], js: tuple[int, ...]):
-        """The erase memo entry of a state with no square or swap site.
-
-        (leaf ids, packed coefficients, bound, plus, minus): plus and minus
-        list the leaf ids of coefficient 1 and -1, or are None when some
-        coefficient is neither.  The erase rule's weights are 1 and -1, so
-        its coefficients are ints; every one met so far (the tables to
-        alpha=5) is 1 or -1.
-        """
+        """The erase memo entry (leaf ids, packed coefficients, bound) of a state with no square or swap site."""
         memo = self._erased.get(images)
         if memo is None:
             memo = self._erased[images] = {}
@@ -463,8 +452,7 @@ class Normalizer:
         sites = _sites(images, js)
         if not sites:
             self.monomials.append(Monomial(Permutation(images), js))
-            leaf = (len(self.monomials) - 1,)
-            out = (leaf, (self._ints.setdefault(1, 1),), 1, leaf, ())
+            out = ((len(self.monomials) - 1,), (self._ints.setdefault(1, 1),), 1)
         else:
             rule, t = sites[0]
             self.stats[rule] += 1
@@ -473,7 +461,7 @@ class Normalizer:
             weights = self._weights
             bound = 0
             for w, images2, js2 in _children(rule, t, images, js):
-                ids, packed, b, _, _ = self._erase(images2, js2)
+                ids, packed, b = self._erase(images2, js2)
                 pw, norm = weights.get(w) or self._weight(w)
                 bound += norm * b
                 if pw != 1:
@@ -489,10 +477,6 @@ class Normalizer:
                 acc = {k: c for k, c in acc.items() if c}
             cs = acc.values()
             out = (tuple(acc), tuple(map(self._ints.setdefault, cs, cs)), bound)
-            if all(c == 1 or c == -1 for c in cs):
-                out += (tuple([k for k, c in acc.items() if c == 1]), tuple([k for k, c in acc.items() if c == -1]))
-            else:
-                out += (None, None)
         memo[js] = out
         return out
 
@@ -510,8 +494,8 @@ class Normalizer:
         self._ints = {recode[c]: recode[c] for c in self._ints}
         self._polys = {recode[c]: poly for c, poly in self._polys.items()}
         for memo in self._erased.values():
-            for js, (ids, packed, *rest) in memo.items():
-                memo[js] = (ids, tuple([recode[c] for c in packed]), *rest)
+            for js, (ids, packed, bound) in memo.items():
+                memo[js] = (ids, tuple([recode[c] for c in packed]), bound)
         slides = self._slides
         for key, (composers, holes, packed, bounds) in slides.items():
             slides[key] = (composers, holes, tuple([recode[c] for c in packed]), bounds)

@@ -289,20 +289,6 @@ def test_engine_matches_the_reference_engine_on_short_words(alpha, holes, seeds,
         assert nz.to_monomials(nz.reduce(*state)) == reference_reduce(*state), seed
 
 
-def test_erase_entries_without_unit_lists_sum_by_multiplying():
-    # every erase coefficient met so far is 1 or -1, so the engine adds and subtracts
-    # the slide coefficients; an entry whose plus and minus lists are None, as one
-    # with another coefficient would be, is summed by multiplying, to the same forms
-    nz = Normalizer()
-    states = fused_table_states(3)
-    want = [nz.reduce(*state) for state in states]
-    for memo in nz._erased.values():
-        assert all(plus is not None for _, _, _, plus, _ in memo.values())
-        for js, entry in memo.items():
-            memo[js] = entry[:3] + (None, None)
-    assert [nz.reduce(*state) for state in states] == want
-
-
 def test_a_normal_form_reduced_before_a_widening_is_the_same_after_it():
     nz = Normalizer()
     state = word_to_state(2, parse_word(2, "A(12) T2 T1 T1 T2 T2"))
