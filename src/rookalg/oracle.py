@@ -15,18 +15,20 @@ points that U_tau sends the corner into, so it sums over the injections
 of those points into the tail, each adding the falling-factorial weight
 (n)_{r_sigma} / (n)_{r_rho} to the corner rho it gives.  It reads U_sigma
 and U_tau off the two rooks and builds no permutation.  The
-"convolve" route is still the full double sum over both supports in the
-group algebra of S_{alpha+n}, accumulated in integers: every product g h
-is formed, one bytes.translate call each, and the products are tallied
-per pair of coefficient classes, so it needs degree at most 255.
+"convolve" route sums in the group algebra of S_{alpha+n} over the left
+quotient G/K: a permutation's head, its images of 1 .. alpha, fixes its
+left coset g K, so _left_quotient keeps one checked member per head,
+weighted n!, and convolves.  The convolution, GroupAlgebraElement's
+product, is the full double sum over both supports, which the route is
+tested against: each product g h is one bytes.translate call, tallied in
+integers per pair of coefficient classes, so it needs degree at most 255.
 
 Every coefficient is made in smallest form, an int when integral and a
 Fraction otherwise, by rational.smallest where it is made: the checked
 constructors coerce through it, and each product, embed and augmentation
 applies it to the values it computes; no element stores a zero.  The
 convolution makes one coefficient per distinct integer tally, and
-from_group reads the corner of each distinct head, a permutation's
-images of 1 .. alpha, once.
+from_group reads the corner of each distinct head once, through _by_head.
 
 Bi-invariant elements are stored in the scaled coset basis: e_sigma is the
 sum of the delta functions over the coset of sigma, divided by n factorial.
@@ -218,6 +220,39 @@ def coset_enumerate(sigma: PartialInjection, ctx: Context) -> tuple[Permutation,
     return tuple(_coset_members(sigma, ctx))
 
 
+def _by_head(x: GroupAlgebraElement) -> dict[tuple[int, ...], tuple[Permutation, list]]:
+    """x's terms by head, a permutation's images of 1 .. alpha: head -> (first member, coefficients).
+
+    K fixes 1 .. alpha, so the permutations with one head are one left coset g K.
+    """
+    alpha = x.ctx.alpha
+    heads: dict[tuple[int, ...], tuple[Permutation, list]] = {}
+    for g, c in x.items():
+        head = g.images[:alpha]
+        if head in heads:
+            heads[head][1].append(c)
+        else:
+            heads[head] = (g, [c])
+    return heads
+
+
+def _left_quotient(x: GroupAlgebraElement) -> GroupAlgebraElement:
+    """One member g of each left coset g K in x's support, weighted n! x(g); loud unless x is right-K-invariant.
+
+    Then x y = n! sum over g K of x(g) g y for left-K-invariant y.
+    """
+    nf = factorial(x.ctx.n)
+    acc = {}
+    for head, (g, values) in _by_head(x).items():
+        if len(values) != nf or values.count(values[0]) != nf:
+            raise ConsistencyError(
+                "element is not right-invariant under the tail subgroup",
+                {"head": head, "seen": len(values), "coset_size": nf},
+            )
+        acc[g] = smallest(values[0] * nf)
+    return GroupAlgebraElement._trusted(x.ctx, acc)
+
+
 class BiinvariantElement(SparseVector):
     """A rational combination of the scaled double-coset sums e_sigma."""
 
@@ -253,21 +288,13 @@ class BiinvariantElement(SparseVector):
     def from_group(cls, x: GroupAlgebraElement) -> "BiinvariantElement":
         """Collapse a coset-constant group-algebra element; loud otherwise.
 
-        A permutation's corner depends only on its head, its images of
-        1 .. alpha, so the corner map is evaluated once per distinct head.
+        A permutation's corner depends only on its head, so the corner map
+        is evaluated once per distinct head.
         """
         ctx = x.ctx
-        alpha = ctx.alpha
-        heads: dict[tuple[int, ...], tuple[Permutation, list]] = {}
-        for g, c in x.items():
-            head = g.images[:alpha]
-            if head in heads:
-                heads[head][1].append(c)
-            else:
-                heads[head] = (g, [c])
         buckets: dict[PartialInjection, list] = defaultdict(list)
-        for g, values in heads.values():
-            buckets[corner_map(g, alpha)] += values
+        for g, values in _by_head(x).values():
+            buckets[corner_map(g, ctx.alpha)] += values
         nf = factorial(ctx.n)
         acc = {}
         for sigma, values in buckets.items():
@@ -362,11 +389,13 @@ def dc_multiply(x: BiinvariantElement, y: BiinvariantElement, *, via: str = "fas
 
     via="fast" uses the single-sum form over the tail subgroup;
     via="convolve" embeds both factors and convolves in the full group
-    algebra.  The two routes must agree exactly and both are kept.
+    algebra, the left factor summed over the left quotient G/K, so with n!
+    times fewer products than the full double sum.  The two routes must
+    agree exactly and both are kept.
     """
     x._check(y)
     if via == "fast":
         return _dc_multiply_fast(x, y)
     if via == "convolve":
-        return BiinvariantElement.from_group(x.embed() * y.embed())
+        return BiinvariantElement.from_group(_left_quotient(x.embed()) * y.embed())
     raise ValueError(f"unknown multiplication route {via!r}")

@@ -9,8 +9,9 @@ table built by rewriting must reproduce, at nu = n, the multiplication of
 generator images computed by the oracle.  Each pair's product
 phi(p) phi(q) is read through the corner action: one oracle product per
 hole set and image, each pair's then a relabelling of its hole set's by
-p's permutation, and the convolve route forms the first 12 x 12 pairs'
-products from the definition at degree <= 6.  Agreement at n fixes
+p's permutation, and the convolve route, a sum in the group algebra over
+the left quotient by the tail subgroup, forms the first 12 x 12 pairs'
+products again at degree <= 6.  Agreement at n fixes
 the constants at n only where the monomial images are linearly independent,
 which they are from n = alpha on.  When the number of such checked points
 exceeds the maximum polynomial degree, the table is the unique polynomial
@@ -436,8 +437,9 @@ def _check_point(col: _Collector, tbl: StructureTable, ctx: Context, **tag) -> t
 
     Each pair's left-hand side phi(p) phi(q) comes from _corner_products;
     on the first 12 x 12 pairs at degree <= 6 the convolve route also forms
-    it from the definition, and the two must agree.  Returns the images at
-    ctx.n and the number of pairs also checked by the convolve route.
+    it in the group algebra, summing phi(p) over its left cosets of the
+    tail subgroup, and the two must agree.  Returns the images at ctx.n and
+    the number of pairs also checked by the convolve route.
     """
     imgs = monomial_images(tbl.basis, ctx)
 

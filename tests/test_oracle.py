@@ -353,17 +353,41 @@ def test_fast_product_matches_full_convolution():
 
 def test_convolve_product_matches_fast_product_at_degree_8():
     ctx = Context(3, 5)
-    # the images of permutation and one-hole monomials: at most 600 group
-    # elements each, so a pair is at most 360,000 products
-    images = [
-        x
-        for x in monomial_images(basis_enumerate(3), ctx)
-        if sum(coset_size(ctx, s) for s, _ in x.items()) <= 600
-    ]
+    # the left operand is any monomial image, up to 15,000 group elements but
+    # 125 left cosets of K; the right one an image of a permutation or one-hole
+    # monomial, at most 600 group elements, so a pair is at most 75,000 products
+    images = monomial_images(basis_enumerate(3), ctx)
+
+    def size(x):
+        return sum(coset_size(ctx, s) for s, _ in x.items())
+
+    small = [y for y in images if size(y) <= 600]
     rng = random.Random(35)
-    for _ in range(4):
-        x, y = rng.choice(images), rng.choice(images)
+    pairs = [(rng.choice(images), rng.choice(small)) for _ in range(4)]
+    # the four draws hold no image past 600 elements, so the first one, 3,000
+    # group elements in 25 left cosets, is added on the left against a 600-element image
+    pairs.append((next(x for x in images if size(x) > 600), max(small, key=size)))
+    for x, y in pairs:
         assert dc_multiply(x, y, via="convolve") == dc_multiply(x, y, via="fast")
+
+
+@pytest.mark.parametrize("value,seen", [(7, 6), (0, 5)])
+def test_convolve_route_refuses_a_left_factor_that_is_not_right_invariant(monkeypatch, value, seen):
+    # one member of one left coset changed or dropped: the quotient step refuses the
+    # left factor and names that coset's head, where from_group would name a sigma
+    ctx = Context(2, 3)
+    sigma = PartialInjection((2, None))
+    member = coset_enumerate(sigma, ctx)[4]
+    embed = BiinvariantElement.embed
+
+    def tampered(self):
+        return GroupAlgebraElement(ctx, {**dict(embed(self).items()), member: value})
+
+    monkeypatch.setattr(BiinvariantElement, "embed", tampered)
+    x = BiinvariantElement.basis(ctx, sigma)
+    with pytest.raises(ConsistencyError, match="right-invariant") as err:
+        dc_multiply(x, x, via="convolve")
+    assert err.value.payload == {"head": member.images[:2], "seen": seen, "coset_size": 6}
 
 
 @pytest.mark.parametrize("alpha,n", [(2, 4), (3, 3)])
@@ -405,11 +429,15 @@ def full_sum_product(x: BiinvariantElement, y: BiinvariantElement) -> Biinvarian
 
 @pytest.mark.parametrize("alpha,n", [(1, 3), (2, 3), (2, 4), (3, 3)])
 def test_fast_product_matches_full_sum_on_the_coset_basis(alpha, n):
+    # and the convolve route, a sum over the left quotient G/K, against both the
+    # single sum over K and the group algebra's own product, the full double sum
     ctx = Context(alpha, n)
     basis = [BiinvariantElement.basis(ctx, s) for s in rook_enumerate(alpha)]
     for x in basis:
         for y in basis:
-            assert dc_multiply(x, y, via="fast") == full_sum_product(x, y)
+            want = full_sum_product(x, y)
+            assert dc_multiply(x, y, via="fast") == want
+            assert dc_multiply(x, y, via="convolve") == BiinvariantElement.from_group(x.embed() * y.embed()) == want
 
 
 def test_fast_product_matches_full_sum_at_every_small_tail_degree():
@@ -467,7 +495,7 @@ small_rationals = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_v
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_products_write_integral_coefficients_as_ints(data):
-    # rational operands through the fast product, the convolution and from_group, at degree <= 5
+    # rational operands through the fast product, both convolutions and from_group, at degree <= 5
     alpha = data.draw(st.integers(min_value=1, max_value=3), label="alpha")
     ctx = Context(alpha, data.draw(st.integers(min_value=0, max_value=5 - alpha), label="n"))
     keys = [s for s in rook_enumerate(alpha) if coset_corank(s) <= ctx.n]
@@ -484,7 +512,7 @@ def test_products_write_integral_coefficients_as_ints(data):
         assert in_smallest_form(z)
     for a in (x.augmentation(), convolved.augmentation()):
         assert type(a) is int or (type(a) is Fraction and a.denominator != 1)
-    assert fast == collapsed == full_sum_product(x, y)
+    assert fast == collapsed == dc_multiply(x, y, via="convolve") == full_sum_product(x, y)
     assert back == x
 
 
