@@ -49,13 +49,12 @@ the details.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, starmap
 from operator import ge, gt, itemgetter
 from typing import Sequence
 
-from .combinatorics import PartialInjection, Permutation, rook_enumerate
+from .combinatorics import Frozen, PartialInjection, Permutation, rook_enumerate
 from .errors import ConsistencyError, ContextError
 from .nupoly import NuPoly
 from .rational import Rational
@@ -69,14 +68,15 @@ _NU_MINUS_ONE = _NU - _ONE
 _FIRST_WIDTH = 64
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Frozen):
     """Admissible normal-form monomial A(perm) T_{holes}."""
 
     perm: Permutation
     holes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, perm: Permutation, holes: Sequence[int]) -> None:
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "holes", tuple(holes))
         alpha = self.perm.degree
         for j in self.holes:
             if not 1 <= j <= alpha:
@@ -112,6 +112,17 @@ class Monomial:
         images = tuple(next(missing) if v is None else v for v in sigma.target)
         holes = tuple(x for x, v in enumerate(sigma.target, start=1) if v is None)
         return cls(Permutation(images), holes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.perm, self.holes) == (other.perm, other.holes)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.perm, self.holes))
+
+    def __repr__(self) -> str:
+        return f"Monomial(perm={self.perm!r}, holes={self.holes!r})"
 
 
 def monomial_sort_key(m: Monomial) -> tuple:

@@ -11,15 +11,22 @@ Conventions used consistently across the package:
   writes 0 for None.
 
 `Permutation` and `PartialInjection` check their input in the public
-constructor.  Each also has one unchecked `_trusted` constructor, which
-sets the same field; only values valid by construction go through it
-(products and inverses of permutations, corners read off a permutation),
-and outside input always goes through the checked one.
+constructor, which stores each sequence as a tuple.  Each also has one
+unchecked `_trusted` constructor, which sets the same field; only values
+valid by construction go through it (products and inverses of
+permutations, corners read off a permutation), and outside input always
+goes through the checked one.
+
+The package's value classes (these three, `oracle.Context`,
+`algebra.Monomial`, `tables.StructureTable`, `verify.VerificationReport`)
+are plain classes on `Frozen`, written out by hand: each compares equal
+only to its own class, hashes as the tuple of its fields, and repeats its
+fields in its repr.  Nothing is generated at import, so importing the
+package never loads the standard library's `inspect` machinery.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations as _permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -27,13 +34,32 @@ from .capacity import rook_limit
 from .errors import CapacityError, ConsistencyError, ContextError
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Frozen:
+    """Base of the immutable value classes: assigning or deleting an attribute raises.
+
+    A constructor stores its fields with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(Frozen):
     """A permutation in one-line notation acting on {1, ..., degree}."""
 
     images: tuple[int, ...]
 
+    def __init__(self, images: Iterable[int]) -> None:
+        object.__setattr__(self, "images", tuple(images))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        # the check, looked up by name so bench/tracing.py can count checked constructions
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not one-line notation for a permutation: {self.images!r}")
 
@@ -92,6 +118,17 @@ class Permutation:
             inv[y - 1] = x
         return Permutation._trusted(tuple(inv))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
+
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images, start=1))
 
@@ -125,13 +162,13 @@ def embed_pair(g: Permutation, sigma: Permutation) -> Permutation:
     return Permutation(g.images + tuple(x + a for x in sigma.images))
 
 
-@dataclass(frozen=True)
-class PartialInjection:
+class PartialInjection(Frozen):
     """A partial injection of {1, ..., alpha}, stored as its target row."""
 
     target: tuple[int | None, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, target: Iterable[int | None]) -> None:
+        object.__setattr__(self, "target", tuple(target))
         alpha = len(self.target)
         defined = [v for v in self.target if v is not None]
         if any(not (1 <= v <= alpha) for v in defined):
@@ -189,6 +226,17 @@ class PartialInjection:
 
     def serialize(self) -> tuple[int, ...]:
         return tuple(0 if v is None else v for v in self.target)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.target == other.target
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.target,))
+
+    def __repr__(self) -> str:
+        return f"PartialInjection(target={self.target!r})"
 
 
 def idempotent(alpha: int, holes: Sequence[int]) -> PartialInjection:
@@ -257,13 +305,13 @@ def rook_count(alpha: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
+class YoungDiagram(Frozen):
     """A partition drawn as a Young diagram: weakly decreasing positive rows."""
 
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Iterable[int]) -> None:
+        object.__setattr__(self, "rows", tuple(rows))
         if any(r <= 0 for r in self.rows):
             raise ValueError(f"rows must be positive: {self.rows!r}")
         if any(a < b for a, b in zip(self.rows, self.rows[1:])):
@@ -272,6 +320,17 @@ class YoungDiagram:
     @property
     def size(self) -> int:
         return sum(self.rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"YoungDiagram(rows={self.rows!r})"
 
 
 def partitions(n: int) -> tuple[YoungDiagram, ...]:

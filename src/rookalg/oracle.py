@@ -39,7 +39,6 @@ the generator images have augmentation 1 (permutation generators) and n
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations
@@ -48,6 +47,7 @@ from operator import attrgetter
 from typing import Iterator
 
 from .combinatorics import (
+    Frozen,
     PartialInjection,
     Permutation,
     all_permutations,
@@ -61,20 +61,32 @@ from .rational import Rational, format_rational, smallest
 from .sparse import SparseVector, integral
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Frozen):
     """The ambient pair: corner size alpha, tail subgroup degree n."""
 
     alpha: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.n < 0:
+    def __init__(self, alpha: int, n: int) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "n", n)
+        if alpha < 0 or n < 0:
             raise ValueError(f"alpha and n must be non-negative: {self}")
 
     @property
     def degree(self) -> int:
         return self.alpha + self.n
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.n) == (other.alpha, other.n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.n))
+
+    def __repr__(self) -> str:
+        return f"Context(alpha={self.alpha!r}, n={self.n!r})"
 
 
 @lru_cache(maxsize=None)

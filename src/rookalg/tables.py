@@ -46,7 +46,6 @@ from __future__ import annotations
 import random
 import time
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -54,7 +53,7 @@ from typing import Iterator, Sequence
 
 from .algebra import Monomial, Normalizer, State, basis_enumerate, fuse, star_state
 from .capacity import table_limit
-from .combinatorics import Permutation
+from .combinatorics import Frozen, Permutation
 from .errors import CapacityError, ConsistencyError
 from .nupoly import NuPoly
 from .rational import Rational, format_rational
@@ -64,8 +63,7 @@ Term = tuple[int, NuPoly]
 Row = tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(Frozen):
     """Products of basis monomials: the product of pair (p, q) is rows[row_of[p * dimension + q]].
 
     rows holds each distinct row ((r, poly), ...) once, with r increasing, in
@@ -78,7 +76,31 @@ class StructureTable:
     basis: tuple[Monomial, ...]
     rows: tuple[Row, ...]
     row_of: array
-    build_stats: dict = field(default_factory=dict, compare=False, repr=False)
+    build_stats: dict
+
+    def __init__(self, alpha: int, basis, rows, row_of: array, build_stats: dict | None = None) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "row_of", row_of)
+        object.__setattr__(self, "build_stats", {} if build_stats is None else build_stats)
+
+    def __eq__(self, other):
+        # build_stats is left out: equal tables built at different times stay equal
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.basis, self.rows, self.row_of) == (
+                other.alpha, other.basis, other.rows, other.row_of
+            )
+        return NotImplemented
+
+    # row_of is an array, so a table is unhashable, as before
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"StructureTable(alpha={self.alpha!r}, basis={self.basis!r}, rows={self.rows!r}, "
+            f"row_of={self.row_of!r})"
+        )
 
     @property
     def dimension(self) -> int:

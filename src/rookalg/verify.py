@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
@@ -44,6 +43,7 @@ from typing import Iterable, Sequence
 from .algebra import Monomial, _as_poly, _emit, _sites, basis_enumerate, word_to_state
 from .capacity import ORACLE_DEGREE_LIMIT
 from .combinatorics import (
+    Frozen,
     PartialInjection,
     Permutation,
     all_permutations,
@@ -70,14 +70,45 @@ from .sparse import combine
 from .tables import StructureTable, gram_matrix, scaled_limit_table, structure_table, trace_form
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     suite: str
     params: dict
     status: str
-    warnings: tuple[str, ...] = ()
-    counterexamples: tuple = ()
-    metrics: dict = field(default_factory=dict)
+    warnings: tuple[str, ...]
+    counterexamples: tuple
+    metrics: dict
+
+    def __init__(
+        self,
+        suite: str,
+        params: dict,
+        status: str,
+        warnings: tuple[str, ...] = (),
+        counterexamples: tuple = (),
+        metrics: dict | None = None,
+    ) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "counterexamples", counterexamples)
+        object.__setattr__(self, "metrics", {} if metrics is None else metrics)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.suite, self.params, self.status, self.warnings, self.counterexamples, self.metrics) == (
+                other.suite, other.params, other.status, other.warnings, other.counterexamples, other.metrics
+            )
+        return NotImplemented
+
+    # params and metrics are dicts, so a report is unhashable, as before
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"VerificationReport(suite={self.suite!r}, params={self.params!r}, status={self.status!r}, "
+            f"warnings={self.warnings!r}, counterexamples={self.counterexamples!r}, metrics={self.metrics!r})"
+        )
 
     @property
     def passed(self) -> bool:
