@@ -40,8 +40,6 @@ class Frozen:
     A constructor stores its fields with `object.__setattr__`.
     """
 
-    __slots__ = ()
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
