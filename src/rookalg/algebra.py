@@ -71,6 +71,7 @@ _FIRST_WIDTH = 64
 class Monomial(Frozen):
     """Admissible normal-form monomial A(perm) T_{holes}."""
 
+    __slots__ = ("perm", "holes")
     perm: Permutation
     holes: tuple[int, ...]
 
@@ -79,13 +80,16 @@ class Monomial(Frozen):
         object.__setattr__(self, "holes", tuple(holes))
         alpha = self.perm.degree
         for j in self.holes:
-            if not 1 <= j <= alpha:
-                raise ValueError(f"hole index {j} outside 1..{alpha}")
+            if type(j) is not int or not 1 <= j <= alpha:
+                raise ValueError(f"hole index {j!r} outside 1..{alpha}")
         if any(a >= b for a, b in zip(self.holes, self.holes[1:])):
             raise ValueError(f"hole indices must be strictly increasing: {self.holes}")
         images = tuple(self.perm(j) for j in self.holes)
         if any(a >= b for a, b in zip(images, images[1:])):
             raise ValueError(f"hole images must be strictly increasing: {self.holes} -> {images}")
+
+    def _key(self) -> tuple:
+        return (self.perm, self.holes)
 
     @classmethod
     def one(cls, alpha: int) -> "Monomial":
@@ -112,17 +116,6 @@ class Monomial(Frozen):
         images = tuple(next(missing) if v is None else v for v in sigma.target)
         holes = tuple(x for x, v in enumerate(sigma.target, start=1) if v is None)
         return cls(Permutation(images), holes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.perm, self.holes) == (other.perm, other.holes)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.perm, self.holes))
-
-    def __repr__(self) -> str:
-        return f"Monomial(perm={self.perm!r}, holes={self.holes!r})"
 
 
 def monomial_sort_key(m: Monomial) -> tuple:

@@ -19,10 +19,9 @@ goes through the checked one.
 
 The package's value classes (these three, `oracle.Context`,
 `algebra.Monomial`, `tables.StructureTable`, `verify.VerificationReport`)
-are plain classes on `Frozen`, written out by hand: each compares equal
-only to its own class, hashes as the tuple of its fields, and repeats its
-fields in its repr.  Nothing is generated at import, so importing the
-package never loads the standard library's `inspect` machinery.
+are plain classes on `Frozen`, which defines their equality, hashing and
+repr once, over each class's `_key`.  Nothing is generated at import, so
+importing the package never loads the standard library's `inspect` machinery.
 """
 from __future__ import annotations
 
@@ -37,8 +36,24 @@ from .errors import CapacityError, ConsistencyError, ContextError
 class Frozen:
     """Base of the immutable value classes: assigning or deleting an attribute raises.
 
-    A constructor stores its fields with `object.__setattr__`.
+    A subclass names its fields in `__slots__` and returns them in that order from `_key`;
+    equality (same class only), hash and repr read `_key`.  Constructors and `__setstate__`
+    store fields with `object.__setattr__`.
     """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -46,10 +61,18 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __setstate__(self, state) -> None:
+        # a dict, or (dict or None, slots) from a slotted class
+        if isinstance(state, tuple):
+            state = {**(state[0] or {}), **state[1]}
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
 
 class Permutation(Frozen):
     """A permutation in one-line notation acting on {1, ..., degree}."""
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]) -> None:
@@ -58,15 +81,19 @@ class Permutation(Frozen):
 
     def __post_init__(self) -> None:
         # the check, looked up by name so bench/tracing.py can count checked constructions
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+        images = self.images
+        if any(type(y) is not int for y in images) or sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not one-line notation for a permutation: {self.images!r}")
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap images that are a permutation by construction; no check."""
         out = object.__new__(cls)
-        out.__dict__["images"] = images
+        object.__setattr__(out, "images", images)
         return out
+
+    def _key(self) -> tuple:
+        return (self.images,)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -116,17 +143,6 @@ class Permutation(Frozen):
             inv[y - 1] = x
         return Permutation._trusted(tuple(inv))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
-
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images, start=1))
 
@@ -163,14 +179,15 @@ def embed_pair(g: Permutation, sigma: Permutation) -> Permutation:
 class PartialInjection(Frozen):
     """A partial injection of {1, ..., alpha}, stored as its target row."""
 
+    __slots__ = ("target",)
     target: tuple[int | None, ...]
 
     def __init__(self, target: Iterable[int | None]) -> None:
         object.__setattr__(self, "target", tuple(target))
         alpha = len(self.target)
         defined = [v for v in self.target if v is not None]
-        if any(not (1 <= v <= alpha) for v in defined):
-            raise ValueError(f"target values must lie in 1..{alpha}: {self.target!r}")
+        if any(type(v) is not int or not 1 <= v <= alpha for v in defined):
+            raise ValueError(f"target values must lie in 1..{alpha}, as ints: {self.target!r}")
         if len(set(defined)) != len(defined):
             raise ValueError(f"target values must be distinct: {self.target!r}")
 
@@ -178,8 +195,11 @@ class PartialInjection(Frozen):
     def _trusted(cls, target: tuple[int | None, ...]) -> "PartialInjection":
         """Wrap a target row that is a partial injection by construction; no check."""
         out = object.__new__(cls)
-        out.__dict__["target"] = target
+        object.__setattr__(out, "target", target)
         return out
+
+    def _key(self) -> tuple:
+        return (self.target,)
 
     @classmethod
     def identity(cls, alpha: int) -> "PartialInjection":
@@ -224,17 +244,6 @@ class PartialInjection(Frozen):
 
     def serialize(self) -> tuple[int, ...]:
         return tuple(0 if v is None else v for v in self.target)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.target == other.target
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.target,))
-
-    def __repr__(self) -> str:
-        return f"PartialInjection(target={self.target!r})"
 
 
 def idempotent(alpha: int, holes: Sequence[int]) -> PartialInjection:
@@ -306,29 +315,22 @@ def rook_count(alpha: int) -> int:
 class YoungDiagram(Frozen):
     """A partition drawn as a Young diagram: weakly decreasing positive rows."""
 
+    __slots__ = ("rows",)
     rows: tuple[int, ...]
 
     def __init__(self, rows: Iterable[int]) -> None:
         object.__setattr__(self, "rows", tuple(rows))
-        if any(r <= 0 for r in self.rows):
-            raise ValueError(f"rows must be positive: {self.rows!r}")
+        if any(type(r) is not int or r <= 0 for r in self.rows):
+            raise ValueError(f"rows must be positive ints: {self.rows!r}")
         if any(a < b for a, b in zip(self.rows, self.rows[1:])):
             raise ValueError(f"rows must be weakly decreasing: {self.rows!r}")
+
+    def _key(self) -> tuple:
+        return (self.rows,)
 
     @property
     def size(self) -> int:
         return sum(self.rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __repr__(self) -> str:
-        return f"YoungDiagram(rows={self.rows!r})"
 
 
 def partitions(n: int) -> tuple[YoungDiagram, ...]:

@@ -64,29 +64,22 @@ from .sparse import SparseVector, integral
 class Context(Frozen):
     """The ambient pair: corner size alpha, tail subgroup degree n."""
 
+    __slots__ = ("alpha", "n")
     alpha: int
     n: int
 
     def __init__(self, alpha: int, n: int) -> None:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "n", n)
-        if alpha < 0 or n < 0:
-            raise ValueError(f"alpha and n must be non-negative: {self}")
+        if type(alpha) is not int or type(n) is not int or alpha < 0 or n < 0:
+            raise ValueError(f"alpha and n must be non-negative ints: {self}")
+
+    def _key(self) -> tuple:
+        return (self.alpha, self.n)
 
     @property
     def degree(self) -> int:
         return self.alpha + self.n
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.n) == (other.alpha, other.n)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.n))
-
-    def __repr__(self) -> str:
-        return f"Context(alpha={self.alpha!r}, n={self.n!r})"
 
 
 @lru_cache(maxsize=None)

@@ -70,6 +70,9 @@ class StructureTable(Frozen):
     the order of the first pair (p, q) that reaches it; row_of holds one row
     index per pair, in (p, q) order.  Equal terms (r, poly) are one tuple,
     shared by every row that holds them.
+
+    Unlike the other value classes it has no `__slots__`: the cached `_index_map` lives in its
+    instance dict, and its repr, written here, leaves out build_stats as its `_key` does.
     """
 
     alpha: int
@@ -85,13 +88,9 @@ class StructureTable(Frozen):
         object.__setattr__(self, "row_of", row_of)
         object.__setattr__(self, "build_stats", {} if build_stats is None else build_stats)
 
-    def __eq__(self, other):
+    def _key(self) -> tuple:
         # build_stats is left out: equal tables built at different times stay equal
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.basis, self.rows, self.row_of) == (
-                other.alpha, other.basis, other.rows, other.row_of
-            )
-        return NotImplemented
+        return (self.alpha, self.basis, self.rows, self.row_of)
 
     # row_of is an array, so a table is unhashable, as before
     __hash__ = None

@@ -71,6 +71,8 @@ from .tables import StructureTable, gram_matrix, scaled_limit_table, structure_t
 
 
 class VerificationReport(Frozen):
+    # params and metrics are dicts, so hashing a report raises TypeError
+    __slots__ = ("suite", "params", "status", "warnings", "counterexamples", "metrics")
     suite: str
     params: dict
     status: str
@@ -94,21 +96,8 @@ class VerificationReport(Frozen):
         object.__setattr__(self, "counterexamples", counterexamples)
         object.__setattr__(self, "metrics", {} if metrics is None else metrics)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.suite, self.params, self.status, self.warnings, self.counterexamples, self.metrics) == (
-                other.suite, other.params, other.status, other.warnings, other.counterexamples, other.metrics
-            )
-        return NotImplemented
-
-    # params and metrics are dicts, so a report is unhashable, as before
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"VerificationReport(suite={self.suite!r}, params={self.params!r}, status={self.status!r}, "
-            f"warnings={self.warnings!r}, counterexamples={self.counterexamples!r}, metrics={self.metrics!r})"
-        )
+    def _key(self) -> tuple:
+        return (self.suite, self.params, self.status, self.warnings, self.counterexamples, self.metrics)
 
     @property
     def passed(self) -> bool:

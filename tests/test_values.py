@@ -1,9 +1,14 @@
-"""The package's value classes: equality, hashing, immutability and repr.
+"""The package's value classes: equality, hashing, immutability, repr, pickle and copy.
 
-Each of the seven is a plain class written out by hand, so importing the
+Each of the seven is a plain class on `combinatorics.Frozen`, which defines
+equality, hashing and repr once over each class's `_key`, so importing the
 package loads neither `dataclasses` nor the `inspect` machinery behind it.
+All but `StructureTable` keep their fields in `__slots__`, with no instance
+dict, and `Frozen` restores them for pickle and copy.
 """
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +25,7 @@ from rookalg import (
     YoungDiagram,
     structure_table,
 )
+from rookalg.combinatorics import corner_map
 from rookalg.verify import VerificationReport
 
 
@@ -40,6 +46,16 @@ HASHABLE = [
     ),
 ]
 ALL = [value for value, _, _ in HASHABLE] + [structure_table(0), _report()]
+# values from the unchecked constructors, which products, inverses and corners go through
+TRUSTED = [
+    pytest.param(Permutation._trusted((2, 1)), ((2, 1),), "Permutation(images=(2, 1))", id="Permutation._trusted"),
+    pytest.param(
+        corner_map(Permutation((3, 1, 2)), 2), ((None, 1),), "PartialInjection(target=(None, 1))", id="corner_map"
+    ),
+]
+ROUND_TRIP = [pytest.param(v, id=type(v).__name__) for v in ALL] + [
+    pytest.param(p.values[0], id=p.id) for p in TRUSTED
+]
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
@@ -54,7 +70,7 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("value, fields, text", HASHABLE, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value, fields, text", HASHABLE + TRUSTED, ids=lambda v: type(v).__name__)
 def test_values_hash_as_their_fields_and_repeat_them_in_their_repr(value, fields, text):
     assert hash(value) == hash(fields)
     assert repr(value) == text
@@ -143,3 +159,48 @@ def test_checked_permutations_run_their_check_by_name(monkeypatch):
     g * g
     g.inverse()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("value", ROUND_TRIP)
+def test_values_survive_pickle_and_copy(value):
+    # protocols 0 and 1 refuse slotted classes, NuPoly's too
+    clones = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones + [copy.copy(value), copy.deepcopy(value)]:
+        assert type(clone) is type(value) and clone == value and repr(clone) == repr(value)
+        with pytest.raises(AttributeError):
+            clone.extra = 1
+
+
+def test_a_copied_table_keeps_its_build_stats_and_index():
+    table = structure_table(1, use_cache=False)
+    table.index_of(table.basis[1])
+    for clone in (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)):
+        assert clone == table and clone.build_stats == table.build_stats != {}
+        assert [clone.index_of(m) for m in table.basis] == [0, 1]
+
+
+def test_no_value_but_a_table_has_an_instance_dict():
+    values = [p.values[0] for p in ROUND_TRIP if not isinstance(p.values[0], StructureTable)]
+    assert len({type(v) for v in values}) == 6
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+    g = Permutation((3, 1, 2))
+    assert not any(hasattr(v, "__dict__") for v in (g * g, g.inverse(), corner_map(g, 2)))
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (Permutation, ((2.0, 1.0),)),
+        (Permutation, ((True,),)),
+        (PartialInjection, ((2.0, None),)),
+        (YoungDiagram, ((2.0, 1),)),
+        (Context, (2.5, 3)),
+        (Context, (2, 3.0)),
+        (Monomial, (Permutation((2, 1)), (1.0,))),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_checked_constructors_refuse_entries_that_are_not_ints(make, fields):
+    with pytest.raises(ValueError):
+        make(*fields)
