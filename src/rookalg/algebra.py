@@ -281,12 +281,13 @@ class Normalizer:
     in it.  A leaf's bound is 1, and a parent's is the sum over its children
     of |w|_1 * bound(child), where |w|_1 sums the absolute coefficients of
     the weight.  A slide memo entry holds one bound b per end, built by the
-    same rule from the ends' bound 1, so that the bound of (k, js),
-    sum b·bound(k∘y, J), is the one a recursion through every state would
-    give; an end whose coefficient cancels keeps its bound, so the digits
-    widen at the same points.  While every bound is below 2^(B-1), the
-    balanced base-2^B digits of a packed value are its coefficients, so
-    packing is exact and invertible.  A state whose bound, or identity
+    same rule from the ends' bound 1, so that the bound of (k, js) is
+    sum b·bound(k∘y, J).  An end whose coefficient cancels is dropped, with
+    its bound, once the sum of every end's bound shows that its packed 0 is
+    a zero polynomial: it adds nothing to the normal form, and each kept
+    end's b still bounds |c|_1, so no digit is decoded wrong.  While every
+    bound is below 2^(B-1), the balanced base-2^B digits of a packed value
+    are its coefficients, so packing is exact and invertible.  A state whose bound, or identity
     state whose sum of bounds, reaches 2^(B-1) is not stored: B doubles,
     every memo entry is re-encoded at the new width (exactly, as each is
     decodable at the old one), and the top-level call runs again.  Leaf
@@ -379,9 +380,8 @@ class Normalizer:
                     hits += 1
                 ids, packed, b2 = hit
                 bound += b * b2
-                if c:
-                    for i, x in zip(ids, packed):
-                        acc[i] = get(i, 0) + c * x
+                for i, x in zip(ids, packed):
+                    acc[i] = get(i, 0) + c * x
         finally:
             self.stats["cache_hits"] += hits
         if bound >> (self._width - 1):
@@ -430,9 +430,11 @@ class Normalizer:
                         end[0] += c
                         end[1] += b
             ends = [(f, J, c, b) for f, group in groups.items() for J, (c, b) in group.items()]
-            composers, holes, cs, bs = zip(*ends)
-            if sum(bs) >> (self._width - 1):
+            if sum(b for _, _, _, b in ends) >> (self._width - 1):
                 raise _Widen
+            # below that bound a packed 0 is a zero polynomial, so the end adds nothing and is
+            # dropped; T_js is nonzero, so some end remains
+            composers, holes, cs, bs = zip(*[(f, J, c, b) for f, J, c, b in ends if c])
             out = (composers, holes, tuple(map(self._ints.setdefault, cs, cs)), bs)
         self._slides[key] = out
         return out

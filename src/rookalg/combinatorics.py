@@ -17,11 +17,14 @@ valid by construction go through it (products and inverses of
 permutations, corners read off a permutation), and outside input always
 goes through the checked one.
 
-The package's value classes (these three, `oracle.Context`,
-`algebra.Monomial`, `tables.StructureTable`, `verify.VerificationReport`)
-are plain classes on `Frozen`, which defines their equality, hashing and
-repr once, over each class's `_key`.  Nothing is generated at import, so
-importing the package never loads the standard library's `inspect` machinery.
+Every value class of the package (these three, `oracle.Context`,
+`algebra.Monomial`, `nupoly.NuPoly`, the `sparse.SparseVector` element
+classes, `tables.StructureTable` and `verify.VerificationReport`) is a
+plain slotted class on `Frozen`, which defines its equality, hashing and
+repr once, over the class's `_key`, and refuses every assignment, so a
+value that many tables, rows or caches share cannot be changed in place.
+Nothing is generated at import, so importing the package never loads the
+standard library's `inspect` machinery.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ class Frozen:
 
     A subclass names its fields in `__slots__` and returns them in that order from `_key`;
     equality (same class only), hash and repr read `_key`.  Constructors and `__setstate__`
-    store fields with `object.__setattr__`.
+    store fields with `object.__setattr__`.  No subclass has an instance dict.
     """
 
     __slots__ = ()
@@ -62,10 +65,8 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state) -> None:
-        # a dict, or (dict or None, slots) from a slotted class
-        if isinstance(state, tuple):
-            state = {**(state[0] or {}), **state[1]}
-        for name, value in state.items():
+        # (None, slots): pickle and copy pass no instance dict, as there is none
+        for name, value in state[1].items():
             object.__setattr__(self, name, value)
 
 

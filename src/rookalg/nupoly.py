@@ -7,7 +7,11 @@ interpolation, rational evaluation or parsed "p/q" text brings them in.
 `evaluate` returns its value in the same form, so a structure constant
 at an integer point is an int.
 The rewriting engine makes no NuPoly while it recurses: it sums packed
-ints and decodes each distinct value once (see `algebra.Normalizer`).
+ints and decodes each distinct value once (see `algebra.Normalizer`), so
+its normal forms, and the structure tables built from them, share one
+NuPoly object per value.  A NuPoly is therefore a `Frozen` value, and
+assigning to `coeffs` raises rather than rewriting every entry that
+shares it.
 """
 from __future__ import annotations
 
@@ -15,10 +19,11 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
+from .combinatorics import Frozen
 from .rational import Rational, format_rational, parse_rational, smallest
 
 
-class NuPoly:
+class NuPoly(Frozen):
     """Immutable polynomial in nu with exact coefficients.
 
     Coefficients are stored constant term first: integer coefficients in
@@ -31,12 +36,16 @@ class NuPoly:
     """
 
     __slots__ = ("coeffs",)
+    coeffs: tuple[Rational, ...]
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
         cs = [smallest(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def _key(self) -> tuple:
+        return (self.coeffs,)
 
     @classmethod
     def zero(cls) -> "NuPoly":
@@ -70,14 +79,6 @@ class NuPoly:
     @property
     def leading(self) -> Fraction:
         return Fraction(self.coeffs[-1]) if self.coeffs else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, NuPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "NuPoly") -> "NuPoly":
         if not isinstance(other, NuPoly):

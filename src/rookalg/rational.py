@@ -2,7 +2,8 @@
 
 Every "p/q" the package writes goes through `format_rational`, and every
 one it reads through `parse_rational`; every coefficient kept in smallest
-form, an int when integral, goes through `smallest`.  This module imports
+form, an int when integral, goes through `smallest`, which refuses a
+float, so no inexact value becomes an exact one.  This module imports
 nothing from the package, so the oracle uses it and still imports nothing
 from `nupoly` or the rewriting code.
 """
@@ -20,27 +21,33 @@ _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def smallest(c, d: int = 1) -> Rational:
     """c / d as an exact rational: an int when integral, a Fraction otherwise.
 
-    c is an int, a Fraction or any value Fraction accepts, and d a nonzero
-    int.  An int c is divided in integers, so an integral quotient makes no
-    Fraction.
+    c is an int, a Fraction or any other value Fraction accepts but a float,
+    and d a nonzero int.  A float is a TypeError: it is not exact, and
+    0.1 would come back as 3602879701896397/36028797018963968.  An int c
+    is divided in integers, so an integral quotient makes no Fraction.
     """
     if type(c) is int:
         if d == 1:
             return c
         q, r = divmod(c, d)
         return Fraction(c, d) if r else q
-    f = c if type(c) is Fraction else Fraction(c)
+    if type(c) is Fraction:
+        f = c
+    elif isinstance(c, float):
+        raise TypeError(f"a float is not an exact rational: {c!r}")
+    else:
+        f = Fraction(c)
     if d != 1:
         f /= d
     return f.numerator if f.denominator == 1 else f
 
 
 def format_rational(x: Rational) -> str:
-    """Render a rational as "p/q" with q > 0 and gcd(p, q) = 1."""
+    """Render a rational as "p/q" with q > 0 and gcd(p, q) = 1; x is read by `smallest`."""
+    x = smallest(x)
     if type(x) is int:
         return f"{x}/1"
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:

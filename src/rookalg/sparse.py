@@ -1,10 +1,13 @@
 """Sparse vectors over a basis: the arithmetic every element class shares.
 
 An element is a dict from basis keys to nonzero coefficients, tied to one
-context.  A subclass names what differs as class attributes: the slot that
-holds its context (`_context`, "ctx" or "alpha"), its zero coefficient
-(`_zero`), how a scalar becomes a coefficient (`_coerce`; the oracle's
-classes use `rational.smallest`), how a key is checked against the context
+context.  Elements are `Frozen` values: equal when of one class, context
+and coefficients, unhashable (their `_key` holds the dict), and their
+context and dict cannot be reassigned.  A subclass names what differs as
+class attributes: the slot that holds its context (`_context`, "ctx" or
+"alpha"), its zero coefficient (`_zero`), how a scalar becomes a
+coefficient (`_coerce`; the oracle's classes use `rational.smallest`, so
+a float is refused), how a key is checked against the context
 (`_check_key`) and how its keys sort (`_sort_key`).  The one constructor
 checks outside input, and each class's `__mul__` is its own.  Whoever
 makes a coefficient settles it there: `_trusted` stores the dict it is
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from .combinatorics import Frozen
 from .errors import ContextError
 
 
@@ -49,7 +53,7 @@ def integral(items):
     return d, [(k, c.numerator * (d // c.denominator)) for k, c in items]
 
 
-class SparseVector:
+class SparseVector(Frozen):
     """Nonzero coefficients by basis key, in one context; see the module docstring."""
 
     __slots__ = ("_coeffs",)
@@ -57,14 +61,14 @@ class SparseVector:
     def __init__(self, context, coeffs=None):
         """Check outside input: each coefficient is coerced, zeros are dropped,
         and then each remaining key is checked against the context."""
-        setattr(self, self._context, context)
+        object.__setattr__(self, self._context, context)
         clean = {}
         for k, c in (coeffs or {}).items():
             c = self._coerce(c)
             if c:
                 self._check_key(context, k)
                 clean[k] = c
-        self._coeffs = clean
+        object.__setattr__(self, "_coeffs", clean)
 
     @classmethod
     def _trusted(cls, context, coeffs):
@@ -77,8 +81,8 @@ class SparseVector:
         the zeros and checks every key.
         """
         out = object.__new__(cls)
-        setattr(out, cls._context, context)
-        out._coeffs = coeffs
+        object.__setattr__(out, cls._context, context)
+        object.__setattr__(out, "_coeffs", coeffs)
         return out
 
     @classmethod
@@ -87,6 +91,9 @@ class SparseVector:
 
     def _own_context(self):
         return getattr(self, self._context)
+
+    def _key(self) -> tuple:
+        return (self._own_context(), self._coeffs)
 
     def coefficient(self, key):
         return self._coeffs.get(key, self._zero)
@@ -129,11 +136,6 @@ class SparseVector:
         # scalars commute; a product of two elements is taken by the left
         # operand's __mul__, so only scalars and foreign types get here
         return self.__mul__(other)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._own_context() == other._own_context() and self._coeffs == other._coeffs
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._context}={self._own_context()}, {len(self._coeffs)} terms)"

@@ -47,7 +47,6 @@ import random
 import time
 from array import array
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -71,10 +70,12 @@ class StructureTable(Frozen):
     index per pair, in (p, q) order.  Equal terms (r, poly) are one tuple,
     shared by every row that holds them.
 
-    Unlike the other value classes it has no `__slots__`: the cached `_index_map` lives in its
-    instance dict, and its repr, written here, leaves out build_stats as its `_key` does.
+    Like every value class it is a slotted `Frozen`: no field can be reassigned, and it has
+    no instance dict.  build_stats is the last slot and is left out of `_key`, so equality and
+    the repr leave it out, and row_of, an array, makes a table unhashable.
     """
 
+    __slots__ = ("alpha", "basis", "rows", "row_of", "build_stats")
     alpha: int
     basis: tuple[Monomial, ...]
     rows: tuple[Row, ...]
@@ -92,25 +93,13 @@ class StructureTable(Frozen):
         # build_stats is left out: equal tables built at different times stay equal
         return (self.alpha, self.basis, self.rows, self.row_of)
 
-    # row_of is an array, so a table is unhashable, as before
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"StructureTable(alpha={self.alpha!r}, basis={self.basis!r}, rows={self.rows!r}, "
-            f"row_of={self.row_of!r})"
-        )
-
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def _index_map(self) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.basis)}
-
     def index_of(self, m: Monomial) -> int:
-        return self._index_map[m]
+        """The index of m in the basis; KeyError if m is not a basis monomial."""
+        return {b: i for i, b in enumerate(self.basis)}[m]
 
     def product(self, ip: int, iq: int) -> Row:
         dim = len(self.basis)
@@ -181,7 +170,7 @@ class StructureTable(Frozen):
         entry pointing at that row joins into its own piece; no row is joined
         into a text of its own.
         """
-        nu_text = "null" if nu is None else f'"{format_rational(Fraction(nu))}"'
+        nu_text = "null" if nu is None else f'"{format_rational(nu)}"'
         basis = [
             f'{{\n      "g": {_json_list(map(str, m.perm.images), 6)},'
             f'\n      "I": {_json_list(map(str, m.holes), 6)}\n    }}'
@@ -496,9 +485,10 @@ def gram_matrix(alpha: int) -> tuple[tuple[NuPoly, ...], ...]:
     """
     table = structure_table(alpha)
     B = trace_form(table)
+    index = {m: i for i, m in enumerate(table.basis)}
     nz = Normalizer()
     stars = [
-        [(table.index_of(m), c) for m, c in nz.to_monomials(nz.reduce(*star_state(q))).items()]
+        [(index[m], c) for m, c in nz.to_monomials(nz.reduce(*star_state(q))).items()]
         for q in table.basis
     ]
     zero = NuPoly.zero()

@@ -268,6 +268,16 @@ def test_engine_matches_the_reference_engine_on_every_fused_table_state(alpha, r
         assert nz.to_monomials(nz.reduce(*state)) == reference_reduce(*state), state
 
 
+def test_the_slide_memo_keeps_no_end_whose_coefficient_cancels():
+    nz = Normalizer()
+    for state in fused_table_states(3):
+        nz.reduce(*state)
+    ends = [c for _, _, cs, _ in nz._slides.values() for c in cs]
+    assert ends and 0 not in ends
+    # each entry still holds one composer, hole set and bound per kept end
+    assert all(len(set(map(len, entry))) == 1 for entry in nz._slides.values())
+
+
 def test_engine_matches_the_reference_engine_on_alpha4_slide_states_with_images(reference_reduce):
     # each state rewrites through the slide memo of its js, kept for the identity,
     # so its own images k enter only as the composite k∘y of each end

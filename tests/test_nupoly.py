@@ -146,6 +146,24 @@ def test_smallest_is_an_int_exactly_when_the_quotient_is_integral(c, d, want):
     assert got == want and type(got) is type(want)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: smallest(0.5),
+        lambda: smallest(0.5, 2),
+        lambda: format_rational(0.5),
+        lambda: NuPoly((1, 0.5)),
+        lambda: NuPoly.constant(0.5),
+        lambda: NuPoly.nu().evaluate(0.1),
+    ],
+    ids=["smallest", "smallest-divided", "format_rational", "NuPoly", "NuPoly.constant", "NuPoly.evaluate"],
+)
+def test_no_exact_value_is_made_from_a_float(make):
+    # 0.1 is 3602879701896397/36028797018963968 as a Fraction, so a float is refused, not converted
+    with pytest.raises(TypeError, match="float"):
+        make()
+
+
 @given(st.lists(rationals, max_size=5))
 def test_storage_type_follows_integrality(cs):
     for c in NuPoly(cs).coeffs:

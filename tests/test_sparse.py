@@ -92,6 +92,15 @@ def test_public_constructor_checks_every_key(cls, context, bad):
         assert cls(context, {key: 0}) == cls.zero(context)
 
 
+@pytest.mark.parametrize("cls, x, context, elsewhere", CASES, ids=IDS)
+def test_no_element_takes_a_float_coefficient(cls, x, context, elsewhere):
+    key = next(iter(x.items()))[0]
+    with pytest.raises(TypeError):
+        cls(context, {key: 0.1})
+    with pytest.raises(TypeError):
+        x.scale(0.5)
+
+
 HALVES = [
     gen_hole(1, Context(2, 2)).scale(Fraction(1, 2)),
     GroupAlgebraElement(Context(2, 1), {Permutation.identity(3): Fraction(1, 2)}),
@@ -112,7 +121,7 @@ def test_sums_and_scalings_of_halves_store_ints(h):
 
 SHARED = (
     "__init__", "zero", "_trusted", "coefficient", "items", "sorted_items", "_check", "__bool__",
-    "__add__", "__sub__", "scale", "__rmul__", "__eq__", "__repr__",
+    "__add__", "__sub__", "scale", "__rmul__", "_key", "__repr__",
 )
 
 

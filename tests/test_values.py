@@ -1,10 +1,12 @@
 """The package's value classes: equality, hashing, immutability, repr, pickle and copy.
 
-Each of the seven is a plain class on `combinatorics.Frozen`, which defines
-equality, hashing and repr once over each class's `_key`, so importing the
-package loads neither `dataclasses` nor the `inspect` machinery behind it.
-All but `StructureTable` keep their fields in `__slots__`, with no instance
-dict, and `Frozen` restores them for pickle and copy.
+Each is a plain class on `combinatorics.Frozen`, which defines equality,
+hashing and repr once over each class's `_key`, so importing the package
+loads neither `dataclasses` nor the `inspect` machinery behind it.  Every
+one keeps its fields in `__slots__`, with no instance dict, and `Frozen`
+restores them for pickle and copy.  `NuPoly`, the three element classes
+on `sparse.SparseVector` and `StructureTable` are values too, so a
+polynomial that many table rows share cannot be changed in place.
 """
 
 import copy
@@ -25,7 +27,10 @@ from rookalg import (
     YoungDiagram,
     structure_table,
 )
+from rookalg.algebra import OElement
 from rookalg.combinatorics import corner_map
+from rookalg.nupoly import NuPoly
+from rookalg.oracle import GroupAlgebraElement, gen_hole
 from rookalg.verify import VerificationReport
 
 
@@ -44,8 +49,17 @@ HASHABLE = [
         (Permutation((2, 1)), (1,)),
         "Monomial(perm=Permutation(images=(2, 1)), holes=(1,))",
     ),
+    (NuPoly((1, 2)), ((1, 2),), "NuPoly(2*nu + 1)"),
 ]
-ALL = [value for value, _, _ in HASHABLE] + [structure_table(0), _report()]
+# one element of each class on SparseVector
+ELEMENTS = [
+    GroupAlgebraElement(Context(2, 1), {Permutation((2, 1, 3)): 1}),
+    gen_hole(1, Context(2, 2)),
+    OElement(2, {Monomial.one(2): NuPoly.nu()}),
+]
+# values whose key holds a dict or an array, so hashing them raises TypeError
+UNHASHABLE = ELEMENTS + [structure_table(0), _report()]
+ALL = [value for value, _, _ in HASHABLE] + UNHASHABLE
 # values from the unchecked constructors, which products, inverses and corners go through
 TRUSTED = [
     pytest.param(Permutation._trusted((2, 1)), ((2, 1),), "Permutation(images=(2, 1))", id="Permutation._trusted"),
@@ -89,9 +103,14 @@ def test_values_of_different_classes_with_the_same_fields_are_unequal():
     assert PartialInjection((1, 2, 3)) != Permutation((1, 2, 3))
 
 
+def _fields(value) -> list[str]:
+    return [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+
+
 @pytest.mark.parametrize("value", ALL, ids=lambda v: type(v).__name__)
 def test_fields_cannot_be_assigned_or_deleted(value):
-    for name in type(value).__annotations__:
+    assert _fields(value)
+    for name in _fields(value):
         old = getattr(value, name)
         with pytest.raises(AttributeError):
             setattr(value, name, old)
@@ -136,8 +155,25 @@ def test_table_equality_and_repr_leave_out_build_stats():
         "rows=(((0, NuPoly(1)),),), row_of=array('I', [0]))"
     )
     assert [a.index_of(m) for m in a.basis] == [0, 1]
+
+
+@pytest.mark.parametrize("value", UNHASHABLE, ids=lambda v: type(v).__name__)
+def test_values_holding_a_dict_or_an_array_are_unhashable(value):
     with pytest.raises(TypeError):
-        hash(a)
+        hash(value)
+
+
+def test_a_polynomial_shared_by_table_rows_cannot_be_reassigned():
+    table = structure_table(2)
+    shared = table.rows[5][0][1]
+    holders = [(i, j) for i, row in enumerate(table.rows) for j, (_, c) in enumerate(row) if c is shared]
+    assert len(holders) > 1
+    before = [[c.coeffs for _, c in row] for row in table.rows]
+    with pytest.raises(AttributeError):
+        shared.coeffs = (42,)
+    with pytest.raises(AttributeError):
+        del shared.coeffs
+    assert [[c.coeffs for _, c in row] for row in table.rows] == before
 
 
 def test_checked_constructors_store_sequences_as_tuples():
@@ -163,7 +199,7 @@ def test_checked_permutations_run_their_check_by_name(monkeypatch):
 
 @pytest.mark.parametrize("value", ROUND_TRIP)
 def test_values_survive_pickle_and_copy(value):
-    # protocols 0 and 1 refuse slotted classes, NuPoly's too
+    # protocols 0 and 1 refuse slotted classes
     clones = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
     for clone in clones + [copy.copy(value), copy.deepcopy(value)]:
         assert type(clone) is type(value) and clone == value and repr(clone) == repr(value)
@@ -173,19 +209,20 @@ def test_values_survive_pickle_and_copy(value):
 
 def test_a_copied_table_keeps_its_build_stats_and_index():
     table = structure_table(1, use_cache=False)
-    table.index_of(table.basis[1])
     for clone in (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)):
         assert clone == table and clone.build_stats == table.build_stats != {}
         assert [clone.index_of(m) for m in table.basis] == [0, 1]
 
 
-def test_no_value_but_a_table_has_an_instance_dict():
-    values = [p.values[0] for p in ROUND_TRIP if not isinstance(p.values[0], StructureTable)]
-    assert len({type(v) for v in values}) == 6
+def test_no_value_has_an_instance_dict():
+    values = [p.values[0] for p in ROUND_TRIP]
+    assert len({type(v) for v in values}) == 11
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
     g = Permutation((3, 1, 2))
-    assert not any(hasattr(v, "__dict__") for v in (g * g, g.inverse(), corner_map(g, 2)))
+    x = ELEMENTS[1]
+    made = (g * g, g.inverse(), corner_map(g, 2), NuPoly.nu() * NuPoly.nu(), x * x, x + x, ELEMENTS[2].star())
+    assert not any(hasattr(v, "__dict__") for v in made)
 
 
 @pytest.mark.parametrize(
